@@ -41,7 +41,6 @@ def main() -> int:
         learning_rate=args.lr,
         batch_size=args.batch,
         total_steps=args.steps,
-        ode_steps=args.ode_steps,
         seed=args.seed,
     )
     sampler = transport_toy_task(offset=tuple(args.offset), spread=args.spread)

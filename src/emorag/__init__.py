@@ -35,7 +35,6 @@ from .store import (
     EmotionEmbedding,
     IntensityLevel,
     UtteranceRecord,
-    db_fingerprint,
     filter_by_intensity,
     load_db,
     load_manifest,
@@ -71,14 +70,12 @@ from .flow import (
     linear_map_task,
     load_checkpoint,
     load_frames,
-    ode_integrate,
     ode_integrate_batch,
     save_checkpoint,
     save_frames,
     train_vector_field,
     transport_toy_task,
     upsample_tokens,
-    vf_forward,
     vf_loss,
     vf_train_step,
 )
@@ -91,7 +88,6 @@ from .pipeline import (
     load_token_map,
     mock_generate_tokens,
     run_inference,
-    synthesize_from_assembly,
     write_report,
 )
 from .synthbench import (
@@ -100,7 +96,6 @@ from .synthbench import (
     emit_report,
     generate_synthetic_db,
     make_query_set,
-    measure_accuracy,
     run_benchmark,
     run_cell,
 )

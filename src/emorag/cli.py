@@ -9,9 +9,10 @@ Exit codes, used consistently by every subcommand:
 * 4 — a referenced file or index is missing
 * 5 — validation or format error in inputs or configuration
 
-Verbosity is controlled by the ``EMORAG_LOG`` environment variable
-(DEBUG/INFO/...).  All stochastic commands take ``--seed`` (default 0) so
-documented invocations reproduce byte-for-byte.
+The ``EMORAG_LOG`` environment variable (DEBUG/INFO/...) only sets the level
+of the ``emorag`` logger; no module writes to that logger yet.  All
+stochastic commands take ``--seed`` (default 0) so documented invocations
+reproduce byte-for-byte.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .retrieval import (
     load_index_bundle,
     retrieve,
     save_index_bundle,
+    scan_block_rows,
 )
 from .store import IntensityLevel, load_db, load_manifest, save_db
 from .synthbench import (
@@ -182,6 +184,17 @@ def cmd_bench(args) -> int:
         print(
             f"{r.method.value:<10} n={r.db_size:<6} accuracy={r.accuracy:.4f} "
             f"mean={r.mean_latency_ns}ns p95={r.p95_latency_ns}ns queries={r.queries}"
+        )
+    emb = {r.db_size: r.mean_latency_ns for r in results if r.method is RetrievalMethod.EMBEDDING}
+    clu = {r.db_size: r.mean_latency_ns for r in results if r.method is RetrievalMethod.CLUSTERING}
+    for size in sorted(emb.keys() & clu.keys()):
+        print(f"clustering speedup at n={size}: {emb[size] / clu[size]:.2f}x")
+    if len(emb) >= 2:
+        lo, hi = min(emb), max(emb)
+        print(
+            f"exhaustive-scan latency scaling {hi}/{lo}: {emb[hi] / emb[lo]:.2f} "
+            f"(size ratio {hi / lo:.2f}, "
+            f"scan blocks of {scan_block_rows(args.dim)} rows at dim {args.dim})"
         )
     print(f"report written to {args.out}")
     return EXIT_OK

@@ -259,24 +259,6 @@ def _forward_rows(model, X, t, cond, spk) -> np.ndarray:
     return out
 
 
-def vf_forward(model: VectorFieldModel, x, t, cond, spk) -> np.ndarray:
-    """Evaluate the field at a single point; returns a (state_dim,) vector."""
-    x = np.asarray(x, dtype=np.float64)
-    cond = np.asarray(cond, dtype=np.float64)
-    s = spk.values if isinstance(spk, SpeakerEmbedding) else np.asarray(spk, dtype=np.float64)
-    if x.shape != (model.state_dim,):
-        raise DimensionMismatchError(f"state shape {x.shape}, expected ({model.state_dim},)")
-    if cond.shape != (model.cond_dim,):
-        raise DimensionMismatchError(f"cond shape {cond.shape}, expected ({model.cond_dim},)")
-    if s.shape != (model.spk_dim,):
-        raise DimensionMismatchError(f"speaker shape {s.shape}, expected ({model.spk_dim},)")
-    t = float(t)
-    if not math.isfinite(t):
-        raise NonFiniteValueError("t must be finite")
-    out = _forward_rows(model, x[None, :], np.array([t]), cond[None, :], s[None, :])
-    return out[0]
-
-
 @dataclass(eq=False)
 class FlowBatch:
     """One training batch: endpoints, times, and conditioning, row-aligned."""
@@ -431,16 +413,6 @@ def ode_integrate_batch(
     return X
 
 
-def ode_integrate(model, x_init, cond, spk, n_steps: int = 32) -> np.ndarray:
-    """Single-sample convenience wrapper around :func:`ode_integrate_batch`."""
-    x = np.asarray(x_init, dtype=np.float64)
-    if x.shape != (model.state_dim,):
-        raise DimensionMismatchError(f"x_init shape {x.shape}, expected ({model.state_dim},)")
-    c = np.asarray(cond, dtype=np.float64)
-    s = spk.values if isinstance(spk, SpeakerEmbedding) else np.asarray(spk, dtype=np.float64)
-    return ode_integrate_batch(model, x[None, :], c[None, :], s[None, :], n_steps)[0]
-
-
 def generate_mel(
     model: VectorFieldModel,
     tokens: FrameSequence,
@@ -486,7 +458,6 @@ class FlowTrainConfig:
     learning_rate: float = 0.03
     batch_size: int = 64
     total_steps: int = 2000
-    ode_steps: int = 32
     seed: int = 0
 
     def __post_init__(self):
@@ -498,11 +469,8 @@ class FlowTrainConfig:
             raise InvalidParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if int(self.total_steps) < 0:
             raise InvalidParameterError(f"total_steps must be >= 0, got {self.total_steps}")
-        if int(self.ode_steps) < 1:
-            raise InvalidParameterError(f"ode_steps must be >= 1, got {self.ode_steps}")
         self.batch_size = int(self.batch_size)
         self.total_steps = int(self.total_steps)
-        self.ode_steps = int(self.ode_steps)
         self.seed = int(self.seed)
 
 

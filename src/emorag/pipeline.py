@@ -173,19 +173,6 @@ def mock_generate_tokens(
     return FrameSequence(frames=frames, frame_rate_hz=assembly.prompt_tokens.frame_rate_hz)
 
 
-def synthesize_from_assembly(
-    model: VectorFieldModel,
-    assembly: PromptAssembly,
-    *,
-    generator=mock_generate_tokens,
-    ode_steps: int = 32,
-    seed: int = 0,
-) -> FrameSequence:
-    """Token generation plus flow matching, without the retrieval stages."""
-    tokens = generator(assembly, seed)
-    return generate_mel(model, tokens, assembly.speaker, n_steps=ode_steps, seed=seed)
-
-
 def run_inference(
     db: EmbeddingDatabase,
     model: VectorFieldModel,

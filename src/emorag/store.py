@@ -233,10 +233,6 @@ class EmbeddingDatabase:
         return self._fingerprint
 
 
-def db_fingerprint(db: EmbeddingDatabase) -> bytes:
-    return db.fingerprint
-
-
 def filter_by_intensity(db: EmbeddingDatabase, level: IntensityLevel) -> EmbeddingDatabase:
     """New database containing only records at ``level``, order preserved."""
     if not isinstance(level, IntensityLevel):

@@ -100,9 +100,12 @@ class SyntheticDatasetConfig:
         return self.num_emotions * self.records_per_emotion
 
 
-def dataset_centers(config: SyntheticDatasetConfig) -> np.ndarray:
-    """Cluster centers for ``config`` — the first draw of its seed stream."""
-    rng = np.random.default_rng(config.seed)
+def _draw_centers(rng: np.random.Generator, config: SyntheticDatasetConfig) -> np.ndarray:
+    """Cluster centers for ``config``, uniform in the spread hypercube.
+
+    The database and its query sets both take this as the first draw of a
+    generator seeded with ``config.seed``, so they share the same centers.
+    """
     return rng.uniform(
         -config.center_spread, config.center_spread, size=(config.num_emotions, config.dim)
     )
@@ -115,9 +118,7 @@ def generate_synthetic_db(config: SyntheticDatasetConfig) -> EmbeddingDatabase:
     codes) so the same config always produces byte-identical records.
     """
     rng = np.random.default_rng(config.seed)
-    centers = rng.uniform(
-        -config.center_spread, config.center_spread, size=(config.num_emotions, config.dim)
-    )
+    centers = _draw_centers(rng, config)
     n = config.num_records
     noise = rng.standard_normal((n, config.dim))
     codes = rng.choice(3, size=n, p=list(config.intensity_mix))
@@ -158,7 +159,7 @@ def make_query_set(
     if int(n_queries) < 1:
         raise InvalidParameterError(f"n_queries must be >= 1, got {n_queries}")
     n_queries = int(n_queries)
-    centers = dataset_centers(config)
+    centers = _draw_centers(np.random.default_rng(config.seed), config)
     rng = np.random.default_rng(seed)
     which = rng.integers(0, config.num_emotions, size=n_queries)
     raw = centers[which]
@@ -200,24 +201,6 @@ class BenchResult:
             p95_latency_ns=int(d["p95_latency_ns"]),
             queries=int(d["queries"]),
         )
-
-
-def measure_accuracy(
-    db: EmbeddingDatabase,
-    method: RetrievalMethod,
-    query_set: list,
-    *,
-    index=None,
-) -> float:
-    """Fraction of queries whose retrieved record carries the true label."""
-    if not query_set:
-        raise InvalidParameterError("query set must be non-empty")
-    matched = 0
-    for query, truth in query_set:
-        result = retrieve(db, query, method, index=index)
-        if db.record_by_id(result.record_id).emotion_label == truth:
-            matched += 1
-    return matched / len(query_set)
 
 
 def _p95_nearest_rank(latencies: list) -> int:
@@ -273,8 +256,6 @@ def run_benchmark(
     dim: int = DEFAULT_DIM,
     cluster_sigma: float = DEFAULT_SIGMA,
     center_spread: float = DEFAULT_SPREAD,
-    intensity_mix: tuple = DEFAULT_MIX,
-    kmeans_max_iters: int = 100,
     warmup: int = WARMUP_QUERIES,
 ) -> list:
     """Run every (method, size) cell and return BenchResults in cell order.
@@ -305,14 +286,13 @@ def run_benchmark(
             records_per_emotion=size // num_emotions,
             cluster_sigma=cluster_sigma,
             center_spread=center_spread,
-            intensity_mix=intensity_mix,
             seed=db_seed,
         )
         db = generate_synthetic_db(config)
         queries = make_query_set(config, n_queries, db_seed + 500_009)
         index = None
         if any(m is RetrievalMethod.CLUSTERING and s == size for m, s in cells):
-            index = kmeans_fit(db, default_k(db), max_iters=kmeans_max_iters, seed=seed)
+            index = kmeans_fit(db, default_k(db), seed=seed)
         built[size] = (db, queries, index)
 
     results = []

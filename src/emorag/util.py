@@ -34,9 +34,9 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def configure_logging(env_var: str = "EMORAG_LOG") -> None:
-    """Set the package logger level from an environment variable, if present."""
-    level = os.environ.get(env_var)
+def configure_logging() -> None:
+    """Set the ``emorag`` logger's level from ``EMORAG_LOG``, if present."""
+    level = os.environ.get("EMORAG_LOG")
     if not level:
         return
     numeric = getattr(logging, level.upper(), None)

@@ -20,6 +20,7 @@ from emorag import (
 )
 from emorag.cli import main
 from emorag.flow import FrameSequence
+from emorag.retrieval import scan_block_rows
 from emorag.synthbench import load_report
 
 from helpers import build_db
@@ -347,6 +348,33 @@ def test_bench_json_format(tmp_path, capsys):
     results = load_report(out)
     assert len(results) == 4
     assert {r.db_size for r in results} == {40, 80}
+
+
+def test_bench_prints_speedup_and_scaling_lines(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    assert main(bench_argv(out, fmt="json")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    mean = {(r.method.value, r.db_size): r.mean_latency_ns for r in load_report(out)}
+    speedups = [
+        f"clustering speedup at n={n}: {mean[('embedding', n)] / mean[('clustering', n)]:.2f}x"
+        for n in (40, 80)
+    ]
+    scaling = (
+        f"exhaustive-scan latency scaling 80/40: "
+        f"{mean[('embedding', 80)] / mean[('embedding', 40)]:.2f} (size ratio 2.00, "
+        f"scan blocks of {scan_block_rows(8)} rows at dim 8)"
+    )
+    assert lines[4:] == [*speedups, scaling, f"report written to {out}"]
+
+
+def test_bench_single_method_prints_no_comparison(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    argv = bench_argv(out)
+    argv[argv.index("embedding,clustering")] = "clustering"
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[-1] == f"report written to {out}"
 
 
 def test_bench_zero_queries_is_usage_error(tmp_path, capsys):

@@ -28,18 +28,16 @@ from emorag import (
     linear_map_task,
     load_checkpoint,
     load_frames,
-    ode_integrate,
     ode_integrate_batch,
     save_checkpoint,
     save_frames,
     train_vector_field,
     transport_toy_task,
     upsample_tokens,
-    vf_forward,
     vf_loss,
     vf_train_step,
 )
-from emorag.flow import _forward_cached
+from emorag.flow import _forward_cached, _forward_rows
 
 
 def constant_field_model(state_dim, value, cond_dim=1, spk_dim=1):
@@ -233,8 +231,8 @@ def test_model_validation():
 
 def test_forward_zero_model_outputs_zero():
     model = zeroed(init_vector_field(3, 2, 2, (8,), seed=0))
-    out = vf_forward(model, np.ones(3), 0.5, np.ones(2), np.ones(2))
-    assert np.array_equal(out, np.zeros(3))
+    out = _forward_rows(model, np.ones((1, 3)), np.array([0.5]), np.ones((1, 2)), np.ones((1, 2)))
+    assert np.array_equal(out, np.zeros((1, 3)))
 
 
 def test_forward_single_layer_is_linear():
@@ -247,18 +245,20 @@ def test_forward_single_layer_is_linear():
         weights=[np.array([[1.0, 2.0, 3.0, 4.0]])],
         biases=[np.array([0.5])],
     )
-    out = vf_forward(model, [10.0], 0.25, [20.0], [30.0])
-    assert out[0] == pytest.approx(10 + 40 + 90 + 1.0 + 0.5, abs=1e-12)
+    x, t, cond, spk = np.array([[10.0]]), np.array([0.25]), np.array([[20.0]]), np.array([[30.0]])
+    out = _forward_rows(model, x, t, cond, spk)
+    assert out.shape == (1, 1)
+    assert out[0, 0] == pytest.approx(10 + 40 + 90 + 1.0 + 0.5, abs=1e-12)
 
 
 def test_forward_validates_shapes():
     model = init_vector_field(2, 2, 2, (4,), seed=0)
     with pytest.raises(DimensionMismatchError):
-        vf_forward(model, np.ones(3), 0.5, np.ones(2), np.ones(2))
+        ode_integrate_batch(model, np.ones((1, 3)), np.ones((1, 2)), np.ones((1, 2)), 4)
     with pytest.raises(DimensionMismatchError):
-        vf_forward(model, np.ones(2), 0.5, np.ones(1), np.ones(2))
+        ode_integrate_batch(model, np.ones((1, 2)), np.ones((1, 1)), np.ones((1, 2)), 4)
     with pytest.raises(DimensionMismatchError):
-        vf_forward(model, np.ones(2), 0.5, np.ones(2), np.ones(5))
+        ode_integrate_batch(model, np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 5)), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +447,6 @@ def test_train_config_validation():
         FlowTrainConfig(batch_size=0)
     with pytest.raises(InvalidParameterError):
         FlowTrainConfig(total_steps=-1)
-    with pytest.raises(InvalidParameterError):
-        FlowTrainConfig(ode_steps=0)
     assert FlowTrainConfig(total_steps=0).total_steps == 0
 
 
@@ -460,18 +458,18 @@ def test_ode_zero_field_is_identity():
     model = zeroed(init_vector_field(3, 1, 1, (4,), seed=0))
     x = np.array([1.5, -2.0, 0.25])
     for n in (1, 7, 32):
-        out = ode_integrate(model, x, np.zeros(1), np.zeros(1), n)
-        assert np.array_equal(out, x)
+        out = ode_integrate_batch(model, x[None, :], np.zeros((1, 1)), np.zeros(1), n)
+        assert np.array_equal(out, x[None, :])
 
 
 def test_ode_constant_field_translates():
     model = constant_field_model(2, 1.0)
     x = np.array([0.5, -1.0])
     # 32 steps of 1/32 each: partial sums are exactly representable
-    out = ode_integrate(model, x, np.zeros(1), np.zeros(1), 32)
-    assert np.array_equal(out, x + 1.0)
-    out3 = ode_integrate(model, x, np.zeros(1), np.zeros(1), 3)
-    np.testing.assert_allclose(out3, x + 1.0, atol=1e-12)
+    out = ode_integrate_batch(model, x[None, :], np.zeros((1, 1)), np.zeros(1), 32)
+    assert np.array_equal(out, x[None, :] + 1.0)
+    out3 = ode_integrate_batch(model, x[None, :], np.zeros((1, 1)), np.zeros(1), 3)
+    np.testing.assert_allclose(out3, x[None, :] + 1.0, atol=1e-12)
 
 
 def test_ode_linear_field_compounds():
@@ -482,16 +480,16 @@ def test_ode_linear_field_compounds():
     model = VectorFieldModel(
         state_dim=1, cond_dim=1, spk_dim=1, hidden=(), weights=[W], biases=[np.zeros(1)]
     )
-    out = ode_integrate(model, np.array([1.0]), np.zeros(1), np.zeros(1), 100)
-    assert out[0] == pytest.approx(1.01**100, rel=1e-9)
+    out = ode_integrate_batch(model, np.array([[1.0]]), np.zeros((1, 1)), np.zeros(1), 100)
+    assert out[0, 0] == pytest.approx(1.01**100, rel=1e-9)
 
 
 def test_ode_validation():
     model = init_vector_field(2, 1, 1, (4,), seed=0)
     with pytest.raises(InvalidParameterError):
-        ode_integrate(model, np.zeros(2), np.zeros(1), np.zeros(1), 0)
+        ode_integrate_batch(model, np.zeros((1, 2)), np.zeros((1, 1)), np.zeros(1), 0)
     with pytest.raises(DimensionMismatchError):
-        ode_integrate(model, np.zeros(3), np.zeros(1), np.zeros(1), 4)
+        ode_integrate_batch(model, np.zeros((1, 3)), np.zeros((1, 1)), np.zeros(1), 4)
     with pytest.raises(DimensionMismatchError):
         ode_integrate_batch(model, np.zeros((2, 2)), np.zeros((3, 1)), np.zeros((2, 1)), 4)
 
@@ -504,7 +502,7 @@ def test_ode_divergence_detected():
         state_dim=1, cond_dim=1, spk_dim=1, hidden=(), weights=[W], biases=[np.zeros(1)]
     )
     with np.errstate(over="ignore"), pytest.raises(IntegrationDivergenceError):
-        ode_integrate(model, np.array([1.0]), np.zeros(1), np.zeros(1), 32)
+        ode_integrate_batch(model, np.array([[1.0]]), np.zeros((1, 1)), np.zeros(1), 32)
 
 
 def test_ode_batch_rows_independent():
@@ -515,8 +513,8 @@ def test_ode_batch_rows_independent():
     spk = rng.standard_normal(2)
     batch_out = ode_integrate_batch(model, X, cond, spk, 8)
     for i in range(4):
-        row = ode_integrate(model, X[i], cond[i], spk, 8)
-        np.testing.assert_allclose(batch_out[i], row, atol=1e-12)
+        row = ode_integrate_batch(model, X[i : i + 1], cond[i : i + 1], spk, 8)
+        np.testing.assert_allclose(batch_out[i], row[0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from emorag import (
     assemble_prompt,
     build_index_bundle,
     derive_speaker,
+    generate_mel,
     init_vector_field,
     load_embedding_file,
     load_frames,
@@ -26,7 +27,6 @@ from emorag import (
     retrieve,
     run_inference,
     save_frames,
-    synthesize_from_assembly,
     write_report,
 )
 
@@ -290,7 +290,8 @@ def test_run_inference_matches_manual_assembly(assets, tmp_path):
 
     result = retrieve(db, req.reference, req.method)
     assembly = assemble_prompt(db, result, req, token_map)
-    mel = synthesize_from_assembly(model, assembly, seed=5)
+    tokens = mock_generate_tokens(assembly, 5)
+    mel = generate_mel(model, tokens, assembly.speaker, seed=5)
     assert load_frames(out).frames.tobytes() == mel.frames.tobytes()
 
 

@@ -24,7 +24,6 @@ from emorag import (
     ZeroNormError,
     build_index_bundle,
     cosine_similarity,
-    db_fingerprint,
     default_k,
     filter_by_intensity,
     kmeans_fit,
@@ -177,7 +176,7 @@ def test_kmeans_invariants(seed):
     # centroids of a spherical fit stay unit-norm (up to f32 rounding)
     norms = np.linalg.norm(cents, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-6)
-    assert index.fingerprint == db_fingerprint(db)
+    assert index.fingerprint == db.fingerprint
 
 
 def test_kmeans_survives_duplicate_points():
@@ -400,7 +399,7 @@ def test_clustering_empty_cluster_falls_back_to_full_scan():
         centroids=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32),
         assignments=np.zeros(3, dtype=np.uint32),
         inertia=0.0,
-        fingerprint=db_fingerprint(db),
+        fingerprint=db.fingerprint,
     )
     result = retrieve_clustering_based(db, index, EmotionEmbedding([0.0, 1.0]))
     assert result.candidates_scanned == 3
@@ -416,7 +415,7 @@ def test_clustering_centroid_tie_breaks_low_index():
         centroids=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32),
         assignments=np.array([0, 1], dtype=np.uint32),
         inertia=0.0,
-        fingerprint=db_fingerprint(db),
+        fingerprint=db.fingerprint,
     )
     # equidistant from both centroids: must route to cluster 0
     result = retrieve_clustering_based(db, index, EmotionEmbedding([1.0, 1.0]))
@@ -523,8 +522,8 @@ def test_gated_index_fingerprint_is_subset_fingerprint():
     db = _gated_db()
     bundle = build_index_bundle(db, seed=0)
     weak = filter_by_intensity(db, IntensityLevel.WEAK)
-    assert bundle.by_level[IntensityLevel.WEAK].fingerprint == db_fingerprint(weak)
-    assert bundle.full.fingerprint == db_fingerprint(db)
+    assert bundle.by_level[IntensityLevel.WEAK].fingerprint == weak.fingerprint
+    assert bundle.full.fingerprint == db.fingerprint
     # a full-db index slotted in for a gated subset must be rejected as stale
     swapped = IndexBundle(full=bundle.full, by_level={IntensityLevel.WEAK: bundle.full})
     with pytest.raises(StaleIndexError):

@@ -20,7 +20,6 @@ from emorag import (
     NonFiniteValueError,
     UtteranceRecord,
     ZeroNormError,
-    db_fingerprint,
     filter_by_intensity,
     load_db,
     load_manifest,
@@ -194,15 +193,15 @@ def test_roundtrip_bit_exact(seed):
 
 def test_fingerprint_is_sha256_of_bytes():
     db = random_db(np.random.default_rng(5))
-    assert db_fingerprint(db) == hashlib.sha256(serialize_db(db)).digest()
-    assert len(db_fingerprint(db)) == 32
+    assert db.fingerprint == hashlib.sha256(serialize_db(db)).digest()
+    assert len(db.fingerprint) == 32
 
 
 def test_fingerprint_sensitive_to_content():
     vecs = np.eye(2, dtype=np.float32)
     a = build_db(vecs, labels=["joy", "sad"])
     b = build_db(vecs, labels=["joy", "angry"])
-    assert db_fingerprint(a) != db_fingerprint(b)
+    assert a.fingerprint != b.fingerprint
 
 
 def test_save_to_directory_raises_oserror(tmp_path):

@@ -14,17 +14,33 @@ from emorag import (
     generate_synthetic_db,
     kmeans_fit,
     make_query_set,
-    measure_accuracy,
+    retrieve,
     run_benchmark,
     run_cell,
 )
-from emorag.synthbench import CSV_COLUMNS, _p95_nearest_rank, dataset_centers, load_report
+from emorag.synthbench import CSV_COLUMNS, _p95_nearest_rank, load_report
 
 
 def small_config(**overrides):
     base = dict(num_emotions=4, dim=8, records_per_emotion=25, seed=0)
     base.update(overrides)
     return SyntheticDatasetConfig(**base)
+
+
+def drawn_centers(config):
+    """The cluster centers: the first draw of the config's seed stream."""
+    rng = np.random.default_rng(config.seed)
+    spread = config.center_spread
+    return rng.uniform(-spread, spread, size=(config.num_emotions, config.dim))
+
+
+def count_label_hits(db, method, query_set, index=None):
+    """Queries whose retrieved record carries the true label, counted one by one."""
+    hits = 0
+    for query, truth in query_set:
+        result = retrieve(db, query, method, index=index)
+        hits += db.record_by_id(result.record_id).emotion_label == truth
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +91,7 @@ def test_generated_vectors_are_unit_norm():
 def test_zero_sigma_collapses_clusters_onto_centers():
     config = small_config(cluster_sigma=0.0)
     db = generate_synthetic_db(config)
-    centers = dataset_centers(config)
+    centers = drawn_centers(config)
     unit_centers = centers / np.linalg.norm(centers, axis=1, keepdims=True)
     for e in range(4):
         block = db.matrix[e * 25 : (e + 1) * 25]
@@ -123,11 +139,32 @@ def test_query_set_shapes_and_truth_labels():
 
 def test_query_set_at_centers_sits_on_normalized_centers():
     config = small_config()
-    centers = dataset_centers(config)
+    centers = drawn_centers(config)
     unit = (centers / np.linalg.norm(centers, axis=1, keepdims=True)).astype(np.float32)
     for emb, truth in make_query_set(config, 20, seed=2, at_centers=True):
         e = int(truth.removeprefix("emo"))
         assert np.array_equal(emb.values, unit[e])
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"seed": 7},
+        {"num_emotions": 1, "dim": 3},
+        {"num_emotions": 9, "dim": 33, "records_per_emotion": 4, "seed": 123},
+        {"dim": 128, "center_spread": 0.5, "seed": 2**40},
+    ],
+)
+def test_center_queries_equal_zero_sigma_db_rows(overrides):
+    # the generator and the query set share one center draw, so a center
+    # query is bitwise the row every record of its cluster collapses onto
+    config = small_config(cluster_sigma=0.0, **overrides)
+    db = generate_synthetic_db(config)
+    per = config.records_per_emotion
+    for emb, truth in make_query_set(config, 30, seed=11, at_centers=True):
+        e = int(truth.removeprefix("emo"))
+        assert emb.values.tobytes() == db.matrix[e * per].tobytes()
 
 
 def test_query_set_rejects_empty():
@@ -143,9 +180,13 @@ def test_accuracy_is_perfect_on_center_queries():
     config = small_config()
     db = generate_synthetic_db(config)
     queries = make_query_set(config, 40, seed=3, at_centers=True)
-    assert measure_accuracy(db, RetrievalMethod.EMBEDDING, queries) == 1.0
+    bench, _ = run_cell(db, RetrievalMethod.EMBEDDING, queries)
+    assert bench.accuracy == 1.0
+    assert count_label_hits(db, RetrievalMethod.EMBEDDING, queries) == 40
     index = kmeans_fit(db, default_k(db), seed=0)
-    assert measure_accuracy(db, RetrievalMethod.CLUSTERING, queries, index=index) == 1.0
+    bench, _ = run_cell(db, RetrievalMethod.CLUSTERING, queries, index=index)
+    assert bench.accuracy == 1.0
+    assert count_label_hits(db, RetrievalMethod.CLUSTERING, queries, index=index) == 40
 
 
 def test_accuracy_zero_when_truth_is_scrambled():
@@ -153,23 +194,26 @@ def test_accuracy_zero_when_truth_is_scrambled():
     db = generate_synthetic_db(config)
     queries = make_query_set(config, 30, seed=4, at_centers=True)
     wrong = [(emb, "emo" + str((int(t[3:]) + 1) % 4)) for emb, t in queries]
-    assert measure_accuracy(db, RetrievalMethod.EMBEDDING, wrong) == 0.0
+    assert run_cell(db, RetrievalMethod.EMBEDDING, wrong)[0].accuracy == 0.0
+    assert count_label_hits(db, RetrievalMethod.EMBEDDING, wrong) == 0
 
 
 def test_accuracy_invariant_to_query_order():
     config = small_config(cluster_sigma=0.3)
     db = generate_synthetic_db(config)
     queries = make_query_set(config, 60, seed=5)
-    acc = measure_accuracy(db, RetrievalMethod.EMBEDDING, queries)
+    acc = run_cell(db, RetrievalMethod.EMBEDDING, queries)[0].accuracy
+    assert acc == count_label_hits(db, RetrievalMethod.EMBEDDING, queries) / 60
     rng = np.random.default_rng(0)
     shuffled = [queries[i] for i in rng.permutation(60)]
-    assert measure_accuracy(db, RetrievalMethod.EMBEDDING, shuffled) == acc
+    assert run_cell(db, RetrievalMethod.EMBEDDING, shuffled)[0].accuracy == acc
 
 
 def test_accuracy_rejects_empty_query_set():
     db = generate_synthetic_db(small_config())
+    index = kmeans_fit(db, default_k(db), seed=0)
     with pytest.raises(InvalidParameterError):
-        measure_accuracy(db, RetrievalMethod.EMBEDDING, [])
+        run_cell(db, RetrievalMethod.CLUSTERING, [], index=index)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +238,7 @@ def test_run_cell_embedding_scans_whole_db():
     assert bench.method is RetrievalMethod.EMBEDDING
     assert bench.mean_latency_ns > 0
     assert bench.p95_latency_ns > 0
-    assert bench.accuracy == measure_accuracy(db, RetrievalMethod.EMBEDDING, queries)
+    assert bench.accuracy == count_label_hits(db, RetrievalMethod.EMBEDDING, queries) / 25
 
 
 def test_run_cell_clustering_scans_less():
