@@ -65,10 +65,10 @@ def main() -> int:
     token_dir.mkdir(exist_ok=True)
     rng = np.random.default_rng(args.seed)
     mapping = {}
-    for record in db.records:
+    for rid in db.ids:
         frames = FrameSequence(rng.standard_normal((4, TOKEN_DIM)), 50.0)
-        save_frames(frames, token_dir / f"{record.id}.frames")
-        mapping[record.id] = f"{record.id}.frames"
+        save_frames(frames, token_dir / f"{rid}.frames")
+        mapping[rid] = f"{rid}.frames"
     map_path = token_dir / "map.json"
     map_path.write_text(json.dumps(mapping, indent=2) + "\n")
     print(f"tokens:   {map_path} ({len(mapping)} files)")
@@ -86,17 +86,15 @@ def main() -> int:
     else:
         print(f"model:    {ckpt_path} (untrained)")
 
-    query_record = db.records[len(db) // 2]
+    middle = len(db) // 2
     query_path = root / "query.json"
-    query_path.write_text(
-        json.dumps({"values": [float(v) for v in query_record.embedding.values]}) + "\n"
-    )
-    print(f"query:    {query_path} (embedding of {query_record.id})")
+    query_path.write_text(json.dumps({"values": db.matrix[middle].tolist()}) + "\n")
+    print(f"query:    {query_path} (embedding of {db.ids[middle]})")
 
     print()
     print("try:")
     print(
-        f"  emorag synth --db {db_path} --checkpoint {ckpt_path} --query {query_path} \\\n"
+        f"  python3 -m emorag synth --db {db_path} --checkpoint {ckpt_path} --query {query_path} \\\n"
         f"      --tokens {map_path} --text 'a demo sentence' --seed 7 --out {root / 'mel.frames'}"
     )
     return 0

@@ -9,10 +9,12 @@ Exit codes, used consistently by every subcommand:
 * 4 — a referenced file or index is missing
 * 5 — validation or format error in inputs or configuration
 
-The ``EMORAG_LOG`` environment variable (DEBUG/INFO/...) only sets the level
-of the ``emorag`` logger; no module writes to that logger yet.  All
-stochastic commands take ``--seed`` (default 0) so documented invocations
-reproduce byte-for-byte.
+The ``EMORAG_LOG`` environment variable (DEBUG/INFO/...) sets the level of
+the ``emorag`` logger, which writes to stderr.  At DEBUG it reports each
+intensity-gate subset when it is built, a clustered probe that falls back to
+a full scan because its cluster is empty, and k-means reseeding an empty
+cluster.  All stochastic commands take ``--seed`` (default 0) so documented
+invocations reproduce byte-for-byte.
 """
 
 from __future__ import annotations

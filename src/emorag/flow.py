@@ -45,7 +45,6 @@ from .util import atomic_write_bytes
 TOKEN_RATE_HZ = 50.0
 MEL_RATE_HZ = 80.0
 UPSAMPLE_RATIO = MEL_RATE_HZ / TOKEN_RATE_HZ  # 1.6
-DEFAULT_MEL_DIM = 80
 
 
 @dataclass(eq=False)
@@ -211,10 +210,6 @@ class VectorFieldModel:
     def layer_sizes(self) -> tuple:
         return (self.input_dim, *self.hidden, self.state_dim)
 
-    @property
-    def num_parameters(self) -> int:
-        return sum(W.size + b.size for W, b in zip(self.weights, self.biases))
-
 
 def init_vector_field(
     state_dim: int,
@@ -295,24 +290,12 @@ class FlowBatch:
             raise InvalidParameterError("batch times must lie in [0, 1]")
         self.x0, self.x1, self.t, self.cond, self.spk = x0, x1, t, cond, spk
 
-    @property
-    def size(self) -> int:
-        return int(self.x0.shape[0])
-
 
 def _check_batch_dims(model: VectorFieldModel, batch: FlowBatch) -> None:
-    if batch.x0.shape[1] != model.state_dim:
-        raise DimensionMismatchError(
-            f"batch state dim {batch.x0.shape[1]} != model state dim {model.state_dim}"
-        )
-    if batch.cond.shape[1] != model.cond_dim:
-        raise DimensionMismatchError(
-            f"batch cond dim {batch.cond.shape[1]} != model cond dim {model.cond_dim}"
-        )
-    if batch.spk.shape[1] != model.spk_dim:
-        raise DimensionMismatchError(
-            f"batch spk dim {batch.spk.shape[1]} != model spk dim {model.spk_dim}"
-        )
+    for name, arr in (("state", batch.x0), ("cond", batch.cond), ("spk", batch.spk)):
+        want = getattr(model, f"{name}_dim")
+        if arr.shape[1] != want:
+            raise DimensionMismatchError(f"batch {name} dim {arr.shape[1]} != model's {want}")
 
 
 def vf_loss(model: VectorFieldModel, batch: FlowBatch) -> float:
@@ -376,7 +359,8 @@ def ode_integrate_batch(
     """Explicit Euler from t=0 to t=1, rows integrated independently.
 
     Steps evaluate the field at the left endpoint t_i = i / n_steps.  A
-    non-finite state aborts with :class:`IntegrationDivergenceError`.
+    non-finite input raises :class:`NonFiniteValueError` naming it; a state
+    that becomes non-finite aborts with :class:`IntegrationDivergenceError`.
     """
     if int(n_steps) < 1:
         raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps}")
@@ -391,16 +375,13 @@ def ode_integrate_batch(
     B = X.shape[0]
     if spk.ndim == 1:
         spk = np.broadcast_to(spk, (B, spk.shape[0]))
-    if cond.shape != (B, model.cond_dim):
-        raise DimensionMismatchError(
-            f"cond must be ({B}, {model.cond_dim}), got {cond.shape}"
-        )
-    if spk.shape != (B, model.spk_dim):
-        raise DimensionMismatchError(
-            f"spk must be ({B}, {model.spk_dim}), got {spk.shape}"
-        )
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteValueError("x_init contains NaN or infinity")
+    for name, arr in (("cond", cond), ("spk", spk)):
+        want = (B, getattr(model, f"{name}_dim"))
+        if arr.shape != want:
+            raise DimensionMismatchError(f"{name} must be {want}, got {arr.shape}")
+    for name, arr in (("x_init", X), ("cond", cond), ("spk", spk)):
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteValueError(f"{name} contains NaN or infinity")
     dt = 1.0 / n_steps
     t_col = np.empty(B)
     for i in range(n_steps):

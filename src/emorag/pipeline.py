@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, MissingAssetError, StageError
 from .flow import (
-    TOKEN_RATE_HZ,
     FrameSequence,
     SpeakerEmbedding,
     VectorFieldModel,
@@ -61,8 +60,7 @@ class SynthesisRequest:
             self.reference = EmotionEmbedding(self.reference)
         if not isinstance(self.target_text, str) or not self.target_text:
             raise FormatError("target_text must be a non-empty string")
-        if isinstance(self.method, str):
-            self.method = RetrievalMethod.parse(self.method)
+        self.method = RetrievalMethod.parse(self.method)
         if self.intensity is not None and not isinstance(self.intensity, IntensityLevel):
             self.intensity = IntensityLevel.parse(self.intensity)
         self.seed = int(self.seed)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,7 @@ from .store import (
     IntensityLevel,
     filter_by_intensity,
 )
-from .util import atomic_write_bytes
+from .util import atomic_write_bytes, log
 
 EMIX_MAGIC = b"EMIX"
 EMIX_VERSION = 1
@@ -102,13 +102,7 @@ class RetrievalResult:
     elapsed_ns: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "record_id": self.record_id,
-            "similarity": self.similarity,
-            "method": self.method.value,
-            "candidates_scanned": self.candidates_scanned,
-            "elapsed_ns": self.elapsed_ns,
-        }
+        return {**asdict(self), "method": self.method.value}
 
 
 def cosine_similarity(a, b) -> float:
@@ -304,6 +298,7 @@ def kmeans_fit(
         counts = np.bincount(assign, minlength=k)
         empty = np.nonzero(counts == 0)[0]
         if empty.size:
+            log.debug("k-means iteration %d: reseeding %d empty clusters", len(history), empty.size)
             # reseed each empty cluster at the point currently farthest from
             # its own centroid; never steal the same point twice in one pass
             avail = point_d2.copy()
@@ -346,7 +341,7 @@ def default_k(db: EmbeddingDatabase) -> int:
     """Default cluster count: the number of distinct emotion labels."""
     if len(db) == 0:
         raise EmptyDatabaseError("empty database has no labels to count")
-    return len({r.emotion_label for r in db.records})
+    return len(set(db.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +355,7 @@ def retrieve_embedding_based(db: EmbeddingDatabase, query: EmotionEmbedding) -> 
         raise EmptyDatabaseError("cannot retrieve from an empty database")
     pos, sim = _scan_argmax(db.unit_matrix, _unit_query(db, query))
     return RetrievalResult(
-        record_id=db.records[pos].id,
+        record_id=db.ids[pos],
         similarity=sim,
         method=RetrievalMethod.EMBEDDING,
         candidates_scanned=len(db),
@@ -395,6 +390,7 @@ def retrieve_clustering_based(
     cluster = int(np.argmax(index.unit_centroids @ qn))
     members = np.nonzero(index.assignments == cluster)[0]
     if members.size == 0:
+        log.debug("cluster %d has no members; scanning all %d records", cluster, len(db))
         pos, sim = _scan_argmax(db.unit_matrix, qn)
         scanned = len(db)
     else:
@@ -403,7 +399,7 @@ def retrieve_clustering_based(
         pos = int(members[best])
         scanned = int(members.size)
     return RetrievalResult(
-        record_id=db.records[pos].id,
+        record_id=db.ids[pos],
         similarity=sim,
         method=RetrievalMethod.CLUSTERING,
         candidates_scanned=scanned,
@@ -463,13 +459,12 @@ def retrieve(
 ) -> RetrievalResult:
     """Front door: optional intensity gate, then the chosen strategy.
 
-    Gating filters the database to one level first, so similarity competition
-    happens only among records at that level; an empty gate raises
-    :class:`EmptySubsetError`.  Clustering needs an index covering exactly the
+    Gating searches the level's subset of ``db`` (built by the first gated
+    query, then cached on ``db``), so similarity competition happens only
+    among records at that level; an empty gate raises :class:`EmptySubsetError`.  Clustering needs an index covering exactly the
     records being searched — an :class:`IndexBundle` when gating is in play.
     """
-    if isinstance(method, str):
-        method = RetrievalMethod.parse(method)
+    method = RetrievalMethod.parse(method)
     if intensity is not None and not isinstance(intensity, IntensityLevel):
         intensity = IntensityLevel.parse(intensity)
     target = db
@@ -540,8 +535,6 @@ def deserialize_index(data: bytes) -> ClusterIndex:
     pos += FINGERPRINT_BYTES
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes after fingerprint")
-    if not np.all(np.isfinite(centroids)):
-        raise NonFiniteValueError("centroids contain NaN or infinity")
     if count and int(assignments.max()) >= k:
         raise FormatError("assignment refers to a cluster >= k")
     # inertia belongs to the fit, not the file; without the database it cannot

@@ -4,6 +4,13 @@ A database is an ordered collection of utterance records.  Each record pairs a
 fixed-dimension emotion embedding (float32) with an emotion label, a discrete
 intensity level, and optional transcript / audio-reference metadata.
 
+In memory a database is columns: a read-only float32 embedding matrix, u8
+intensity codes, and tuples of ids, labels, transcripts and audio refs.
+Loading, gating and scanning never build :class:`UtteranceRecord` objects;
+``db.records`` builds them on first access.  An intensity gate's subset is
+built once per level and cached on its parent, with its unit matrix and
+fingerprint.
+
 On-disk layout (little-endian throughout)::
 
     magic   4 bytes  b"EMDB"
@@ -29,7 +36,7 @@ import enum
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +50,12 @@ from .errors import (
     NonFiniteValueError,
     ZeroNormError,
 )
-from .util import atomic_write_bytes
+from .util import atomic_write_bytes, log
 
 EMDB_MAGIC = b"EMDB"
 EMDB_VERSION = 1
 _HEADER = struct.Struct("<4sIII")
+_U16 = struct.Struct("<H")
 
 
 class IntensityLevel(enum.Enum):
@@ -81,12 +89,8 @@ class IntensityLevel(enum.Enum):
         return self.value
 
 
-_LEVEL_TO_CODE = {
-    IntensityLevel.WEAK: 0,
-    IntensityLevel.NORMAL: 1,
-    IntensityLevel.STRONG: 2,
-}
-_CODE_TO_LEVEL = {v: k for k, v in _LEVEL_TO_CODE.items()}
+_CODE_TO_LEVEL = dict(enumerate(IntensityLevel))  # weak, normal, strong -> 0, 1, 2
+_LEVEL_TO_CODE = {v: k for k, v in _CODE_TO_LEVEL.items()}
 
 
 @dataclass(eq=False)
@@ -149,59 +153,112 @@ class UtteranceRecord:
             raise FormatError(f"record {self.id!r}: audio_ref must be a string or None")
 
 
+def _check_text(column: tuple, what: str, allowed: set, required: bool) -> None:
+    """FormatError naming the first entry whose type is not ``allowed``, or is empty."""
+    if set(map(type, column)) <= allowed and not (required and "" in column):
+        return
+    pos = next(i for i, v in enumerate(column) if type(v) not in allowed or (required and v == ""))
+    raise FormatError(f"record at position {pos}: invalid {what} {column[pos]!r}")
+
+
 @dataclass(eq=False)
 class EmbeddingDatabase:
-    """Ordered, immutable-by-convention collection of records of one dimension.
+    """Ordered, immutable-by-convention records of one dimension, held in columns.
 
-    Heavy derived views (stacked matrix, unit-normalized matrix, fingerprint)
-    are computed lazily and cached; sharing a database across threads for
-    reads is fine.
+    Row ``i`` of every column belongs to record ``i``.  Build one from record
+    objects with :meth:`from_records`.  Derived views (unit-normalized matrix,
+    fingerprint, record objects, per-level subsets) are computed lazily and
+    cached; sharing a database across threads for reads is fine.
     """
 
     dim: int
-    records: tuple = ()
+    matrix: np.ndarray
+    intensity_codes: np.ndarray
+    ids: tuple
+    labels: tuple
+    transcripts: tuple
+    audio_refs: tuple
 
     def __post_init__(self):
         if int(self.dim) <= 0:
             raise DimensionMismatchError(f"dim must be positive, got {self.dim}")
         self.dim = int(self.dim)
-        self.records = tuple(self.records)
-        seen = {}
-        for pos, rec in enumerate(self.records):
+        self.ids, self.labels = tuple(self.ids), tuple(self.labels)
+        self.transcripts, self.audio_refs = tuple(self.transcripts), tuple(self.audio_refs)
+        n = len(self.ids)
+        m = np.array(self.matrix, dtype=np.float32)
+        if m.size == 0:
+            m = m.reshape(0, self.dim)
+        raw = np.asarray(self.intensity_codes)
+        codes = raw.astype(np.uint8)
+        lengths = {len(self.labels), len(self.transcripts), len(self.audio_refs), len(codes)}
+        if codes.ndim != 1 or lengths != {n}:
+            raise FormatError(f"columns disagree on the record count ({n} ids)")
+        if m.shape != (n, self.dim):
+            raise DimensionMismatchError(f"embeddings are {m.shape}, expected ({n}, {self.dim})")
+        bad = np.flatnonzero(~np.isfinite(m).all(axis=1))
+        if bad.size:
+            raise NonFiniteValueError(f"record {self.ids[bad[0]]!r}: vector is not finite")
+        bad = np.flatnonzero((codes != raw) | (codes > 2))  # the u8 cast wraps 258 to 2
+        if bad.size:
+            raise InvalidIntensityError(f"record {self.ids[bad[0]]!r}: intensity code {raw[bad[0]]}")
+        _check_text(self.ids, "id", {str}, True)
+        _check_text(self.labels, "emotion_label", {str}, True)
+        _check_text(self.audio_refs, "audio_ref", {str, type(None)}, False)
+        self._position = dict(zip(self.ids, range(n)))
+        if len(self._position) != n:
+            dup = next(rid for pos, rid in enumerate(self.ids) if self._position[rid] != pos)
+            raise DuplicateIdError(f"duplicate record id {dup!r}")
+        m.flags.writeable = False
+        codes.flags.writeable = False
+        self.matrix, self.intensity_codes = m, codes
+        self._records = self._unit_matrix = self._fingerprint = None
+        self._subsets = {}
+
+    @classmethod
+    def from_records(cls, dim: int, records) -> "EmbeddingDatabase":
+        """Database holding ``records`` (:class:`UtteranceRecord` objects), in order."""
+        records = tuple(records)
+        for pos, rec in enumerate(records):
             if not isinstance(rec, UtteranceRecord):
                 raise FormatError(f"record at position {pos} is not an UtteranceRecord")
-            if rec.embedding.dim != self.dim:
+            if rec.embedding.dim != dim:
                 raise DimensionMismatchError(
-                    f"record {rec.id!r} has dim {rec.embedding.dim}, database dim is {self.dim}"
+                    f"record {rec.id!r} has dim {rec.embedding.dim}, database dim is {dim}"
                 )
-            if rec.id in seen:
-                raise DuplicateIdError(f"duplicate record id {rec.id!r}")
-            seen[rec.id] = pos
-        self._position = seen
-        self._matrix = None
-        self._unit_matrix = None
-        self._fingerprint = None
+        return cls(
+            dim,
+            [r.embedding.values for r in records],
+            [r.intensity.wire_code for r in records],
+            *([getattr(r, f) for r in records] for f in ("id", "emotion_label", "transcript", "audio_ref")),
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
+
+    @property
+    def records(self) -> tuple:
+        """The rows as :class:`UtteranceRecord` objects, built on first access."""
+        if self._records is None:
+            self._records = tuple(self._record(pos) for pos in range(len(self)))
+        return self._records
+
+    def _record(self, pos: int) -> UtteranceRecord:
+        return UtteranceRecord(
+            id=self.ids[pos],
+            emotion_label=self.labels[pos],
+            intensity=_CODE_TO_LEVEL[int(self.intensity_codes[pos])],
+            embedding=EmotionEmbedding(self.matrix[pos]),
+            transcript=self.transcripts[pos],
+            audio_ref=self.audio_refs[pos],
+        )
 
     def record_by_id(self, record_id: str) -> UtteranceRecord:
         try:
-            return self.records[self._position[record_id]]
+            pos = self._position[record_id]
         except KeyError:
             raise KeyError(f"no record with id {record_id!r}") from None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Record embeddings stacked row-wise, float32, shape (len, dim)."""
-        if self._matrix is None:
-            if self.records:
-                m = np.stack([r.embedding.values for r in self.records]).astype(np.float32)
-            else:
-                m = np.empty((0, self.dim), dtype=np.float32)
-            m.flags.writeable = False
-            self._matrix = m
-        return self._matrix
+        return self._record(pos) if self._records is None else self._records[pos]
 
     @property
     def unit_matrix(self) -> np.ndarray:
@@ -217,9 +274,7 @@ class EmbeddingDatabase:
             norms = np.linalg.norm(m, axis=1)
             bad = np.nonzero(norms == 0.0)[0]
             if bad.size:
-                raise ZeroNormError(
-                    f"record {self.records[int(bad[0])].id!r} has zero-norm embedding"
-                )
+                raise ZeroNormError(f"record {self.ids[int(bad[0])]!r} has zero-norm embedding")
             u = m / norms[:, None]
             u.flags.writeable = False
             self._unit_matrix = u
@@ -234,68 +289,55 @@ class EmbeddingDatabase:
 
 
 def filter_by_intensity(db: EmbeddingDatabase, level: IntensityLevel) -> EmbeddingDatabase:
-    """New database containing only records at ``level``, order preserved."""
-    if not isinstance(level, IntensityLevel):
-        level = IntensityLevel.parse(level)
-    kept = tuple(r for r in db.records if r.intensity is level)
-    return EmbeddingDatabase(dim=db.dim, records=kept)
+    """Database of the records at ``level``, order preserved.
+
+    The first gate per level slices ``db``'s columns and keeps the subset on
+    ``db``; later gates return that same object, so its unit matrix and
+    fingerprint are computed at most once.
+    """
+    level = IntensityLevel.parse(level)
+    sub = db._subsets.get(level)
+    if sub is None:
+        rows = np.flatnonzero(db.intensity_codes == level.wire_code).tolist()
+        columns = (db.ids, db.labels, db.transcripts, db.audio_refs)
+        picked = ([col[i] for i in rows] for col in columns)
+        sub = EmbeddingDatabase(db.dim, db.matrix[rows], db.intensity_codes[rows], *picked)
+        sub = db._subsets.setdefault(level, sub)  # a racing thread's subset wins if first
+        log.debug("intensity gate %s: kept %d of %d records", level.value, len(sub), len(db))
+    return sub
 
 
 # ---------------------------------------------------------------------------
 # binary serialization
 
 
-def _pack_str(text: str, what: str) -> bytes:
+def _pack_str(text: str, what: str, rid: str) -> bytes:
     raw = text.encode("utf-8")
     if len(raw) > 0xFFFF:
-        raise FormatError(f"{what} exceeds 65535 UTF-8 bytes")
-    return struct.pack("<H", len(raw)) + raw
+        raise FormatError(f"{what} of record {rid!r} exceeds 65535 UTF-8 bytes")
+    return _U16.pack(len(raw)) + raw
 
 
 def serialize_db(db: EmbeddingDatabase) -> bytes:
-    out = [_HEADER.pack(EMDB_MAGIC, EMDB_VERSION, db.dim, len(db.records))]
-    for rec in db.records:
-        out.append(_pack_str(rec.id, f"id of record {rec.id!r}"))
-        out.append(_pack_str(rec.emotion_label, f"label of record {rec.id!r}"))
-        out.append(struct.pack("<B", rec.intensity.wire_code))
-        out.append(_pack_str(rec.transcript, f"transcript of record {rec.id!r}"))
-        if rec.audio_ref is None:
-            out.append(b"\x00")
-        else:
-            out.append(b"\x01" + _pack_str(rec.audio_ref, f"audio_ref of record {rec.id!r}"))
-        vec = np.ascontiguousarray(rec.embedding.values, dtype="<f4")
-        out.append(vec.tobytes())
+    out = [_HEADER.pack(EMDB_MAGIC, EMDB_VERSION, db.dim, len(db))]
+    vectors = np.ascontiguousarray(db.matrix, dtype="<f4").tobytes()
+    codes = db.intensity_codes.tobytes()
+    step = 4 * db.dim
+    for i, rid in enumerate(db.ids):
+        audio = db.audio_refs[i]
+        out += (
+            _pack_str(rid, "id", rid),
+            _pack_str(db.labels[i], "label", rid),
+            codes[i : i + 1],
+            _pack_str(db.transcripts[i], "transcript", rid),
+            b"\x00" if audio is None else b"\x01" + _pack_str(audio, "audio_ref", rid),
+            vectors[i * step : (i + 1) * step],
+        )
     return b"".join(out)
 
 
 def save_db(db: EmbeddingDatabase, path) -> None:
     atomic_write_bytes(path, serialize_db(db))
-
-
-class _Reader:
-    """Cursor over a bytes buffer with framing-aware error messages."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError(f"truncated file: ran out of bytes reading {what}")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def string(self, what: str) -> str:
-        (n,) = struct.unpack("<H", self.take(2, f"{what} length"))
-        raw = self.take(n, what)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"invalid UTF-8 in {what}: {exc}") from None
 
 
 def deserialize_db(data: bytes) -> EmbeddingDatabase:
@@ -310,41 +352,43 @@ def deserialize_db(data: bytes) -> EmbeddingDatabase:
         raise MalformedHeaderError(f"unsupported version {version}")
     if dim == 0:
         raise MalformedHeaderError("header dim must be positive")
-    rd = _Reader(data)
-    rd.pos = _HEADER.size
+    pos = _HEADER.size
+
+    def take(n: int, what: str, i: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise FormatError(f"truncated file: ran out of bytes reading {what} of record {i}")
+        pos += n
+        return data[pos - n : pos]
+
+    def string(what: str, i: int) -> str:
+        try:
+            return take(_U16.unpack(take(2, what + " length", i))[0], what, i).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"invalid UTF-8 in {what} of record {i}: {exc}") from None
+
     vec_bytes = 4 * dim
-    records = []
+    ids, labels, codes, transcripts, audio_refs, vectors = [], [], [], [], [], []
     for i in range(count):
-        rid = rd.string(f"id of record {i}")
-        label = rd.string(f"label of record {i}")
-        code = rd.u8(f"intensity of record {i}")
-        intensity = IntensityLevel.from_wire_code(code)
-        transcript = rd.string(f"transcript of record {i}")
-        flag = rd.u8(f"audio_ref flag of record {i}")
+        rid = string("id", i)
+        labels.append(string("label", i))
+        codes.append(take(1, "intensity", i)[0])
+        transcripts.append(string("transcript", i))
+        flag = take(1, "audio_ref flag", i)[0]
         if flag not in (0, 1):
             raise FormatError(f"record {rid!r}: audio_ref flag must be 0 or 1, got {flag}")
-        audio_ref = rd.string(f"audio_ref of record {i}") if flag else None
-        if rd.pos + vec_bytes > len(data):
-            have = (len(data) - rd.pos) // 4
+        audio_refs.append(string("audio_ref", i) if flag else None)
+        if pos + vec_bytes > len(data):
+            have = (len(data) - pos) // 4
             raise DimensionMismatchError(
                 f"record {rid!r}: vector data ends early ({have} of {dim} floats present)"
             )
-        vec = np.frombuffer(rd.take(vec_bytes, f"vector of record {i}"), dtype="<f4")
-        if not np.all(np.isfinite(vec)):
-            raise NonFiniteValueError(f"record {rid!r}: vector contains NaN or infinity")
-        records.append(
-            UtteranceRecord(
-                id=rid,
-                emotion_label=label,
-                intensity=intensity,
-                embedding=EmotionEmbedding(vec),
-                transcript=transcript,
-                audio_ref=audio_ref,
-            )
-        )
-    if rd.pos != len(data):
-        raise FormatError(f"{len(data) - rd.pos} trailing bytes after last record")
-    return EmbeddingDatabase(dim=int(dim), records=tuple(records))
+        vectors.append(take(vec_bytes, "vector", i))
+        ids.append(rid)
+    if pos != len(data):
+        raise FormatError(f"{len(data) - pos} trailing bytes after last record")
+    matrix = np.frombuffer(b"".join(vectors), dtype="<f4").reshape(count, dim)
+    return EmbeddingDatabase(dim, matrix, codes, ids, labels, transcripts, audio_refs)
 
 
 def load_db(path) -> EmbeddingDatabase:
@@ -409,4 +453,4 @@ def load_manifest(path, dim: int | None = None) -> EmbeddingDatabase:
         if not records:
             raise FormatError("empty manifest requires an explicit dim")
         dim = records[0].embedding.dim
-    return EmbeddingDatabase(dim=int(dim), records=tuple(records))
+    return EmbeddingDatabase.from_records(int(dim), records)

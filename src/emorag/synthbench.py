@@ -25,19 +25,14 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .retrieval import RetrievalMethod, default_k, kmeans_fit, retrieve
-from .store import (
-    EmbeddingDatabase,
-    EmotionEmbedding,
-    IntensityLevel,
-    UtteranceRecord,
-)
+from .store import EmbeddingDatabase, EmotionEmbedding
 from .util import atomic_write_text
 
 DEFAULT_SIZES = (3000, 8000)
@@ -47,8 +42,6 @@ DEFAULT_SIGMA = 0.05
 DEFAULT_SPREAD = 10.0
 DEFAULT_MIX = (0.25, 0.5, 0.25)
 WARMUP_QUERIES = 10
-
-_LEVELS = (IntensityLevel.WEAK, IntensityLevel.NORMAL, IntensityLevel.STRONG)
 
 
 def emotion_label(i: int) -> str:
@@ -127,21 +120,17 @@ def generate_synthetic_db(config: SyntheticDatasetConfig) -> EmbeddingDatabase:
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     unit = (raw / norms).astype(np.float32)
 
-    records = []
-    for e in range(config.num_emotions):
-        label = emotion_label(e)
-        for p in range(config.records_per_emotion):
-            row = e * config.records_per_emotion + p
-            records.append(
-                UtteranceRecord(
-                    id=f"{label}-{p:04d}",
-                    emotion_label=label,
-                    intensity=_LEVELS[int(codes[row])],
-                    embedding=EmotionEmbedding(unit[row]),
-                    transcript=f"synthetic utterance {label} {p}",
-                )
-            )
-    return EmbeddingDatabase(dim=config.dim, records=tuple(records))
+    per = config.records_per_emotion
+    rows = [(emotion_label(e), p) for e in range(config.num_emotions) for p in range(per)]
+    return EmbeddingDatabase(
+        config.dim,
+        unit,
+        codes.astype(np.uint8),
+        ids=[f"{label}-{p:04d}" for label, p in rows],
+        labels=[label for label, _ in rows],
+        transcripts=[f"synthetic utterance {label} {p}" for label, p in rows],
+        audio_refs=(None,) * n,
+    )
 
 
 def make_query_set(
@@ -182,14 +171,7 @@ class BenchResult:
     queries: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method.value,
-            "db_size": self.db_size,
-            "accuracy": self.accuracy,
-            "mean_latency_ns": self.mean_latency_ns,
-            "p95_latency_ns": self.p95_latency_ns,
-            "queries": self.queries,
-        }
+        return {**asdict(self), "method": self.method.value}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BenchResult":
@@ -230,12 +212,12 @@ def run_cell(
     latencies = []
     scans = []
     matched = 0
+    label_of = dict(zip(db.ids, db.labels))
     for query, truth in query_set:
         result = retrieve(db, query, method, index=index)
         latencies.append(result.elapsed_ns)
         scans.append(result.candidates_scanned)
-        if db.record_by_id(result.record_id).emotion_label == truth:
-            matched += 1
+        matched += label_of[result.record_id] == truth
     bench = BenchResult(
         method=method,
         db_size=len(db),
@@ -262,11 +244,12 @@ def run_benchmark(
 
     Databases and query sets are built once per size with seeds derived from
     the top-level seed, so the two methods in one size answer exactly the
-    same queries.  Sizes must be divisible by ``num_emotions``.
+    same queries.  A size's cluster index is fitted just before its first
+    clustering cell.  Sizes must be divisible by ``num_emotions``.
     """
     if cells is None:
         cells = [(m, s) for m in (RetrievalMethod.EMBEDDING, RetrievalMethod.CLUSTERING) for s in DEFAULT_SIZES]
-    cells = [(RetrievalMethod.parse(m) if isinstance(m, str) else m, int(s)) for m, s in cells]
+    cells = [(RetrievalMethod.parse(m), int(s)) for m, s in cells]
     if not cells:
         raise InvalidParameterError("benchmark needs at least one cell")
     if int(n_queries) < 1:
@@ -289,15 +272,15 @@ def run_benchmark(
             seed=db_seed,
         )
         db = generate_synthetic_db(config)
-        queries = make_query_set(config, n_queries, db_seed + 500_009)
-        index = None
-        if any(m is RetrievalMethod.CLUSTERING and s == size for m, s in cells):
-            index = kmeans_fit(db, default_k(db), seed=seed)
-        built[size] = (db, queries, index)
+        built[size] = [db, make_query_set(config, n_queries, db_seed + 500_009), None]
 
     results = []
     for method, size in cells:
         db, queries, index = built[size]
+        if method is RetrievalMethod.CLUSTERING and index is None:
+            # fitted here, not up front, so that no earlier cell is timed while
+            # BLAS threads from k-means' products are still spinning
+            index = built[size][2] = kmeans_fit(db, default_k(db), seed=seed)
         bench, _ = run_cell(db, method, queries, index=index, warmup=warmup)
         results.append(bench)
     return results

@@ -32,7 +32,7 @@ def build_db(vectors, labels=None, intensities=None, ids=None, transcripts=None,
         )
         for i in range(n)
     )
-    return EmbeddingDatabase(dim=int(vectors.shape[1]), records=records)
+    return EmbeddingDatabase.from_records(int(vectors.shape[1]), records)
 
 
 def random_db(rng, n=None, dim=None, n_labels=3, with_metadata=True):

@@ -1,6 +1,7 @@
 """Command-line interface: every subcommand plus the exit-code contract."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -260,6 +261,21 @@ def test_retrieve_empty_intensity_gate_is_exit_3(tmp_path, capsys):
         ["retrieve", "--db", str(db_path), "--query", str(query), "--intensity", "strong"]
     )
     assert code == 3
+
+
+def test_emorag_log_debug_prints_the_gate_line(tmp_path):
+    db, db_path = make_db_file(tmp_path, n=6, intensities=["weak", "strong"] * 3)
+    query = write_query(tmp_path / "q.json", db.records[0].embedding.values)
+    argv = [sys.executable, "-m", "emorag", "retrieve", "--db", str(db_path), "--query", str(query)]
+    gated = [*argv, "--intensity", "strong"]
+    quiet = subprocess.run(gated, capture_output=True, text=True)
+    assert quiet.returncode == 0 and quiet.stderr == ""
+    env = {**os.environ, "EMORAG_LOG": "DEBUG"}
+    loud = subprocess.run(gated, capture_output=True, text=True, env=env)
+    assert loud.returncode == 0
+    assert loud.stderr == "DEBUG emorag: intensity gate strong: kept 3 of 6 records\n"
+    ungated = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert ungated.returncode == 0 and ungated.stderr == ""
 
 
 def test_retrieve_clustering_without_index_is_usage_error(tmp_path, capsys):

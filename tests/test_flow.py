@@ -492,6 +492,10 @@ def test_ode_validation():
         ode_integrate_batch(model, np.zeros((1, 3)), np.zeros((1, 1)), np.zeros(1), 4)
     with pytest.raises(DimensionMismatchError):
         ode_integrate_batch(model, np.zeros((2, 2)), np.zeros((3, 1)), np.zeros((2, 1)), 4)
+    with pytest.raises(NonFiniteValueError, match="cond"):
+        ode_integrate_batch(model, np.zeros((1, 2)), np.array([[np.nan]]), np.zeros(1), 4)
+    with pytest.raises(NonFiniteValueError, match="spk"):
+        ode_integrate_batch(model, np.zeros((2, 2)), np.zeros((2, 1)), np.array([[0.0], [np.inf]]), 4)
 
 
 def test_ode_divergence_detected():

@@ -1,5 +1,7 @@
 """Retrieval layer: cosine scan, spherical k-means, index files, gating."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,8 @@ from emorag.retrieval import (
     scan_block_rows,
     serialize_index,
 )
+from emorag import store
+from emorag.store import load_db, save_db
 from emorag.synthbench import SyntheticDatasetConfig, generate_synthetic_db, make_query_set
 
 from helpers import LEVELS, build_db, random_db
@@ -144,7 +148,7 @@ def test_kmeans_validation():
     with pytest.raises(InvalidParameterError):
         kmeans_fit(db, 2, max_iters=0)
     with pytest.raises(EmptyDatabaseError):
-        kmeans_fit(EmbeddingDatabase(dim=3, records=()), 1)
+        kmeans_fit(EmbeddingDatabase.from_records(3, ()), 1)
 
 
 def test_kmeans_deterministic_under_seed():
@@ -192,7 +196,7 @@ def test_default_k_counts_labels():
     db = build_db(np.eye(3, dtype=np.float32), labels=["a", "a", "b"])
     assert default_k(db) == 2
     with pytest.raises(EmptyDatabaseError):
-        default_k(EmbeddingDatabase(dim=2, records=()))
+        default_k(EmbeddingDatabase.from_records(2, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +274,7 @@ def test_retrieve_tie_breaks_to_lowest_position():
 def test_retrieve_validation():
     db = build_db(np.eye(2, dtype=np.float32))
     with pytest.raises(EmptyDatabaseError):
-        retrieve_embedding_based(EmbeddingDatabase(dim=2, records=()), EmotionEmbedding([1.0, 0.0]))
+        retrieve_embedding_based(EmbeddingDatabase.from_records(2, ()), EmotionEmbedding([1.0, 0.0]))
     with pytest.raises(DimensionMismatchError):
         retrieve_embedding_based(db, EmotionEmbedding([1.0, 0.0, 0.0]))
     with pytest.raises(ZeroNormError):
@@ -384,7 +388,7 @@ def test_clustering_subset_dominance():
 def test_clustering_stale_index():
     db = random_db(np.random.default_rng(8), n=12, dim=4)
     index = kmeans_fit(db, 2, seed=0)
-    smaller = EmbeddingDatabase(dim=db.dim, records=db.records[:-1])
+    smaller = EmbeddingDatabase.from_records(db.dim, db.records[:-1])
     with pytest.raises(StaleIndexError):
         retrieve_clustering_based(smaller, index, db.records[0].embedding)
 
@@ -567,3 +571,89 @@ def test_retrieval_is_deterministic():
             b.similarity,
             b.candidates_scanned,
         )
+
+
+# ---------------------------------------------------------------------------
+# the gate is built once per level
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_gated_retrieve_equals_hand_filtered_database(seed):
+    rng = np.random.default_rng(seed)
+    db = random_db(rng)
+    bundle = build_index_bundle(db, seed=0)
+    query = EmotionEmbedding(rng.standard_normal(db.dim).astype(np.float32))
+    for lvl in LEVELS:
+        hand = EmbeddingDatabase.from_records(db.dim, [r for r in db.records if r.intensity is lvl])
+        if len(hand) == 0:
+            continue
+        for method in RetrievalMethod:
+            gated = retrieve(db, query, method, index=bundle, intensity=lvl)
+            if method is RetrievalMethod.EMBEDDING:
+                direct = retrieve_embedding_based(hand, query)
+            else:
+                direct = retrieve_clustering_based(hand, bundle.by_level[lvl], query)
+            assert gated.record_id == direct.record_id
+            assert np.float64(gated.similarity).tobytes() == np.float64(direct.similarity).tobytes()
+            assert gated.candidates_scanned == direct.candidates_scanned
+
+
+def test_repeated_gated_clustering_serializes_nothing(tmp_path, monkeypatch):
+    config = SyntheticDatasetConfig(num_emotions=4, dim=16, records_per_emotion=60, seed=2)
+    save_db(generate_synthetic_db(config), tmp_path / "db.emdb")
+    save_index_bundle(build_index_bundle(load_db(tmp_path / "db.emdb")), tmp_path / "db.emix")
+    db = load_db(tmp_path / "db.emdb")
+    bundle = load_index_bundle(tmp_path / "db.emix")
+    queries = [q for q, _ in make_query_set(config, 12, seed=5)]
+    for lvl in LEVELS:
+        retrieve(db, queries[0], "clustering", index=bundle, intensity=lvl)
+    calls = []
+    original = store.serialize_db
+    monkeypatch.setattr(store, "serialize_db", lambda d: calls.append(d) or original(d))
+    for i, q in enumerate(queries):
+        retrieve(db, q, "clustering", index=bundle, intensity=LEVELS[i % 3])
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# debug log lines
+
+
+def test_gate_logs_once_per_level(caplog):
+    caplog.set_level(logging.DEBUG, logger="emorag")
+    db = _gated_db()
+    for _ in range(3):
+        retrieve(db, db.records[0].embedding, "embedding", intensity="weak")
+    retrieve(db, db.records[0].embedding, "embedding")
+    lines = [r.getMessage() for r in caplog.records if r.name == "emorag"]
+    assert lines == ["intensity gate weak: kept 6 of 12 records"]
+
+
+def test_empty_cluster_fallback_logs(caplog):
+    caplog.set_level(logging.DEBUG, logger="emorag")
+    db = build_db(np.array([[1.0, 0.0], [0.9, 0.1]], dtype=np.float32))
+    index = ClusterIndex(
+        k=2,
+        centroids=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32),
+        assignments=np.zeros(2, dtype=np.uint32),
+        inertia=0.0,
+        fingerprint=db.fingerprint,
+    )
+    retrieve_clustering_based(db, index, EmotionEmbedding([1.0, 0.0]))
+    assert [r.getMessage() for r in caplog.records] == []
+    retrieve_clustering_based(db, index, EmotionEmbedding([0.0, 1.0]))
+    assert [r.getMessage() for r in caplog.records] == [
+        "cluster 1 has no members; scanning all 2 records"
+    ]
+
+
+def test_kmeans_empty_cluster_reseed_logs(caplog):
+    caplog.set_level(logging.DEBUG, logger="emorag")
+    kmeans_fit(build_db(np.eye(3, dtype=np.float32)), 3, seed=0)
+    assert caplog.records == []
+    # identical points: both seeds coincide, every point goes to cluster 0
+    kmeans_fit(build_db(np.ones((4, 3), dtype=np.float32)), 2, seed=0)
+    assert [r.getMessage() for r in caplog.records][0] == (
+        "k-means iteration 1: reseeding 1 empty clusters"
+    )

@@ -126,7 +126,7 @@ def test_db_rejects_dim_mismatch():
     emb2 = EmotionEmbedding([1.0, 0.0])
     rec = UtteranceRecord(id="a", emotion_label="joy", intensity=IntensityLevel.WEAK, embedding=emb2)
     with pytest.raises(DimensionMismatchError):
-        EmbeddingDatabase(dim=3, records=(rec,))
+        EmbeddingDatabase.from_records(3, (rec,))
 
 
 def test_db_lookup_and_matrix():
@@ -150,7 +150,7 @@ def test_unit_matrix_zero_norm_record():
 
 
 def test_empty_db_is_exactly_header(tmp_path):
-    db = EmbeddingDatabase(dim=8, records=())
+    db = EmbeddingDatabase.from_records(8, ())
     data = serialize_db(db)
     assert len(data) == 16
     path = tmp_path / "empty.emdb"
@@ -205,7 +205,7 @@ def test_fingerprint_sensitive_to_content():
 
 
 def test_save_to_directory_raises_oserror(tmp_path):
-    db = EmbeddingDatabase(dim=2, records=())
+    db = EmbeddingDatabase.from_records(2, ())
     with pytest.raises(OSError):
         save_db(db, tmp_path)
 
@@ -330,6 +330,130 @@ def test_filter_partitions_database(seed):
         order = [r.id for r in part.records]
         full_order = [r.id for r in db.records if r.intensity is lvl]
         assert order == full_order
+
+
+def _hand_filtered(db, level):
+    """The records at ``level``, picked one by one from ``db.records``."""
+    return EmbeddingDatabase.from_records(db.dim, [r for r in db.records if r.intensity is level])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_gate_is_built_once_per_level(seed):
+    db = random_db(np.random.default_rng(seed))
+    for lvl in LEVELS:
+        sub = filter_by_intensity(db, lvl)
+        assert filter_by_intensity(db, lvl) is sub
+        assert filter_by_intensity(db, lvl.value) is sub
+        hand = _hand_filtered(db, lvl)
+        assert sub.fingerprint == hashlib.sha256(serialize_db(hand)).digest()
+        assert sub.matrix.tobytes() == hand.matrix.tobytes()
+        assert sub.ids == hand.ids
+
+
+def test_gate_from_many_threads_returns_one_subset_per_level():
+    import sys
+    import threading
+
+    db = random_db(np.random.default_rng(12), n=300, dim=8)
+    seen = []
+    barrier = threading.Barrier(8, timeout=10)
+
+    def worker():
+        barrier.wait()
+        seen.append(tuple(id(filter_by_intensity(db, lvl)) for lvl in LEVELS * 20))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8
+    assert set(seen) == {tuple(id(filter_by_intensity(db, lvl)) for lvl in LEVELS * 20)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_from_records_keeps_columns_and_fingerprint(seed):
+    db = random_db(np.random.default_rng(seed))
+    again = EmbeddingDatabase.from_records(db.dim, db.records)
+    assert again.matrix.dtype == np.float32
+    assert again.matrix.tobytes() == db.matrix.tobytes()
+    assert again.intensity_codes.dtype == np.uint8
+    assert again.intensity_codes.tobytes() == db.intensity_codes.tobytes()
+    assert (again.ids, again.labels) == (db.ids, db.labels)
+    assert (again.transcripts, again.audio_refs) == (db.transcripts, db.audio_refs)
+    assert again.fingerprint == db.fingerprint
+
+
+def test_loaded_columns_are_readonly_and_records_are_views():
+    db = deserialize_db(serialize_db(random_db(np.random.default_rng(4), n=6, dim=3)))
+    with pytest.raises(ValueError):
+        db.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        db.intensity_codes[0] = 2
+    assert db.records is db.records
+    for pos, rec in enumerate(db.records):
+        assert rec.id == db.ids[pos] and rec.emotion_label == db.labels[pos]
+        assert rec.intensity.wire_code == db.intensity_codes[pos]
+        assert rec.embedding.values.tobytes() == db.matrix[pos].tobytes()
+        assert db.record_by_id(rec.id).transcript == db.transcripts[pos]
+
+
+def test_column_checks_name_the_first_bad_record():
+    def make(matrix=((1.0, 0.0), (0.0, 1.0)), codes=(0, 1), ids=("a", "b"), labels=("x", "y")):
+        return EmbeddingDatabase(2, matrix, codes, ids, labels, ("", ""), (None, "b.wav"))
+
+    assert len(make()) == 2
+    with pytest.raises(NonFiniteValueError, match="'b'"):
+        make(matrix=((1.0, 0.0), (np.inf, 1.0)))
+    with pytest.raises(InvalidIntensityError, match="'b'"):
+        make(codes=(0, 3))
+    with pytest.raises(InvalidIntensityError, match="'a'"):
+        make(codes=np.array([-1, 1]))
+    with pytest.raises(InvalidIntensityError, match="'b'"):
+        make(codes=np.array([0, 258]))
+    with pytest.raises(DuplicateIdError, match="'a'"):
+        make(ids=("a", "a"))
+    with pytest.raises(FormatError, match="position 1"):
+        make(ids=("a", ""))
+    with pytest.raises(FormatError, match="position 0"):
+        make(labels=(7, "y"))
+    with pytest.raises(FormatError):
+        make(codes=(0,))
+    with pytest.raises(DimensionMismatchError):
+        make(matrix=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
+    with pytest.raises(FormatError, match="position 1"):
+        EmbeddingDatabase.from_records(2, [make().records[0], "not a record"])
+
+
+def test_columnar_paths_build_no_record_objects(monkeypatch):
+    from emorag import build_index_bundle, generate_synthetic_db, retrieve
+    from emorag.synthbench import SyntheticDatasetConfig
+
+    db = random_db(np.random.default_rng(8), n=30, dim=4)
+    data = serialize_db(db)
+    query = EmotionEmbedding(np.ones(4, dtype=np.float32))
+    built = []
+    for cls in (UtteranceRecord, EmotionEmbedding):
+        original = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, _orig=original: built.append(self) or _orig(self)
+        )
+    loaded = deserialize_db(data)
+    generate_synthetic_db(SyntheticDatasetConfig(num_emotions=3, dim=4, records_per_emotion=20))
+    bundle = build_index_bundle(loaded, k=1)
+    for lvl in LEVELS:
+        for method in ("embedding", "clustering"):
+            if len(filter_by_intensity(loaded, lvl)):
+                retrieve(loaded, query, method, index=bundle, intensity=lvl)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

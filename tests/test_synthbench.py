@@ -348,3 +348,33 @@ def test_emit_report_rejects_bad_input(tmp_path):
         emit_report([], tmp_path / "x.csv")
     with pytest.raises(InvalidParameterError):
         emit_report(fake_results(), tmp_path / "x.yaml", "yaml")
+
+
+def test_benchmark_fits_each_index_just_before_its_first_clustering_cell(monkeypatch):
+    from emorag import synthbench
+
+    events = []
+    real_fit, real_cell = synthbench.kmeans_fit, synthbench.run_cell
+
+    def fit(db, k, **kwargs):
+        events.append(("fit", len(db)))
+        return real_fit(db, k, **kwargs)
+
+    def cell(db, method, queries, **kwargs):
+        events.append((method.value, len(db)))
+        return real_cell(db, method, queries, **kwargs)
+
+    monkeypatch.setattr(synthbench, "kmeans_fit", fit)
+    monkeypatch.setattr(synthbench, "run_cell", cell)
+    cells = [("embedding", 80), ("embedding", 160), ("clustering", 80), ("clustering", 160), ("clustering", 80)]
+    results = run_benchmark(cells, n_queries=5, num_emotions=4, dim=8, warmup=0)
+    assert [(r.method.value, r.db_size) for r in results] == cells
+    assert events == [
+        ("embedding", 80),
+        ("embedding", 160),
+        ("fit", 80),
+        ("clustering", 80),
+        ("fit", 160),
+        ("clustering", 160),
+        ("clustering", 80),
+    ]
