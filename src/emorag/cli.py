@@ -11,10 +11,12 @@ Exit codes, used consistently by every subcommand:
 
 The ``EMORAG_LOG`` environment variable (DEBUG/INFO/...) sets the level of
 the ``emorag`` logger, which writes to stderr.  At DEBUG it reports each
-intensity-gate subset when it is built, a clustered probe that falls back to
+intensity-gate subset when it is built, the index each clustered query
+probes (full or its level, with its k), a clustered probe that falls back to
 a full scan because its cluster is empty, and k-means reseeding an empty
-cluster.  All stochastic commands take ``--seed`` (default 0) so documented
-invocations reproduce byte-for-byte.
+cluster.  ``synth`` adds the nanoseconds each of its file loads took to its
+report as ``load_timings_ns``.  All stochastic commands take ``--seed``
+(default 0) so documented invocations reproduce byte-for-byte.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
@@ -236,13 +239,23 @@ def cmd_synth(args) -> int:
     method = RetrievalMethod.parse(args.method)
     if method is RetrievalMethod.CLUSTERING and not args.index:
         return _usage("--index is required with --method clustering")
-    db = load_db(_need_file(args.db, "database"))
-    model = load_checkpoint(_need_file(args.checkpoint, "checkpoint"))
-    query = load_embedding_file(_need_file(args.query, "query embedding"), dim=db.dim)
-    token_map = load_token_map(_need_file(args.tokens, "token map"))
+    load_ns = {}
+
+    def timed_load(name, path, what, load):
+        t0 = time.perf_counter_ns()
+        value = load(_need_file(path, what))
+        load_ns[name] = time.perf_counter_ns() - t0
+        return value
+
+    db = timed_load("database", args.db, "database", load_db)
+    model = timed_load("checkpoint", args.checkpoint, "checkpoint", load_checkpoint)
+    query = timed_load(
+        "query", args.query, "query embedding", lambda p: load_embedding_file(p, dim=db.dim)
+    )
+    token_map = timed_load("token_map", args.tokens, "token map", load_token_map)
     index = None
     if method is RetrievalMethod.CLUSTERING:
-        index = load_index_bundle(_need_file(args.index, "cluster index"))
+        index = timed_load("index", args.index, "cluster index", load_index_bundle)
     request = SynthesisRequest(
         reference=query,
         target_text=args.text,
@@ -259,6 +272,7 @@ def cmd_synth(args) -> int:
         token_map=token_map,
         ode_steps=args.ode_steps,
     )
+    report["load_timings_ns"] = load_ns
     if args.report:
         write_report(report, args.report)
     print(json.dumps(report, indent=2))

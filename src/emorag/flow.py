@@ -11,6 +11,12 @@ Everything numerical runs in float64.  The vector field consumes the
 concatenation ``[state, conditioning, speaker, t]`` in that order; hidden
 layers are tanh, the output layer is linear.
 
+The Euler sampler allocates once per call, not once per step: one feature
+matrix (state and t columns rewritten each step) and one buffer per layer;
+fresh per-step arrays cost copies and, above glibc's mmap threshold, page
+faults.  Its products and adds take the same operands in the same order as
+concatenating the features each step, so the output is equal bit for bit.
+
 Training notes, learned the hard way on this loss: the mean-over-everything
 L1 makes each weight's gradient magnitude scale like 1/state_dim (the sign
 pattern is dense but tiny), so useful learning rates grow with the output
@@ -236,22 +242,21 @@ def init_vector_field(
     )
 
 
-def _forward_cached(model: VectorFieldModel, features: np.ndarray):
-    """Forward pass keeping each layer's input; returns (activations, output)."""
-    hs = [features]
+def _forward(model: VectorFieldModel, feats: np.ndarray, bufs: list) -> np.ndarray:
+    """Forward pass writing layer l's output into ``bufs[l]`` in place.
+
+    Returns ``bufs[-1]``; ``[feats, *bufs[:-1]]`` are the layer inputs that
+    backprop reads.
+    """
+    h = feats
     last = len(model.weights) - 1
-    h = features
-    for l in range(last):
-        h = np.tanh(h @ model.weights[l].T + model.biases[l])
-        hs.append(h)
-    out = h @ model.weights[last].T + model.biases[last]
-    return hs, out
-
-
-def _forward_rows(model, X, t, cond, spk) -> np.ndarray:
-    feats = np.concatenate([X, cond, spk, t[:, None]], axis=1)
-    _, out = _forward_cached(model, feats)
-    return out
+    for l, (W, b, out) in enumerate(zip(model.weights, model.biases, bufs)):
+        np.matmul(h, W.T, out=out)
+        out += b
+        if l < last:
+            np.tanh(out, out=out)
+        h = out
+    return h
 
 
 @dataclass(eq=False)
@@ -291,19 +296,23 @@ class FlowBatch:
         self.x0, self.x1, self.t, self.cond, self.spk = x0, x1, t, cond, spk
 
 
-def _check_batch_dims(model: VectorFieldModel, batch: FlowBatch) -> None:
+def _batch_forward(model: VectorFieldModel, batch: FlowBatch):
+    """Layer inputs and the residual ``field - target`` for one batch."""
     for name, arr in (("state", batch.x0), ("cond", batch.cond), ("spk", batch.spk)):
         want = getattr(model, f"{name}_dim")
         if arr.shape[1] != want:
             raise DimensionMismatchError(f"batch {name} dim {arr.shape[1]} != model's {want}")
+    xt, u = cfm_sample_path(batch.x0, batch.x1, batch.t)
+    feats = np.concatenate([xt, batch.cond, batch.spk, batch.t[:, None]], axis=1)
+    bufs = [np.empty((len(feats), n)) for n in model.layer_sizes[1:]]
+    out = _forward(model, feats, bufs)
+    return [feats, *bufs[:-1]], out - u
 
 
 def vf_loss(model: VectorFieldModel, batch: FlowBatch) -> float:
     """Mean absolute error between the field and the path velocity target."""
-    _check_batch_dims(model, batch)
-    xt, u = cfm_sample_path(batch.x0, batch.x1, batch.t)
-    out = _forward_rows(model, xt, batch.t, batch.cond, batch.spk)
-    return float(np.mean(np.abs(out - u)))
+    _, res = _batch_forward(model, batch)
+    return float(np.mean(np.abs(res)))
 
 
 def vf_train_step(model: VectorFieldModel, batch: FlowBatch, learning_rate: float) -> float:
@@ -316,11 +325,7 @@ def vf_train_step(model: VectorFieldModel, batch: FlowBatch, learning_rate: floa
     lr = float(learning_rate)
     if not math.isfinite(lr) or lr < 0.0:
         raise InvalidParameterError(f"learning_rate must be finite and >= 0, got {lr}")
-    _check_batch_dims(model, batch)
-    xt, u = cfm_sample_path(batch.x0, batch.x1, batch.t)
-    feats = np.concatenate([xt, batch.cond, batch.spk, batch.t[:, None]], axis=1)
-    hs, out = _forward_cached(model, feats)
-    res = out - u
+    hs, res = _batch_forward(model, batch)
     loss = float(np.mean(np.abs(res)))
     if not math.isfinite(loss):
         raise TrainingDivergenceError(f"loss is not finite: {loss}")
@@ -361,36 +366,46 @@ def ode_integrate_batch(
     Steps evaluate the field at the left endpoint t_i = i / n_steps.  A
     non-finite input raises :class:`NonFiniteValueError` naming it; a state
     that becomes non-finite aborts with :class:`IntegrationDivergenceError`.
+    The inputs are only read; the result is a new C-ordered array.
     """
     if int(n_steps) < 1:
         raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps}")
     n_steps = int(n_steps)
-    X = np.asarray(x_init, dtype=np.float64).copy()
+    x_init = np.asarray(x_init, dtype=np.float64)
     cond = np.asarray(cond, dtype=np.float64)
     spk = np.asarray(spk, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.state_dim:
+    if x_init.ndim != 2 or x_init.shape[1] != model.state_dim:
         raise DimensionMismatchError(
-            f"x_init must be (rows, {model.state_dim}), got {X.shape}"
+            f"x_init must be (rows, {model.state_dim}), got {x_init.shape}"
         )
-    B = X.shape[0]
+    B = x_init.shape[0]
     if spk.ndim == 1:
         spk = np.broadcast_to(spk, (B, spk.shape[0]))
     for name, arr in (("cond", cond), ("spk", spk)):
         want = (B, getattr(model, f"{name}_dim"))
         if arr.shape != want:
             raise DimensionMismatchError(f"{name} must be {want}, got {arr.shape}")
-    for name, arr in (("x_init", X), ("cond", cond), ("spk", spk)):
+    for name, arr in (("x_init", x_init), ("cond", cond), ("spk", spk)):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValueError(f"{name} contains NaN or infinity")
+    # one feature matrix per call; each step rewrites its state and t columns.
+    # X stays contiguous: numpy's elementwise loops are slower on a column slice.
+    X = np.array(x_init, order="C")
+    feats = np.concatenate([X, cond, spk, np.empty((B, 1))], axis=1)
+    state, t_col = feats[:, : model.state_dim], feats[:, -1]
+    bufs = [np.empty((B, n)) for n in model.layer_sizes[1:]]
+    finite = np.empty(X.shape, dtype=bool)
     dt = 1.0 / n_steps
-    t_col = np.empty(B)
     for i in range(n_steps):
         t_col.fill(i * dt)
-        X = X + dt * _forward_rows(model, X, t_col, cond, spk)
-        if not np.all(np.isfinite(X)):
+        out = _forward(model, feats, bufs)
+        out *= dt
+        X += out
+        if not np.isfinite(X, out=finite).all():
             raise IntegrationDivergenceError(
                 f"state became non-finite at step {i + 1} of {n_steps}"
             )
+        state[...] = X
     return X
 
 

@@ -484,6 +484,7 @@ def retrieve(
                 "intensity-gated clustering needs an IndexBundle with per-level indexes"
             )
         chosen = index
+    log.debug("clustered query: %s index, k=%d", intensity or "full", chosen.k)
     return retrieve_clustering_based(target, chosen, query)
 
 

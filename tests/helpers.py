@@ -59,3 +59,42 @@ def random_db(rng, n=None, dim=None, n_labels=3, with_metadata=True):
         transcripts=transcripts,
         audio_refs=audio_refs,
     )
+
+
+# ---------------------------------------------------------------------------
+# reference flow sampler: the concatenate-per-step Euler loop the in-place
+# sampler replaced, kept word for word as a bitwise oracle
+
+
+def reference_forward_cached(model, features: np.ndarray):
+    """Forward pass keeping each layer's input; returns (activations, output)."""
+    hs = [features]
+    last = len(model.weights) - 1
+    h = features
+    for l in range(last):
+        h = np.tanh(h @ model.weights[l].T + model.biases[l])
+        hs.append(h)
+    out = h @ model.weights[last].T + model.biases[last]
+    return hs, out
+
+
+def reference_forward_rows(model, X, t, cond, spk) -> np.ndarray:
+    feats = np.concatenate([X, cond, spk, t[:, None]], axis=1)
+    _, out = reference_forward_cached(model, feats)
+    return out
+
+
+def reference_ode_integrate_batch(model, x_init, cond, spk, n_steps) -> np.ndarray:
+    """Explicit Euler, one fresh feature matrix and layer output per step."""
+    X = np.asarray(x_init, dtype=np.float64).copy()
+    cond = np.asarray(cond, dtype=np.float64)
+    spk = np.asarray(spk, dtype=np.float64)
+    B = X.shape[0]
+    if spk.ndim == 1:
+        spk = np.broadcast_to(spk, (B, spk.shape[0]))
+    dt = 1.0 / n_steps
+    t_col = np.empty(B)
+    for i in range(n_steps):
+        t_col.fill(i * dt)
+        X = X + dt * reference_forward_rows(model, X, t_col, cond, spk)
+    return X

@@ -476,6 +476,26 @@ def test_synth_end_to_end(synth_space, tmp_path, capsys):
     assert json.loads(report_path.read_text()) == report
 
 
+def test_synth_reports_each_load(synth_space, tmp_path, capsys):
+    index_path = tmp_path / "db.emix"
+    assert main(["build-index", "--db", str(synth_space["db_path"]), "--out", str(index_path)]) == 0
+    capsys.readouterr()
+    loads = ["database", "checkpoint", "query", "token_map"]
+    for method, want in (("embedding", loads), ("clustering", [*loads, "index"])):
+        report_path = tmp_path / f"{method}.json"
+        argv = synth_argv(
+            synth_space, tmp_path / f"{method}.frames", method=method, report=report_path
+        )
+        if method == "clustering":
+            argv += ["--index", str(index_path)]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        timings = report["load_timings_ns"]
+        assert list(timings) == want
+        assert all(type(v) is int and v > 0 for v in timings.values())
+        assert json.loads(report_path.read_text()) == report
+
+
 def test_synth_is_byte_deterministic(synth_space, tmp_path, capsys):
     a, b = tmp_path / "a.frames", tmp_path / "b.frames"
     assert main(synth_argv(synth_space, a, seed=11)) == 0

@@ -37,7 +37,9 @@ from emorag import (
     vf_loss,
     vf_train_step,
 )
-from emorag.flow import _forward_cached, _forward_rows
+from emorag.flow import _forward
+
+from helpers import reference_forward_cached, reference_ode_integrate_batch
 
 
 def constant_field_model(state_dim, value, cond_dim=1, spk_dim=1):
@@ -51,6 +53,10 @@ def constant_field_model(state_dim, value, cond_dim=1, spk_dim=1):
         weights=[np.zeros((state_dim, in_dim))],
         biases=[np.full(state_dim, float(value))],
     )
+
+
+def layer_buffers(model, rows):
+    return [np.empty((rows, n)) for n in model.layer_sizes[1:]]
 
 
 def zeroed(model):
@@ -231,7 +237,8 @@ def test_model_validation():
 
 def test_forward_zero_model_outputs_zero():
     model = zeroed(init_vector_field(3, 2, 2, (8,), seed=0))
-    out = _forward_rows(model, np.ones((1, 3)), np.array([0.5]), np.ones((1, 2)), np.ones((1, 2)))
+    feats = np.concatenate([np.ones((1, 3)), np.ones((1, 2)), np.ones((1, 2)), [[0.5]]], axis=1)
+    out = _forward(model, feats, layer_buffers(model, 1))
     assert np.array_equal(out, np.zeros((1, 3)))
 
 
@@ -246,7 +253,8 @@ def test_forward_single_layer_is_linear():
         biases=[np.array([0.5])],
     )
     x, t, cond, spk = np.array([[10.0]]), np.array([0.25]), np.array([[20.0]]), np.array([[30.0]])
-    out = _forward_rows(model, x, t, cond, spk)
+    feats = np.concatenate([x, cond, spk, t[:, None]], axis=1)
+    out = _forward(model, feats, layer_buffers(model, 1))
     assert out.shape == (1, 1)
     assert out[0, 0] == pytest.approx(10 + 40 + 90 + 1.0 + 0.5, abs=1e-12)
 
@@ -385,7 +393,9 @@ def test_gradients_match_finite_differences():
         batch = _batch(rng, B=1, D=2, C=2, S=2)
         xt, u = cfm_sample_path(batch.x0, batch.x1, batch.t)
         feats = np.concatenate([xt, batch.cond, batch.spk, batch.t[:, None]], axis=1)
-        hs, out = _forward_cached(model, feats)
+        bufs = layer_buffers(model, 1)
+        out = _forward(model, feats, bufs)
+        hs = [feats, *bufs[:-1]]
         delta = np.sign(out - u) / out.size
         grads = {}
         last = len(model.weights) - 1
@@ -509,6 +519,22 @@ def test_ode_divergence_detected():
         ode_integrate_batch(model, np.array([[1.0]]), np.zeros((1, 1)), np.zeros(1), 32)
 
 
+def test_ode_divergence_names_the_step():
+    # v = 2^105 x with dt = 1/32: each step multiplies x by 2^100 (the +1 of
+    # 1 + 2^100 rounds away), so the state is 2^1000 after step 10 and the
+    # product 2^105 * 2^1000 overflows at step 11
+    W = np.zeros((1, 4))
+    W[0, 0] = 2.0**105
+    model = VectorFieldModel(
+        state_dim=1, cond_dim=1, spk_dim=1, hidden=(), weights=[W], biases=[np.zeros(1)]
+    )
+    x = np.array([[1.0]])
+    with np.errstate(over="ignore"), pytest.raises(
+        IntegrationDivergenceError, match=r"at step 11 of 32$"
+    ):
+        ode_integrate_batch(model, x, np.zeros((1, 1)), np.zeros(1), 32)
+
+
 def test_ode_batch_rows_independent():
     model = init_vector_field(2, 2, 2, (8,), seed=1)
     rng = np.random.default_rng(5)
@@ -519,6 +545,77 @@ def test_ode_batch_rows_independent():
     for i in range(4):
         row = ode_integrate_batch(model, X[i : i + 1], cond[i : i + 1], spk, 8)
         np.testing.assert_allclose(batch_out[i], row[0], atol=1e-12)
+
+
+def _biased_field(hidden, seed):
+    """A 5/3/4 field with nonzero biases, so every bias add shows in the bytes."""
+    model = init_vector_field(5, 3, 4, hidden, seed=seed)
+    rng = np.random.default_rng(seed)
+    for b in model.biases:
+        b[:] = rng.uniform(-0.5, 0.5, size=b.shape)
+    return model
+
+
+def _sampler_inputs(rows, spk_2d, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, 5))
+    cond = rng.standard_normal((rows, 3))
+    spk = rng.standard_normal((rows, 4) if spk_2d else 4)
+    return x, cond, spk
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 5, 64, 199, 770, 1021])
+def test_ode_bytes_equal_the_concatenating_reference(rows):
+    model = _biased_field((16, 8), seed=rows)
+    for n_steps in (1, 2, 32):
+        for spk_2d in (False, True):
+            x, cond, spk = _sampler_inputs(rows, spk_2d, seed=rows + n_steps)
+            got = ode_integrate_batch(model, x, cond, spk, n_steps)
+            want = reference_ode_integrate_batch(model, x, cond, spk, n_steps)
+            assert got.shape == want.shape == (rows, 5)
+            assert got.tobytes() == want.tobytes(), (n_steps, spk_2d)
+
+
+def test_ode_bytes_equal_the_reference_for_strided_and_readonly_inputs():
+    model = _biased_field((16,), seed=7)
+    x, cond, spk = _sampler_inputs(37, True, seed=7)
+    want = reference_ode_integrate_batch(model, x, cond, spk, 32)
+    wide = np.random.default_rng(8).standard_normal((37, 9))
+    wide[:, 2:5] = cond
+    frozen = [a.copy() for a in (x, cond, spk)]
+    for a in frozen:
+        a.flags.writeable = False
+    cases = {
+        "fortran x_init": (np.asfortranarray(x), cond, spk),
+        "column-slice cond": (x, wide[:, 2:5], spk),
+        "read-only": tuple(frozen),
+    }
+    for name, (xi, ci, si) in cases.items():
+        assert ode_integrate_batch(model, xi, ci, si, 32).tobytes() == want.tobytes(), name
+
+
+def test_ode_leaves_inputs_alone_and_returns_its_own_array():
+    model = init_vector_field(5, 3, 4, (16,), seed=3)
+    for spk_2d in (False, True):
+        x, cond, spk = _sampler_inputs(64, spk_2d, seed=3)
+        before = [a.tobytes() for a in (x, cond, spk)]
+        out = ode_integrate_batch(model, x, cond, spk, 8)
+        assert [a.tobytes() for a in (x, cond, spk)] == before
+        assert out.flags.c_contiguous and out.flags.writeable and out.flags.owndata
+        assert not any(np.shares_memory(out, a) for a in (x, cond, spk))
+
+
+@pytest.mark.parametrize("hidden", [(), (16,), (16, 8)])
+def test_forward_activations_equal_the_reference(hidden):
+    model = _biased_field(hidden, seed=len(hidden))
+    feats = np.random.default_rng(11).standard_normal((199, model.input_dim))
+    bufs = layer_buffers(model, 199)
+    out = _forward(model, feats, bufs)
+    hs, want = reference_forward_cached(model, feats)
+    assert out is bufs[-1] and out.tobytes() == want.tobytes()
+    assert len(hs) == len(bufs)
+    for h, b in zip(hs[1:], bufs[:-1]):
+        assert h.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------

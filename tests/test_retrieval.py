@@ -630,6 +630,27 @@ def test_gate_logs_once_per_level(caplog):
     assert lines == ["intensity gate weak: kept 6 of 12 records"]
 
 
+def test_clustered_query_logs_its_index(caplog):
+    db = _gated_db()
+    bundle = build_index_bundle(db, 2, seed=0)
+    q = db.records[0].embedding
+    caplog.set_level(logging.INFO, logger="emorag")
+    retrieve(db, q, "clustering", index=bundle, intensity="weak")
+    assert caplog.records == []
+    caplog.set_level(logging.DEBUG, logger="emorag")
+    retrieve(db, q, "embedding")
+    retrieve(db, q, "embedding", intensity="weak")
+    assert caplog.records == []
+    retrieve(db, q, "clustering", index=bundle)
+    retrieve(db, q, "clustering", index=bundle, intensity="normal")
+    retrieve(db, q, "clustering", index=bundle.full)
+    assert [r.getMessage() for r in caplog.records] == [
+        "clustered query: full index, k=2",
+        "clustered query: normal index, k=2",
+        "clustered query: full index, k=2",
+    ]
+
+
 def test_empty_cluster_fallback_logs(caplog):
     caplog.set_level(logging.DEBUG, logger="emorag")
     db = build_db(np.array([[1.0, 0.0], [0.9, 0.1]], dtype=np.float32))
