@@ -11,11 +11,14 @@ Everything numerical runs in float64.  The vector field consumes the
 concatenation ``[state, conditioning, speaker, t]`` in that order; hidden
 layers are tanh, the output layer is linear.
 
-The Euler sampler allocates once per call, not once per step: one feature
-matrix (state and t columns rewritten each step) and one buffer per layer;
-fresh per-step arrays cost copies and, above glibc's mmap threshold, page
-faults.  Its products and adds take the same operands in the same order as
-concatenating the features each step, so the output is equal bit for bit.
+The Euler sampler allocates once per call, not once per step (fresh per-step
+arrays cost copies and page faults): one feature matrix (state and t columns
+rewritten each step) and one buffer per layer.  Its products and adds take
+the same operands in the same order as concatenating the features each step,
+so the output is equal bit for bit.  From 256 rows, parts of 128 rows or more
+run on one thread per usable CPU with OpenBLAS held to one thread, so that
+BLAS threads do not oversubscribe the cores and numpy's one-core elementwise
+work uses them all.
 
 Training notes, learned the hard way on this loss: the mean-over-everything
 L1 makes each weight's gradient magnitude scale like 1/state_dim (the sign
@@ -31,7 +34,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextvars import copy_context
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,7 +53,7 @@ from .errors import (
     NonFiniteValueError,
     TrainingDivergenceError,
 )
-from .util import atomic_write_bytes
+from .util import atomic_write_bytes, openblas_threads
 
 TOKEN_RATE_HZ = 50.0
 MEL_RATE_HZ = 80.0
@@ -354,6 +361,63 @@ def vf_train_step(model: VectorFieldModel, batch: FlowBatch, learning_rate: floa
 # integration
 
 
+# Fewest rows in a part.  With OpenBLAS 0.3.31 (numpy 2.4.6's wheel) a product
+# of 18 rows or fewer (15 at 64 -> 80) can differ in the last bit from the same
+# rows of a larger one; parts of 128-750 rows matched one loop bit for bit at
+# the benchmark's shapes (other BLAS builds may differ).  Parts of 84 rows lost time.
+_PART_MIN_ROWS = 128
+_split_lock = threading.Lock()
+_pool = None
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=lambda: globals().update(_pool=None, _split_lock=threading.Lock()))
+
+
+def _euler_rows(model: VectorFieldModel, X: np.ndarray, cond, spk, n_steps: int):
+    """Integrate C-contiguous ``X``'s rows in place; returns the first non-finite step, or None."""
+    rows = X.shape[0]
+    feats = np.concatenate([X, cond, spk, np.empty((rows, 1))], axis=1)
+    state, t_col = feats[:, : model.state_dim], feats[:, -1]
+    bufs = [np.empty((rows, n)) for n in model.layer_sizes[1:]]
+    finite = np.empty(X.shape, dtype=bool)
+    dt = 1.0 / n_steps
+    for i in range(n_steps):
+        t_col.fill(i * dt)
+        out = _forward(model, feats, bufs)
+        out *= dt
+        X += out
+        if not np.isfinite(X, out=finite).all():
+            return i + 1
+        state[...] = X
+    return None
+
+
+def _integrate(model: VectorFieldModel, X: np.ndarray, cond, spk, n_steps: int) -> list:
+    """``_euler_rows`` on contiguous parts of ``X`` at once, OpenBLAS held to one
+    thread; a single part runs on the calling thread, OpenBLAS left alone."""
+    global _pool
+    rows = X.shape[0]
+    n = rows // _PART_MIN_ROWS
+    if n < 2 or openblas_threads() is None or (n := min(n, len(os.sched_getaffinity(0)))) < 2:
+        return [_euler_rows(model, X, cond, spk, n_steps)]
+    parts = [slice(rows * k // n, rows * (k + 1) // n) for k in range(n)]
+    get_threads, set_threads = openblas_threads()
+    with _split_lock:
+        _pool = _pool or ThreadPoolExecutor(len(os.sched_getaffinity(0)) - 1, "emorag-euler")
+        before, futures = get_threads(), []
+        try:
+            set_threads(1)
+            # a copy of the caller's context carries its np.errstate along
+            futures = [
+                _pool.submit(copy_context().run, _euler_rows, model, X[p], cond[p], spk[p], n_steps)
+                for p in parts[1:]
+            ]
+            p = parts[0]
+            return [_euler_rows(model, X[p], cond[p], spk[p], n_steps), *(f.result() for f in futures)]
+        finally:
+            wait(futures)
+            set_threads(before)
+
+
 def ode_integrate_batch(
     model: VectorFieldModel,
     x_init: np.ndarray,
@@ -365,8 +429,11 @@ def ode_integrate_batch(
 
     Steps evaluate the field at the left endpoint t_i = i / n_steps.  A
     non-finite input raises :class:`NonFiniteValueError` naming it; a state
-    that becomes non-finite aborts with :class:`IntegrationDivergenceError`.
-    The inputs are only read; the result is a new C-ordered array.
+    that becomes non-finite aborts with :class:`IntegrationDivergenceError`
+    naming the first step at which any row did.  The inputs are only read;
+    the result is a new C-ordered array.  With OpenBLAS, 256 rows or more run
+    as parts of at least 128 rows on a thread pool while OpenBLAS is held to
+    one thread (see the module docstring; ``_PART_MIN_ROWS`` for the scope).
     """
     if int(n_steps) < 1:
         raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps}")
@@ -388,24 +455,11 @@ def ode_integrate_batch(
     for name, arr in (("x_init", x_init), ("cond", cond), ("spk", spk)):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValueError(f"{name} contains NaN or infinity")
-    # one feature matrix per call; each step rewrites its state and t columns.
     # X stays contiguous: numpy's elementwise loops are slower on a column slice.
     X = np.array(x_init, order="C")
-    feats = np.concatenate([X, cond, spk, np.empty((B, 1))], axis=1)
-    state, t_col = feats[:, : model.state_dim], feats[:, -1]
-    bufs = [np.empty((B, n)) for n in model.layer_sizes[1:]]
-    finite = np.empty(X.shape, dtype=bool)
-    dt = 1.0 / n_steps
-    for i in range(n_steps):
-        t_col.fill(i * dt)
-        out = _forward(model, feats, bufs)
-        out *= dt
-        X += out
-        if not np.isfinite(X, out=finite).all():
-            raise IntegrationDivergenceError(
-                f"state became non-finite at step {i + 1} of {n_steps}"
-            )
-        state[...] = X
+    first = min((s for s in _integrate(model, X, cond, spk, n_steps) if s is not None), default=None)
+    if first is not None:
+        raise IntegrationDivergenceError(f"state became non-finite at step {first} of {n_steps}")
     return X
 
 
@@ -416,7 +470,6 @@ def generate_mel(
     *,
     n_steps: int = 32,
     seed: int = 0,
-    ratio: float = UPSAMPLE_RATIO,
 ) -> FrameSequence:
     """Upsample tokens, then transport seeded noise along the learned field.
 
@@ -432,7 +485,7 @@ def generate_mel(
         raise DimensionMismatchError(
             f"speaker dim {s.shape} does not match model spk dim ({model.spk_dim},)"
         )
-    up = upsample_tokens(tokens, ratio)
+    up = upsample_tokens(tokens)
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal((up.num_frames, model.state_dim))
     mel = ode_integrate_batch(model, x0, up.frames, s, n_steps)

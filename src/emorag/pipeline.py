@@ -156,14 +156,9 @@ def assemble_prompt(
     )
 
 
-def mock_generate_tokens(
-    assembly: PromptAssembly,
-    seed: int,
-    *,
-    frames_per_char: int = FRAMES_PER_CHAR,
-) -> FrameSequence:
+def mock_generate_tokens(assembly: PromptAssembly, seed: int) -> FrameSequence:
     """Prompt-prefixed pseudo-random token frames, length ∝ target length."""
-    n_new = frames_per_char * len(assembly.target_text)
+    n_new = FRAMES_PER_CHAR * len(assembly.target_text)
     dim = assembly.prompt_tokens.dim
     rng = np.random.default_rng(seed)
     generated = rng.standard_normal((n_new, dim))

@@ -457,13 +457,14 @@ def retrieve(
     index: "IndexBundle | ClusterIndex | None" = None,
     intensity: IntensityLevel | None = None,
 ) -> RetrievalResult:
-    """Front door: optional intensity gate, then the chosen strategy.
+    """Front door: optional intensity gate, then the chosen strategy (``elapsed_ns`` covers both).
 
     Gating searches the level's subset of ``db`` (built by the first gated
     query, then cached on ``db``), so similarity competition happens only
     among records at that level; an empty gate raises :class:`EmptySubsetError`.  Clustering needs an index covering exactly the
     records being searched — an :class:`IndexBundle` when gating is in play.
     """
+    t0 = time.perf_counter_ns()
     method = RetrievalMethod.parse(method)
     if intensity is not None and not isinstance(intensity, IntensityLevel):
         intensity = IntensityLevel.parse(intensity)
@@ -473,19 +474,19 @@ def retrieve(
         if len(target) == 0:
             raise EmptySubsetError(intensity.value)
     if method is RetrievalMethod.EMBEDDING:
-        return retrieve_embedding_based(target, query)
-    if index is None:
+        result = retrieve_embedding_based(target, query)
+    elif index is None:
         raise MissingIndexError("clustering retrieval requires a cluster index")
-    if isinstance(index, IndexBundle):
-        chosen = index.for_level(intensity)
+    elif intensity is not None and not isinstance(index, IndexBundle):
+        raise MissingIndexError(
+            "intensity-gated clustering needs an IndexBundle with per-level indexes"
+        )
     else:
-        if intensity is not None:
-            raise MissingIndexError(
-                "intensity-gated clustering needs an IndexBundle with per-level indexes"
-            )
-        chosen = index
-    log.debug("clustered query: %s index, k=%d", intensity or "full", chosen.k)
-    return retrieve_clustering_based(target, chosen, query)
+        chosen = index.for_level(intensity) if isinstance(index, IndexBundle) else index
+        log.debug("clustered query: %s index, k=%d", intensity or "full", chosen.k)
+        result = retrieve_clustering_based(target, chosen, query)
+    result.elapsed_ns = time.perf_counter_ns() - t0
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Flow stack: upsampling, path, field, backprop, integration, artifacts."""
 
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +42,9 @@ from emorag import (
     vf_loss,
     vf_train_step,
 )
+from emorag import flow
 from emorag.flow import _forward
+from emorag.util import openblas_threads
 
 from helpers import reference_forward_cached, reference_ode_integrate_batch
 
@@ -603,6 +610,128 @@ def test_ode_leaves_inputs_alone_and_returns_its_own_array():
         assert [a.tobytes() for a in (x, cond, spk)] == before
         assert out.flags.c_contiguous and out.flags.writeable and out.flags.owndata
         assert not any(np.shares_memory(out, a) for a in (x, cond, spk))
+
+
+# the benchmark's field: 80-dim state, 8-dim tokens and speaker, hidden (64, 64)
+def _bench_field():
+    model = init_vector_field(80, 8, 8, (64, 64), seed=9)
+    rng = np.random.default_rng(9)
+    for b in model.biases:
+        b[:] = rng.uniform(-0.5, 0.5, size=b.shape)
+    return model
+
+
+def _bench_inputs(rows, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, 80)), rng.standard_normal((rows, 8)), rng.standard_normal(8)
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter, the count set to 2 (not the parts' 1) until teardown."""
+    handle = openblas_threads()
+    if handle is None:
+        pytest.skip("needs OpenBLAS")
+    get, put = handle
+    saved = get()
+    put(2)
+    yield get
+    put(saved)
+
+
+@pytest.mark.parametrize("rows", [255, 256, 257, 511, 770, 1400, 1401])
+def test_split_ode_bytes_equal_the_concatenating_reference(rows):
+    model = _bench_field()
+    x, cond, spk = _bench_inputs(rows, seed=rows)
+    before = [a.tobytes() for a in (x, cond, spk)]
+    got = ode_integrate_batch(model, x, cond, spk, 32)
+    assert got.tobytes() == reference_ode_integrate_batch(model, x, cond, spk, 32).tobytes()
+    assert [a.tobytes() for a in (x, cond, spk)] == before
+    assert got.flags.c_contiguous and got.flags.owndata
+
+
+def test_split_ode_runs_in_parts_here(monkeypatch):
+    if openblas_threads() is None or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the sampler splits only with OpenBLAS and two usable CPUs")
+    parts = []
+    euler_rows = flow._euler_rows
+
+    def counted(model, X, *rest):
+        parts.append(len(X))
+        return euler_rows(model, X, *rest)
+
+    monkeypatch.setattr(flow, "_euler_rows", counted)
+    ode_integrate_batch(_bench_field(), *_bench_inputs(770, seed=1), 32)
+    assert len(parts) > 1 and sum(parts) == 770 and min(parts) >= 128
+
+
+def test_split_ode_restores_blas_threads_and_names_the_first_divergent_step(blas_threads):
+    before = blas_threads()
+    ode_integrate_batch(_bench_field(), *_bench_inputs(770, seed=2), 32)
+    assert blas_threads() == before
+    # as in test_ode_divergence_names_the_step, x = 1 overflows at step 11
+    # and x = 2^-200 at step 13; every other row stays 0
+    W = np.zeros((1, 4))
+    W[0, 0] = 2.0**105
+    model = VectorFieldModel(
+        state_dim=1, cond_dim=1, spk_dim=1, hidden=(), weights=[W], biases=[np.zeros(1)]
+    )
+    only_last = np.zeros((600, 1))
+    only_last[-1] = 1.0
+    both = only_last.copy()
+    both[0] = 2.0**-200
+    for x in (only_last, both):
+        # the pool threads keep the caller's errstate: no overflow warning
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationDivergenceError, match=r"at step 11 of 32$"):
+                ode_integrate_batch(model, x, np.zeros((600, 1)), np.zeros(1), 32)
+        assert blas_threads() == before
+
+
+def test_split_ode_concurrent_callers_get_their_sequential_bytes(blas_threads):
+    model = _bench_field()
+    inputs = [_bench_inputs(rows, seed=rows) for rows in (200, 513, 770, 1024)]
+    want = [ode_integrate_batch(model, *args, 32).tobytes() for args in inputs]
+    before = blas_threads()
+    got = [[] for _ in inputs]
+    start = threading.Barrier(len(inputs))
+
+    def call(k):
+        start.wait(timeout=60)
+        for _ in range(3):
+            got[k].append(ode_integrate_batch(model, *inputs[k], 32).tobytes())
+
+    threads = [threading.Thread(target=call, args=(k,)) for k in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 3 for w in want]
+    assert blas_threads() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_split_ode_runs_in_a_forked_child():
+    model = _bench_field()
+    args = _bench_inputs(770, seed=3)
+    want = ode_integrate_batch(model, *args, 32).tobytes()  # the pool exists from here on
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=lambda: queue.put(ode_integrate_batch(model, *args, 32).tobytes()))
+    child.start()
+    try:
+        assert queue.get(timeout=30) == want
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
 
 
 @pytest.mark.parametrize("hidden", [(), (16,), (16, 8)])

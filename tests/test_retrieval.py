@@ -1,6 +1,7 @@
 """Retrieval layer: cosine scan, spherical k-means, index files, gating."""
 
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from emorag.retrieval import (
     scan_block_rows,
     serialize_index,
 )
-from emorag import store
+from emorag import retrieval, store
 from emorag.store import load_db, save_db
 from emorag.synthbench import SyntheticDatasetConfig, generate_synthetic_db, make_query_set
 
@@ -487,6 +488,21 @@ def test_retrieve_gate_restricts_candidates():
     direct = retrieve_embedding_based(sub, q)
     assert gated.record_id == direct.record_id
     assert gated.similarity == direct.similarity
+
+
+@pytest.mark.parametrize("method", ["embedding", "clustering"])
+def test_retrieve_elapsed_includes_the_gate(monkeypatch, method):
+    db = _gated_db()
+    bundle = build_index_bundle(db, 2, seed=0)
+    gate = retrieval.filter_by_intensity
+
+    def slow_gate(d, level):
+        time.sleep(0.05)
+        return gate(d, level)
+
+    monkeypatch.setattr(retrieval, "filter_by_intensity", slow_gate)
+    result = retrieve(db, db.records[0].embedding, method, index=bundle, intensity="weak")
+    assert result.elapsed_ns >= 50_000_000
 
 
 def test_retrieve_clustering_requires_index():
