@@ -6,12 +6,22 @@ the query to its nearest centroid (single probe), then scores only that
 cluster's members, trading a little recall at cluster boundaries for a scan
 that touches n/k records on average.
 
+The probe scans one contiguous slice.  On its first clustered query an index
+builds inverted lists (as in IVF): the stable argsort of its assignments, the
+offsets at which each cluster starts, and a read-only copy of the database's
+unit rows in that order.  A cluster's members are then one slice of that
+copy, in ascending position, and the winner maps back through the order.  The
+price is one float64 copy of the indexed rows per queried index (8 MB for
+8,000 rows at dim 128), held as long as the index is.
+
 Clustering is spherical k-means: rows are unit-normalized, Lloyd iterations
 minimize squared euclidean distance (which is monotone in cosine on the
 sphere), and the centroid update is the normalized mean — the exact minimizer
 of within-cluster squared distance over unit vectors, so inertia never
 increases.  All ties (seeding, assignment, argmax) break to the lowest index,
-which keeps every run bit-reproducible under a fixed seed.
+which keeps every run bit-reproducible under a fixed seed; rows that score
+within rounding of the best are re-scored by a position-independent kernel so
+that an exact copy of the best row never outscores it.
 
 Every cosine scan, exhaustive or in-cluster, scores the unit matrix in
 fixed-size row blocks of about ``SCAN_BLOCK_ELEMENTS`` float64 values and
@@ -151,23 +161,39 @@ def _scan_argmax(unit: np.ndarray, qn: np.ndarray) -> tuple:
     """``(position, similarity)`` of the best row of ``unit @ qn``, scored blockwise.
 
     Equal to ``argmax(unit @ qn)`` and its value whenever BLAS runs that one
-    product on a single thread: a later block replaces the best only when
-    strictly greater, so ties stay at the lowest position.  ``unit`` must have
-    at least one row.
+    product on a single thread and no other row scores within rounding of the
+    best.  BLAS scores the last rows of a product through a remainder loop
+    whose last bit can differ, so an exact copy of the best row may outscore
+    it there.  Every row within ``2(d+2)·2^-53`` (a bound on the rounding of a
+    unit dot product) of the best is therefore a candidate; when there are
+    several, they are re-scored with a kernel that does not depend on a row's
+    position, and the first maximum wins.  ``unit`` must have at least one row.
     """
-    n = unit.shape[0]
-    rows = scan_block_rows(unit.shape[1])
+    n, dim = unit.shape
+    rows = scan_block_rows(dim)
+    tol = 2 * (dim + 2) * 2.0**-53
     # a lone last row joins the block before it: numpy scores a one-row
     # product with a dot kernel, whose last bit can differ from the product's
     starts = range(0, max(n - 1, 1), rows)
     best_pos, best_sim = 0, -np.inf
+    near = []  # (maximum, start, scores) of the blocks whose maximum is within tol of the best
     for start in starts:
         stop = n if start == starts[-1] else start + rows
         sims = unit[start:stop] @ qn
         j = int(np.argmax(sims))
-        if sims[j] > best_sim:
-            best_pos, best_sim = start + j, sims[j]
-    return best_pos, float(best_sim)
+        top = float(sims[j])
+        if top > best_sim:
+            best_pos, best_sim = start + j, top
+            near = [block for block in near if block[0] >= top - tol]
+        if top >= best_sim - tol:
+            near.append((top, start, sims))
+    floor = best_sim - tol
+    if len(near) == 1 and np.count_nonzero(near[0][2] >= floor) == 1:
+        return best_pos, best_sim
+    candidates = np.concatenate([start + np.flatnonzero(sims >= floor) for _, start, sims in near])
+    exact = np.multiply(unit[candidates], qn).sum(axis=1)
+    k = int(np.argmax(exact))
+    return int(candidates[k]), float(exact[k])
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +240,7 @@ class ClusterIndex:
         self.assignments = a
         self.inertia = float(self.inertia)
         self._unit_centroids = None
+        self._lists = None
 
     @property
     def dim(self) -> int:
@@ -230,6 +257,32 @@ class ClusterIndex:
             u.flags.writeable = False
             self._unit_centroids = u
         return self._unit_centroids
+
+    def _inverted_lists(self, unit: np.ndarray) -> tuple:
+        """``(order, offsets, rows)``: the records grouped by cluster, cached.
+
+        ``order`` is the stable argsort of :attr:`assignments`, so each
+        cluster's members keep their ascending positions; cluster ``c`` owns
+        ``order[offsets[c]:offsets[c + 1]]``, and ``rows`` holds ``unit``'s
+        rows in that order as one read-only C-contiguous copy.  ``unit`` must
+        be the unit matrix of the database this index was checked against;
+        the first call builds the lists from it and later calls return them.
+        """
+        lists = self._lists
+        if lists is None:
+            order = np.argsort(self.assignments, kind="stable")
+            offsets = np.zeros(self.k + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.assignments, minlength=self.k), out=offsets[1:])
+            rows = unit[order]
+            for a in (order, offsets, rows):
+                a.flags.writeable = False
+            # one tuple, published at once: a racing thread sees all of it or none
+            lists = self._lists = (order, offsets, rows)
+            log.debug(
+                "cluster index k=%d: inverted lists over %d rows, largest %d",
+                self.k, order.size, int(np.diff(offsets).max()),
+            )
+        return lists
 
 
 def _plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -388,16 +441,17 @@ def retrieve_clustering_based(
         )
     qn = _unit_query(db, query)
     cluster = int(np.argmax(index.unit_centroids @ qn))
-    members = np.nonzero(index.assignments == cluster)[0]
-    if members.size == 0:
+    order, offsets, rows = index._inverted_lists(db.unit_matrix)
+    lo, hi = int(offsets[cluster]), int(offsets[cluster + 1])
+    if lo == hi:
         log.debug("cluster %d has no members; scanning all %d records", cluster, len(db))
         pos, sim = _scan_argmax(db.unit_matrix, qn)
         scanned = len(db)
     else:
-        # members ascend, so the lowest member position still wins ties
-        best, sim = _scan_argmax(db.unit_matrix[members], qn)
-        pos = int(members[best])
-        scanned = int(members.size)
+        # members ascend within the slice, so the lowest member position still wins ties
+        best, sim = _scan_argmax(rows[lo:hi], qn)
+        pos = int(order[lo + best])
+        scanned = hi - lo
     return RetrievalResult(
         record_id=db.ids[pos],
         similarity=sim,

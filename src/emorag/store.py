@@ -284,7 +284,10 @@ class EmbeddingDatabase:
     def fingerprint(self) -> bytes:
         """sha256 digest of the canonical serialized bytes (32 bytes), cached."""
         if self._fingerprint is None:
-            self._fingerprint = hashlib.sha256(serialize_db(self)).digest()
+            digest = hashlib.sha256()
+            for piece in _emdb_pieces(self):
+                digest.update(piece)
+            self._fingerprint = digest.digest()
         return self._fingerprint
 
 
@@ -318,22 +321,28 @@ def _pack_str(text: str, what: str, rid: str) -> bytes:
     return _U16.pack(len(raw)) + raw
 
 
-def serialize_db(db: EmbeddingDatabase) -> bytes:
-    out = [_HEADER.pack(EMDB_MAGIC, EMDB_VERSION, db.dim, len(db))]
-    vectors = np.ascontiguousarray(db.matrix, dtype="<f4").tobytes()
+def _emdb_pieces(db: EmbeddingDatabase):
+    """The EMDB v1 bytes of ``db`` in order, as pieces: each record's fields,
+    then its vector as a memoryview of the matrix (no copy)."""
+    yield _HEADER.pack(EMDB_MAGIC, EMDB_VERSION, db.dim, len(db))
+    vectors = memoryview(np.ascontiguousarray(db.matrix, dtype="<f4").reshape(-1).view(np.uint8))
     codes = db.intensity_codes.tobytes()
     step = 4 * db.dim
     for i, rid in enumerate(db.ids):
         audio = db.audio_refs[i]
-        out += (
+        fields = (
             _pack_str(rid, "id", rid),
             _pack_str(db.labels[i], "label", rid),
             codes[i : i + 1],
             _pack_str(db.transcripts[i], "transcript", rid),
             b"\x00" if audio is None else b"\x01" + _pack_str(audio, "audio_ref", rid),
-            vectors[i * step : (i + 1) * step],
         )
-    return b"".join(out)
+        yield b"".join(fields)
+        yield vectors[i * step : (i + 1) * step]
+
+
+def serialize_db(db: EmbeddingDatabase) -> bytes:
+    return b"".join(_emdb_pieces(db))
 
 
 def save_db(db: EmbeddingDatabase, path) -> None:
@@ -368,7 +377,11 @@ def deserialize_db(data: bytes) -> EmbeddingDatabase:
             raise FormatError(f"invalid UTF-8 in {what} of record {i}: {exc}") from None
 
     vec_bytes = 4 * dim
-    ids, labels, codes, transcripts, audio_refs, vectors = [], [], [], [], [], []
+    # at most as many rows as the remaining bytes can hold, so that a header
+    # claiming more records than the file has allocates no more than the file
+    matrix = np.empty((min(count, (len(data) - pos) // vec_bytes), dim), dtype="<f4")
+    rows, view = memoryview(matrix.reshape(-1).view(np.uint8)), memoryview(data)
+    ids, labels, codes, transcripts, audio_refs = [], [], [], [], []
     for i in range(count):
         rid = string("id", i)
         labels.append(string("label", i))
@@ -383,11 +396,11 @@ def deserialize_db(data: bytes) -> EmbeddingDatabase:
             raise DimensionMismatchError(
                 f"record {rid!r}: vector data ends early ({have} of {dim} floats present)"
             )
-        vectors.append(take(vec_bytes, "vector", i))
+        rows[i * vec_bytes : (i + 1) * vec_bytes] = view[pos : pos + vec_bytes]
+        pos += vec_bytes
         ids.append(rid)
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes after last record")
-    matrix = np.frombuffer(b"".join(vectors), dtype="<f4").reshape(count, dim)
     return EmbeddingDatabase(dim, matrix, codes, ids, labels, transcripts, audio_refs)
 
 

@@ -1,8 +1,22 @@
 """Shared builders for the test suite."""
 
+import time
+
 import numpy as np
 
-from emorag import EmbeddingDatabase, EmotionEmbedding, IntensityLevel, UtteranceRecord
+from emorag import (
+    DimensionMismatchError,
+    EmbeddingDatabase,
+    EmotionEmbedding,
+    EmptyDatabaseError,
+    IntensityLevel,
+    RetrievalMethod,
+    RetrievalResult,
+    StaleIndexError,
+    UtteranceRecord,
+)
+from emorag.retrieval import _scan_argmax, _unit_query
+from emorag.util import log
 
 LEVELS = (IntensityLevel.WEAK, IntensityLevel.NORMAL, IntensityLevel.STRONG)
 
@@ -98,3 +112,45 @@ def reference_ode_integrate_batch(model, x_init, cond, spk, n_steps) -> np.ndarr
         t_col.fill(i * dt)
         X = X + dt * reference_forward_rows(model, X, t_col, cond, spk)
     return X
+
+
+# ---------------------------------------------------------------------------
+# reference clustered retrieval: the mask-and-gather probe that the contiguous
+# per-cluster slices replaced, kept word for word as a bitwise oracle
+
+
+def reference_retrieve_clustering_based(db, index, query):
+    t0 = time.perf_counter_ns()
+    if len(db) == 0:
+        raise EmptyDatabaseError("cannot retrieve from an empty database")
+    if index.dim != db.dim:
+        raise DimensionMismatchError(
+            f"index dim {index.dim} does not match database dim {db.dim}"
+        )
+    if index.fingerprint != db.fingerprint:
+        raise StaleIndexError(
+            "index fingerprint does not match this database; rebuild the index"
+        )
+    if index.assignments.shape[0] != len(db):
+        raise StaleIndexError(
+            f"index covers {index.assignments.shape[0]} records, database has {len(db)}"
+        )
+    qn = _unit_query(db, query)
+    cluster = int(np.argmax(index.unit_centroids @ qn))
+    members = np.nonzero(index.assignments == cluster)[0]
+    if members.size == 0:
+        log.debug("cluster %d has no members; scanning all %d records", cluster, len(db))
+        pos, sim = _scan_argmax(db.unit_matrix, qn)
+        scanned = len(db)
+    else:
+        # members ascend, so the lowest member position still wins ties
+        best, sim = _scan_argmax(db.unit_matrix[members], qn)
+        pos = int(members[best])
+        scanned = int(members.size)
+    return RetrievalResult(
+        record_id=db.ids[pos],
+        similarity=sim,
+        method=RetrievalMethod.CLUSTERING,
+        candidates_scanned=scanned,
+        elapsed_ns=time.perf_counter_ns() - t0,
+    )

@@ -96,20 +96,30 @@ def test_criterion_2_benchmark_table_structure():
         start = time.perf_counter()
         results = run_benchmark()  # embedding/clustering x 3000/8000, 1000 queries
         by_cell = {(r.method.value, r.db_size): r for r in results}
-
-        for size in (3000, 8000):
-            assert by_cell[("embedding", size)].accuracy >= 0.99
-            assert by_cell[("clustering", size)].accuracy >= 0.95
-
         emb_8k = by_cell[("embedding", 8000)].mean_latency_ns
         clu_8k = by_cell[("clustering", 8000)].mean_latency_ns
-        assert clu_8k < emb_8k, f"clustering {clu_8k}ns not below embedding {emb_8k}ns"
-
         ratio = emb_8k / by_cell[("embedding", 3000)].mean_latency_ns
-        assert 8 / 3 * 0.7 <= ratio <= 8 / 3 * 1.3, f"8000/3000 latency ratio {ratio:.3f}"
 
-        elapsed = time.perf_counter() - start
-        assert elapsed < 300.0, f"took {elapsed:.1f}s, budget 300s"
+        try:
+            for size in (3000, 8000):
+                assert by_cell[("embedding", size)].accuracy >= 0.99
+                assert by_cell[("clustering", size)].accuracy >= 0.95
+
+            assert clu_8k < emb_8k, f"clustering {clu_8k}ns not below embedding {emb_8k}ns"
+
+            assert 8 / 3 * 0.7 <= ratio <= 8 / 3 * 1.3, f"8000/3000 latency ratio {ratio:.3f}"
+
+            elapsed = time.perf_counter() - start
+            assert elapsed < 300.0, f"took {elapsed:.1f}s, budget 300s"
+        except AssertionError:
+            # a failure on a shared host is often timing noise: keep its numbers
+            for (method, size), cell in sorted(by_cell.items()):
+                print(f"ACCEPTANCE 2 {method} {size}: mean {cell.mean_latency_ns / 1e3:.1f} us")
+            print(
+                f"ACCEPTANCE 2 ratios: 8000/3000 exhaustive {ratio:.3f}, "
+                f"8000 exhaustive/clustered {emb_8k / clu_8k:.3f}"
+            )
+            raise
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Retrieval layer: cosine scan, spherical k-means, index files, gating."""
 
 import logging
+import sys
+import threading
 import time
 
 import numpy as np
@@ -49,7 +51,7 @@ from emorag import retrieval, store
 from emorag.store import load_db, save_db
 from emorag.synthbench import SyntheticDatasetConfig, generate_synthetic_db, make_query_set
 
-from helpers import LEVELS, build_db, random_db
+from helpers import LEVELS, build_db, random_db, reference_retrieve_clustering_based
 
 
 def brute_force_argmax(db, query):
@@ -356,6 +358,76 @@ def test_clustered_scan_over_several_blocks_matches_direct_member_scan():
         assert result.similarity == float(sims[best])
 
 
+
+# ---------------------------------------------------------------------------
+# exact copies of the best row tie to the lowest position
+
+
+def _interleaved(vectors):
+    """``vectors`` as the weak records of a database whose odd rows are strong fillers."""
+    n, dim = vectors.shape
+    rows = np.empty((2 * n, dim), dtype=np.float32)
+    rows[0::2] = vectors
+    rows[1::2] = -vectors[::-1]
+    return build_db(rows, intensities=[LEVELS[0], LEVELS[2]] * n)
+
+
+def _ties_to_first(vectors, query_row):
+    """Record id of every retrieval path for the query ``vectors[query_row]``.
+
+    Exhaustive and clustered (one cluster) over ``vectors``, then both again
+    gated to the weak records of a database that interleaves them with others.
+    """
+    query = EmotionEmbedding(vectors[query_row])
+    db = build_db(vectors)
+    got = [
+        retrieve_embedding_based(db, query).record_id,
+        retrieve_clustering_based(db, kmeans_fit(db, 1), query).record_id,
+    ]
+    mixed = _interleaved(vectors)
+    bundle = build_index_bundle(mixed, 1)
+    for method in RetrievalMethod:
+        rid = retrieve(mixed, query, method, index=bundle, intensity="weak").record_id
+        got.append(f"rec{int(rid[3:]) // 2}")  # weak record 2i holds vectors[i]
+    return got
+
+
+def test_copy_of_best_row_ties_to_lowest_position():
+    # a copy of row 0 at every position of n = 2..39: 741 placements, each
+    # through exhaustive, clustered, gated-exhaustive and gated-clustered
+    # retrieval; BLAS scores the last n mod 4 rows through a remainder loop
+    # whose last bit can differ, so the copy used to win some of them
+    failed = []
+    for n in range(2, 40):
+        base = np.random.default_rng(n).standard_normal((n, 128)).astype(np.float32)
+        for p in range(1, n):
+            vectors = base.copy()
+            vectors[p] = vectors[0]
+            got = _ties_to_first(vectors, 0)
+            if got != ["rec0"] * 4:
+                failed.append((n, p, got))
+    assert failed == []
+
+
+def test_copy_of_best_row_across_a_block_boundary_ties_to_lowest_position():
+    rows = scan_block_rows(128)
+    n = 2 * rows + 3
+    base = np.random.default_rng(5).standard_normal((n, 128)).astype(np.float32)
+    for first in (rows - 2, rows - 1):
+        for copy in (rows, rows + 1, n - 2, n - 1):
+            vectors = base.copy()
+            vectors[copy] = vectors[first]
+            assert _ties_to_first(vectors, first) == [f"rec{first}"] * 4, (first, copy)
+
+
+def test_scan_returns_the_rescored_value_of_several_candidates():
+    # a lone candidate keeps its BLAS value (test_scan_blocks_match_single_product)
+    unit = _unit_rows(np.random.default_rng(17), 300, 64)
+    unit[[40, 200]] = unit[7]
+    pos, sim = _scan_argmax(unit, unit[7])
+    assert pos == 7
+    assert sim == float(np.multiply(unit[[7]], unit[7]).sum(axis=1)[0])
+
 # ---------------------------------------------------------------------------
 # clustering-based retrieval
 
@@ -459,6 +531,123 @@ def test_clustering_label_recall_matches_embedding():
             agree += 1
     assert agree >= 990
 
+
+
+# ---------------------------------------------------------------------------
+# inverted lists: each probed cluster is one contiguous slice
+
+
+def _same_result(got, want):
+    assert got.record_id == want.record_id
+    assert np.float64(got.similarity).tobytes() == np.float64(want.similarity).tobytes()
+    assert got.candidates_scanned == want.candidates_scanned
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_clustered_slices_equal_the_gather_reference(seed):
+    rng = np.random.default_rng(seed)
+    db = random_db(rng, n=int(rng.integers(1, 60)), with_metadata=False)
+    for k in sorted({1, int(rng.integers(1, len(db) + 1)), len(db)}):
+        index = kmeans_fit(db, k, seed=seed % 7)
+        queries = [rng.standard_normal(db.dim), db.matrix[int(rng.integers(len(db)))]]
+        for q in queries:
+            query = EmotionEmbedding(np.asarray(q, dtype=np.float32))
+            _same_result(
+                retrieve_clustering_based(db, index, query),
+                reference_retrieve_clustering_based(db, index, query),
+            )
+
+
+def test_clustered_slices_with_an_empty_cluster_equal_the_gather_reference():
+    rng = np.random.default_rng(23)
+    db = build_db(rng.standard_normal((30, 3)).astype(np.float32))
+    index = ClusterIndex(
+        k=3,
+        centroids=np.eye(3, dtype=np.float32),
+        assignments=np.array([0, 2] * 15, dtype=np.uint32),  # cluster 1 owns nothing
+        inertia=0.0,
+        fingerprint=db.fingerprint,
+    )
+    order, offsets, rows = index._inverted_lists(db.unit_matrix)
+    assert offsets.tolist() == [0, 15, 15, 30]
+    assert order.tolist() == list(range(0, 30, 2)) + list(range(1, 30, 2))
+    for axis in range(3):
+        query = EmotionEmbedding(np.eye(3, dtype=np.float32)[axis])
+        got = retrieve_clustering_based(db, index, query)
+        _same_result(got, reference_retrieve_clustering_based(db, index, query))
+        assert got.candidates_scanned == (30 if axis == 1 else 15)
+
+
+def test_stale_or_mismatched_index_raises_before_building_lists():
+    db = random_db(np.random.default_rng(8), n=12, dim=4)
+    query = EmotionEmbedding(db.matrix[0])
+    other = random_db(np.random.default_rng(9), n=12, dim=4)
+    stale = kmeans_fit(other, 2, seed=0)
+    short = ClusterIndex(2, stale.centroids, stale.assignments[:-1], 0.0, db.fingerprint)
+    wide = kmeans_fit(random_db(np.random.default_rng(10), n=12, dim=5), 2, seed=0)
+    for index, error in ((stale, StaleIndexError), (short, StaleIndexError), (wide, DimensionMismatchError)):
+        with pytest.raises(error):
+            retrieve_clustering_based(db, index, query)
+        assert index._lists is None
+
+
+def test_inverted_list_rows_are_a_readonly_copy():
+    db = random_db(np.random.default_rng(4), n=50, dim=6)
+    index = kmeans_fit(db, 4, seed=0)
+    retrieve_clustering_based(db, index, EmotionEmbedding(db.matrix[3]))
+    order, offsets, rows = index._lists
+    assert index._inverted_lists(db.unit_matrix) is index._lists  # built once
+    assert order.tolist() == np.argsort(index.assignments, kind="stable").tolist()
+    assert np.array_equal(rows, db.unit_matrix[order])
+    assert rows.flags.c_contiguous
+    assert not np.shares_memory(rows, db.unit_matrix)
+    for a in (order, offsets, rows):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.0
+
+
+def test_first_clustered_query_from_several_threads():
+    # more threads than cores race to build one index's lists; every thread
+    # must see a whole layout and return the reference's answers
+    cfg = SyntheticDatasetConfig(num_emotions=4, dim=32, records_per_emotion=300, seed=4)
+    db = generate_synthetic_db(cfg)
+    fitted = kmeans_fit(db, 4, seed=0)
+    queries = [q for q, _ in make_query_set(cfg, 40, seed=8)]
+    want = [reference_retrieve_clustering_based(db, fitted, q) for q in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            index = deserialize_index(serialize_index(fitted))  # no lists yet
+            start = threading.Barrier(4)
+            got = [None] * 4
+
+            def run(slot):
+                start.wait(timeout=30)
+                got[slot] = [retrieve_clustering_based(db, index, q) for q in queries]
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            for results in got:
+                for a, b in zip(results, want, strict=True):
+                    _same_result(a, b)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_serialized_index_is_unchanged_by_its_lists():
+    db = random_db(np.random.default_rng(12), n=40, dim=5)
+    index = kmeans_fit(db, 3, seed=0)
+    before = serialize_index(index)
+    retrieve_clustering_based(db, index, EmotionEmbedding(db.matrix[0]))
+    assert index._lists is not None
+    assert serialize_index(index) == before
 
 # ---------------------------------------------------------------------------
 # the retrieve() front door and intensity gating
@@ -625,8 +814,8 @@ def test_repeated_gated_clustering_serializes_nothing(tmp_path, monkeypatch):
     for lvl in LEVELS:
         retrieve(db, queries[0], "clustering", index=bundle, intensity=lvl)
     calls = []
-    original = store.serialize_db
-    monkeypatch.setattr(store, "serialize_db", lambda d: calls.append(d) or original(d))
+    original = store._emdb_pieces
+    monkeypatch.setattr(store, "_emdb_pieces", lambda d: calls.append(d) or original(d))
     for i, q in enumerate(queries):
         retrieve(db, q, "clustering", index=bundle, intensity=LEVELS[i % 3])
     assert calls == []
@@ -662,8 +851,31 @@ def test_clustered_query_logs_its_index(caplog):
     retrieve(db, q, "clustering", index=bundle.full)
     assert [r.getMessage() for r in caplog.records] == [
         "clustered query: full index, k=2",
+        "cluster index k=2: inverted lists over 12 rows, largest 8",
         "clustered query: normal index, k=2",
+        "cluster index k=2: inverted lists over 6 rows, largest 4",
         "clustered query: full index, k=2",
+    ]
+
+
+def test_index_logs_its_inverted_lists_once(caplog):
+    db = build_db(np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]], dtype=np.float32))
+    index = ClusterIndex(
+        k=2,
+        centroids=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32),
+        assignments=np.array([0, 0, 1], dtype=np.uint32),
+        inertia=0.0,
+        fingerprint=db.fingerprint,
+    )
+    caplog.set_level(logging.INFO, logger="emorag")
+    retrieve_clustering_based(db, index, EmotionEmbedding([1.0, 0.0]))
+    assert caplog.records == []
+    index._lists = None
+    caplog.set_level(logging.DEBUG, logger="emorag")
+    for q in ([1.0, 0.0], [0.0, 1.0], [1.0, 0.1]):
+        retrieve_clustering_based(db, index, EmotionEmbedding(q))
+    assert [r.getMessage() for r in caplog.records] == [
+        "cluster index k=2: inverted lists over 3 rows, largest 2"
     ]
 
 
@@ -678,7 +890,10 @@ def test_empty_cluster_fallback_logs(caplog):
         fingerprint=db.fingerprint,
     )
     retrieve_clustering_based(db, index, EmotionEmbedding([1.0, 0.0]))
-    assert [r.getMessage() for r in caplog.records] == []
+    assert [r.getMessage() for r in caplog.records] == [
+        "cluster index k=2: inverted lists over 2 rows, largest 2"
+    ]
+    caplog.clear()
     retrieve_clustering_based(db, index, EmotionEmbedding([0.0, 1.0]))
     assert [r.getMessage() for r in caplog.records] == [
         "cluster 1 has no members; scanning all 2 records"

@@ -197,6 +197,14 @@ def test_fingerprint_is_sha256_of_bytes():
     assert len(db.fingerprint) == 32
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_streamed_fingerprint_is_sha256_of_serialized_bytes(seed):
+    rng = np.random.default_rng(seed)
+    for db in (random_db(rng), EmbeddingDatabase.from_records(int(rng.integers(1, 9)), ())):
+        assert db.fingerprint == hashlib.sha256(serialize_db(db)).digest()
+
+
 def test_fingerprint_sensitive_to_content():
     vecs = np.eye(2, dtype=np.float32)
     a = build_db(vecs, labels=["joy", "sad"])
@@ -257,6 +265,12 @@ def test_load_rejects_truncated_record():
     data = _header(2, 1) + _pack_str("r0")[:1]
     with pytest.raises(FormatError):
         deserialize_db(data)
+
+
+def test_load_header_claiming_more_records_than_the_file_holds():
+    # the matrix is sized by the bytes present, not by the header's count
+    with pytest.raises(FormatError):
+        deserialize_db(_header(1 << 20, 0xFFFFFFFF) + _record_bytes(floats=np.zeros(1 << 20)))
 
 
 def test_load_short_vector_is_dimension_mismatch():
