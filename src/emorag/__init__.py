@@ -34,11 +34,9 @@ from .store import (
     EmbeddingDatabase,
     EmotionEmbedding,
     IntensityLevel,
-    UtteranceRecord,
     filter_by_intensity,
     load_db,
     load_manifest,
-    normalize_embedding,
     save_db,
 )
 from .retrieval import (
@@ -47,7 +45,6 @@ from .retrieval import (
     RetrievalMethod,
     RetrievalResult,
     build_index_bundle,
-    cosine_similarity,
     default_k,
     kmeans_fit,
     load_index,

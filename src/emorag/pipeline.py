@@ -7,11 +7,9 @@ the prompt, a token generator extends the prompt for the target text, and the
 flow-matching stage transports noise to mel frames conditioned on the
 upsampled tokens and a speaker vector.
 
-Acoustic modelling is out of scope here, so the default token generator is a
+Acoustic modelling is out of scope here, so the token generator is a
 deterministic mock: it prefixes the stored prompt tokens and appends
-pseudo-random frames, four per target character at 50 Hz.  Anything matching
-the ``generator(assembly, seed) -> FrameSequence`` signature can be swapped
-in.
+pseudo-random frames, four per target character at 50 Hz.
 
 Every stage is timed and failures are wrapped in :class:`StageError` naming
 the stage, so a caller can tell a retrieval problem from a broken checkpoint
@@ -61,7 +59,7 @@ class SynthesisRequest:
         if not isinstance(self.target_text, str) or not self.target_text:
             raise FormatError("target_text must be a non-empty string")
         self.method = RetrievalMethod.parse(self.method)
-        if self.intensity is not None and not isinstance(self.intensity, IntensityLevel):
+        if self.intensity is not None:
             self.intensity = IntensityLevel.parse(self.intensity)
         self.seed = int(self.seed)
 
@@ -77,7 +75,7 @@ class PromptAssembly:
     speaker: SpeakerEmbedding
 
 
-def derive_speaker(reference: EmotionEmbedding, dim: int = SPEAKER_DIM) -> SpeakerEmbedding:
+def derive_speaker(reference: EmotionEmbedding) -> SpeakerEmbedding:
     """Deterministic stand-in for a speaker encoder.
 
     Hashes the reference embedding bytes and expands the digest into a
@@ -86,7 +84,7 @@ def derive_speaker(reference: EmotionEmbedding, dim: int = SPEAKER_DIM) -> Speak
     """
     digest = hashlib.sha256(reference.values.tobytes()).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-    return SpeakerEmbedding(rng.standard_normal(dim))
+    return SpeakerEmbedding(rng.standard_normal(SPEAKER_DIM))
 
 
 def load_embedding_file(path, dim: int | None = None) -> EmotionEmbedding:
@@ -138,19 +136,20 @@ def assemble_prompt(
     token_map: dict | None,
 ) -> PromptAssembly:
     """Join the retrieved record with its token sequence and a speaker vector."""
-    record = db.record_by_id(result.record_id)
+    rid = result.record_id
+    transcript = db.transcripts[db.position(rid)]
     if not token_map:
         raise MissingAssetError("no token map available to locate prompt tokens")
-    token_path = token_map.get(record.id)
+    token_path = token_map.get(rid)
     if token_path is None:
-        raise MissingAssetError(f"token map has no entry for record {record.id!r}")
+        raise MissingAssetError(f"token map has no entry for record {rid!r}")
     token_path = Path(token_path)
     if not token_path.exists():
-        raise MissingAssetError(f"token file for record {record.id!r} not found: {token_path}")
+        raise MissingAssetError(f"token file for record {rid!r} not found: {token_path}")
     return PromptAssembly(
-        record_id=record.id,
+        record_id=rid,
         prompt_tokens=load_frames(token_path),
-        prompt_text=record.transcript,
+        prompt_text=transcript,
         target_text=request.target_text,
         speaker=derive_speaker(request.reference),
     )
@@ -174,7 +173,6 @@ def run_inference(
     *,
     index=None,
     token_map: dict | None = None,
-    generator=mock_generate_tokens,
     ode_steps: int = 32,
 ) -> dict:
     """Full pipeline; returns the inference report as a plain dict.
@@ -208,7 +206,7 @@ def run_inference(
     assembly = timed(
         "prompt_assembly", lambda: assemble_prompt(db, result, request, token_map)
     )
-    tokens = timed("token_generation", lambda: generator(assembly, request.seed))
+    tokens = timed("token_generation", lambda: mock_generate_tokens(assembly, request.seed))
     mel = timed(
         "flow_matching",
         lambda: generate_mel(model, tokens, assembly.speaker, n_steps=ode_steps, seed=request.seed),

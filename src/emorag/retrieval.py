@@ -91,7 +91,10 @@ class RetrievalMethod(enum.Enum):
     CLUSTERING = "clustering"
 
     @classmethod
-    def parse(cls, text: str) -> "RetrievalMethod":
+    def parse(cls, text) -> "RetrievalMethod":
+        """The method named by ``text`` (any case); a method is returned unchanged."""
+        if isinstance(text, cls):
+            return text
         try:
             return cls(str(text).lower())
         except ValueError:
@@ -113,30 +116,6 @@ class RetrievalResult:
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "method": self.method.value}
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors, computed in float64.
-
-    Both operands must be finite, same-dimension, and nonzero.
-    """
-    va = a.values if isinstance(a, EmotionEmbedding) else np.asarray(a)
-    vb = b.values if isinstance(b, EmotionEmbedding) else np.asarray(b)
-    va = va.astype(np.float64)
-    vb = vb.astype(np.float64)
-    if va.ndim != 1 or vb.ndim != 1:
-        raise DimensionMismatchError("cosine similarity needs 1-D vectors")
-    if va.shape[0] != vb.shape[0]:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}"
-        )
-    if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb))):
-        raise NonFiniteValueError("cosine similarity operands must be finite")
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNormError("cosine similarity is undefined for zero-norm vectors")
-    return float(np.dot(va, vb) / (na * nb))
 
 
 def _unit_query(db: EmbeddingDatabase, query: EmotionEmbedding) -> np.ndarray:
@@ -520,10 +499,9 @@ def retrieve(
     """
     t0 = time.perf_counter_ns()
     method = RetrievalMethod.parse(method)
-    if intensity is not None and not isinstance(intensity, IntensityLevel):
-        intensity = IntensityLevel.parse(intensity)
     target = db
     if intensity is not None:
+        intensity = IntensityLevel.parse(intensity)
         target = filter_by_intensity(db, intensity)
         if len(target) == 0:
             raise EmptySubsetError(intensity.value)

@@ -4,12 +4,12 @@ A database is an ordered collection of utterance records.  Each record pairs a
 fixed-dimension emotion embedding (float32) with an emotion label, a discrete
 intensity level, and optional transcript / audio-reference metadata.
 
-In memory a database is columns: a read-only float32 embedding matrix, u8
-intensity codes, and tuples of ids, labels, transcripts and audio refs.
-Loading, gating and scanning never build :class:`UtteranceRecord` objects;
-``db.records`` builds them on first access.  An intensity gate's subset is
-built once per level and cached on its parent, with its unit matrix and
-fingerprint.
+In memory a database is columns, and columns are the only row representation:
+a read-only float32 embedding matrix, u8 intensity codes, and tuples of ids,
+labels, transcripts and audio refs.  Row ``i`` of every column is record
+``i``; :meth:`EmbeddingDatabase.position` maps an id to its row.  An
+intensity gate's subset is built once per level and cached on its parent,
+with its unit matrix and fingerprint.
 
 On-disk layout (little-endian throughout)::
 
@@ -66,7 +66,10 @@ class IntensityLevel(enum.Enum):
     STRONG = "strong"
 
     @classmethod
-    def parse(cls, text: str) -> "IntensityLevel":
+    def parse(cls, text) -> "IntensityLevel":
+        """The level named by ``text`` (any case); a level is returned unchanged."""
+        if isinstance(text, cls):
+            return text
         try:
             return cls(str(text).lower())
         except ValueError:
@@ -78,19 +81,11 @@ class IntensityLevel(enum.Enum):
     def wire_code(self) -> int:
         return _LEVEL_TO_CODE[self]
 
-    @classmethod
-    def from_wire_code(cls, code: int) -> "IntensityLevel":
-        try:
-            return _CODE_TO_LEVEL[code]
-        except KeyError:
-            raise InvalidIntensityError(f"invalid intensity code {code}") from None
-
     def __str__(self) -> str:
         return self.value
 
 
-_CODE_TO_LEVEL = dict(enumerate(IntensityLevel))  # weak, normal, strong -> 0, 1, 2
-_LEVEL_TO_CODE = {v: k for k, v in _CODE_TO_LEVEL.items()}
+_LEVEL_TO_CODE = {level: code for code, level in enumerate(IntensityLevel)}  # weak 0 .. strong 2
 
 
 @dataclass(eq=False)
@@ -116,43 +111,6 @@ class EmotionEmbedding:
         return int(self.values.shape[0])
 
 
-def normalize_embedding(embedding: EmotionEmbedding) -> EmotionEmbedding:
-    """Return the unit-norm version of ``embedding``.
-
-    The norm is computed in float64 and the result is cast back to float32.
-    Raises :class:`ZeroNormError` for the zero vector.
-    """
-    v = embedding.values.astype(np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ZeroNormError("cannot normalize a zero-norm embedding")
-    return EmotionEmbedding((v / norm).astype(np.float32))
-
-
-@dataclass(eq=False)
-class UtteranceRecord:
-    """One stored utterance: embedding plus labels and optional metadata."""
-
-    id: str
-    emotion_label: str
-    intensity: IntensityLevel
-    embedding: EmotionEmbedding
-    transcript: str = ""
-    audio_ref: str | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise FormatError("record id must be a non-empty string")
-        if not isinstance(self.emotion_label, str) or not self.emotion_label:
-            raise FormatError(f"record {self.id!r}: emotion_label must be a non-empty string")
-        if not isinstance(self.intensity, IntensityLevel):
-            self.intensity = IntensityLevel.parse(self.intensity)
-        if not isinstance(self.embedding, EmotionEmbedding):
-            self.embedding = EmotionEmbedding(self.embedding)
-        if self.audio_ref is not None and not isinstance(self.audio_ref, str):
-            raise FormatError(f"record {self.id!r}: audio_ref must be a string or None")
-
-
 def _check_text(column: tuple, what: str, allowed: set, required: bool) -> None:
     """FormatError naming the first entry whose type is not ``allowed``, or is empty."""
     if set(map(type, column)) <= allowed and not (required and "" in column):
@@ -165,10 +123,11 @@ def _check_text(column: tuple, what: str, allowed: set, required: bool) -> None:
 class EmbeddingDatabase:
     """Ordered, immutable-by-convention records of one dimension, held in columns.
 
-    Row ``i`` of every column belongs to record ``i``.  Build one from record
-    objects with :meth:`from_records`.  Derived views (unit-normalized matrix,
-    fingerprint, record objects, per-level subsets) are computed lazily and
-    cached; sharing a database across threads for reads is fine.
+    Row ``i`` of every column belongs to record ``i``; the columns are the only
+    way to build and read rows, and ``__post_init__`` is the store's one
+    validator.  Derived views (unit-normalized matrix, fingerprint, per-level
+    subsets) are computed lazily and cached; sharing a database across threads
+    for reads is fine.
     """
 
     dim: int
@@ -212,53 +171,18 @@ class EmbeddingDatabase:
         m.flags.writeable = False
         codes.flags.writeable = False
         self.matrix, self.intensity_codes = m, codes
-        self._records = self._unit_matrix = self._fingerprint = None
+        self._unit_matrix = self._fingerprint = None
         self._subsets = {}
-
-    @classmethod
-    def from_records(cls, dim: int, records) -> "EmbeddingDatabase":
-        """Database holding ``records`` (:class:`UtteranceRecord` objects), in order."""
-        records = tuple(records)
-        for pos, rec in enumerate(records):
-            if not isinstance(rec, UtteranceRecord):
-                raise FormatError(f"record at position {pos} is not an UtteranceRecord")
-            if rec.embedding.dim != dim:
-                raise DimensionMismatchError(
-                    f"record {rec.id!r} has dim {rec.embedding.dim}, database dim is {dim}"
-                )
-        return cls(
-            dim,
-            [r.embedding.values for r in records],
-            [r.intensity.wire_code for r in records],
-            *([getattr(r, f) for r in records] for f in ("id", "emotion_label", "transcript", "audio_ref")),
-        )
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    @property
-    def records(self) -> tuple:
-        """The rows as :class:`UtteranceRecord` objects, built on first access."""
-        if self._records is None:
-            self._records = tuple(self._record(pos) for pos in range(len(self)))
-        return self._records
-
-    def _record(self, pos: int) -> UtteranceRecord:
-        return UtteranceRecord(
-            id=self.ids[pos],
-            emotion_label=self.labels[pos],
-            intensity=_CODE_TO_LEVEL[int(self.intensity_codes[pos])],
-            embedding=EmotionEmbedding(self.matrix[pos]),
-            transcript=self.transcripts[pos],
-            audio_ref=self.audio_refs[pos],
-        )
-
-    def record_by_id(self, record_id: str) -> UtteranceRecord:
+    def position(self, record_id: str) -> int:
+        """Row of the record with id ``record_id``; :class:`KeyError` if there is none."""
         try:
-            pos = self._position[record_id]
+            return self._position[record_id]
         except KeyError:
             raise KeyError(f"no record with id {record_id!r}") from None
-        return self._record(pos) if self._records is None else self._records[pos]
 
     @property
     def unit_matrix(self) -> np.ndarray:
@@ -437,7 +361,7 @@ def load_manifest(path, dim: int | None = None) -> EmbeddingDatabase:
     else:
         raise FormatError("manifest must be a JSON list or object")
 
-    records = []
+    ids, labels, codes, vectors, transcripts, audio_refs = [], [], [], [], [], []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise FormatError(f"manifest entry {i} is not an object")
@@ -448,22 +372,18 @@ def load_manifest(path, dim: int | None = None) -> EmbeddingDatabase:
             vec = np.asarray(entry["embedding"], dtype=np.float32)
         except (TypeError, ValueError) as exc:
             raise FormatError(f"manifest entry {entry['id']!r}: bad embedding: {exc}") from None
-        if dim is not None and vec.ndim == 1 and vec.shape[0] != dim:
+        if dim is None and vec.ndim == 1 and vec.size:
+            dim = vec.size
+        if vec.shape != (dim,):
             raise DimensionMismatchError(
-                f"manifest entry {entry['id']!r} has {vec.shape[0]} components, expected {dim}"
+                f"manifest entry {entry['id']!r} has shape {vec.shape}, expected ({dim},)"
             )
-        records.append(
-            UtteranceRecord(
-                id=str(entry["id"]),
-                emotion_label=str(entry["emotion_label"]),
-                intensity=IntensityLevel.parse(entry["intensity"]),
-                embedding=EmotionEmbedding(vec),
-                transcript=str(entry.get("transcript", "")),
-                audio_ref=entry.get("audio_ref"),
-            )
-        )
+        ids.append(str(entry["id"]))
+        labels.append(str(entry["emotion_label"]))
+        codes.append(IntensityLevel.parse(entry["intensity"]).wire_code)
+        vectors.append(vec)
+        transcripts.append(str(entry.get("transcript", "")))
+        audio_refs.append(entry.get("audio_ref"))
     if dim is None:
-        if not records:
-            raise FormatError("empty manifest requires an explicit dim")
-        dim = records[0].embedding.dim
-    return EmbeddingDatabase.from_records(int(dim), records)
+        raise FormatError("empty manifest requires an explicit dim")
+    return EmbeddingDatabase(int(dim), vectors, codes, ids, labels, transcripts, audio_refs)

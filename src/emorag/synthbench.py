@@ -26,7 +26,6 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -133,16 +132,10 @@ def generate_synthetic_db(config: SyntheticDatasetConfig) -> EmbeddingDatabase:
     )
 
 
-def make_query_set(
-    config: SyntheticDatasetConfig,
-    n_queries: int,
-    seed: int,
-    *,
-    at_centers: bool = False,
-) -> list:
+def make_query_set(config: SyntheticDatasetConfig, n_queries: int, seed: int) -> list:
     """Held-out queries from the same mixture; truth = generating cluster.
 
-    With ``at_centers=True`` queries sit exactly on the normalized centers,
+    With ``cluster_sigma=0`` queries sit exactly on the normalized centers,
     which is the regime where both retrieval methods should be near-perfect.
     """
     if int(n_queries) < 1:
@@ -151,9 +144,7 @@ def make_query_set(
     centers = _draw_centers(np.random.default_rng(config.seed), config)
     rng = np.random.default_rng(seed)
     which = rng.integers(0, config.num_emotions, size=n_queries)
-    raw = centers[which]
-    if not at_centers:
-        raw = raw + config.cluster_sigma * rng.standard_normal((n_queries, config.dim))
+    raw = centers[which] + config.cluster_sigma * rng.standard_normal((n_queries, config.dim))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     unit = (raw / norms).astype(np.float32)
     return [(EmotionEmbedding(unit[i]), emotion_label(int(which[i]))) for i in range(n_queries)]
@@ -172,17 +163,6 @@ class BenchResult:
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "method": self.method.value}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BenchResult":
-        return cls(
-            method=RetrievalMethod.parse(d["method"]),
-            db_size=int(d["db_size"]),
-            accuracy=float(d["accuracy"]),
-            mean_latency_ns=int(d["mean_latency_ns"]),
-            p95_latency_ns=int(d["p95_latency_ns"]),
-            queries=int(d["queries"]),
-        )
 
 
 def _p95_nearest_rank(latencies: list) -> int:
@@ -309,9 +289,3 @@ def emit_report(results: list, path, fmt: str = "csv") -> None:
         atomic_write_text(path, json.dumps([r.to_json_dict() for r in results], indent=2) + "\n")
     else:
         raise InvalidParameterError(f"unknown report format {fmt!r}; expected csv or json")
-
-
-def load_report(path) -> list:
-    """Parse a JSON report back into BenchResults."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [BenchResult.from_json_dict(d) for d in payload]

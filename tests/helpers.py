@@ -7,13 +7,11 @@ import numpy as np
 from emorag import (
     DimensionMismatchError,
     EmbeddingDatabase,
-    EmotionEmbedding,
     EmptyDatabaseError,
     IntensityLevel,
     RetrievalMethod,
     RetrievalResult,
     StaleIndexError,
-    UtteranceRecord,
 )
 from emorag.retrieval import _scan_argmax, _unit_query
 from emorag.util import log
@@ -35,18 +33,15 @@ def build_db(vectors, labels=None, intensities=None, ids=None, transcripts=None,
         transcripts = ["" for _ in range(n)]
     if audio_refs is None:
         audio_refs = [None for _ in range(n)]
-    records = tuple(
-        UtteranceRecord(
-            id=ids[i],
-            emotion_label=labels[i],
-            intensity=intensities[i],
-            embedding=EmotionEmbedding(vectors[i]),
-            transcript=transcripts[i],
-            audio_ref=audio_refs[i],
-        )
-        for i in range(n)
-    )
-    return EmbeddingDatabase.from_records(int(vectors.shape[1]), records)
+    codes = [IntensityLevel.parse(level).wire_code for level in intensities]
+    return EmbeddingDatabase(vectors.shape[1], vectors, codes, ids, labels, transcripts, audio_refs)
+
+
+def hand_filtered(db, level):
+    """The records at ``level``, picked one row at a time from ``db``'s columns."""
+    rows = [pos for pos in range(len(db)) if db.intensity_codes[pos] == level.wire_code]
+    columns = (db.matrix, db.intensity_codes, db.ids, db.labels, db.transcripts, db.audio_refs)
+    return EmbeddingDatabase(db.dim, *([col[pos] for pos in rows] for col in columns))
 
 
 def random_db(rng, n=None, dim=None, n_labels=3, with_metadata=True):

@@ -57,11 +57,11 @@ def brute_force_cosine_argmax(db, query):
     q = query.values.astype(np.float64)
     qn = math.sqrt(float(np.dot(q, q)))
     best_id, best_sim = None, -np.inf
-    for record in db.records:
-        v = record.embedding.values.astype(np.float64)
+    for rid, row in zip(db.ids, db.matrix):
+        v = row.astype(np.float64)
         sim = float(np.dot(v, q)) / (math.sqrt(float(np.dot(v, v))) * qn)
         if sim > best_sim:
-            best_id, best_sim = record.id, sim
+            best_id, best_sim = rid, sim
     return best_id
 
 
@@ -76,7 +76,7 @@ def test_criterion_1_retrieval_oracle_equivalence():
             db = build_db(vectors)
             queries = [
                 EmotionEmbedding(rng.standard_normal(dim).astype(np.float32)),
-                db.records[int(rng.integers(0, n))].embedding,
+                EmotionEmbedding(db.matrix[int(rng.integers(0, n))]),
             ]
             for query in queries:
                 result = retrieve_embedding_based(db, query)
@@ -307,12 +307,12 @@ def test_criterion_7_end_to_end_determinism(tmp_path):
 
         rng = np.random.default_rng(0)
         mapping = {}
-        for record in db.records:
+        for rid in db.ids:
             save_frames(
                 FrameSequence(rng.standard_normal((3, 6)), 50.0),
-                tmp_path / f"{record.id}.frames",
+                tmp_path / f"{rid}.frames",
             )
-            mapping[record.id] = f"{record.id}.frames"
+            mapping[rid] = f"{rid}.frames"
         map_path = tmp_path / "tokens.json"
         map_path.write_text(json.dumps(mapping))
 
@@ -323,7 +323,7 @@ def test_criterion_7_end_to_end_determinism(tmp_path):
         )
 
         query = tmp_path / "query.json"
-        query.write_text(json.dumps([float(v) for v in db.records[17].embedding.values]))
+        query.write_text(json.dumps([float(v) for v in db.matrix[17]]))
 
         mels, ids = [], []
         for run in range(3):

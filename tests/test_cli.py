@@ -22,7 +22,6 @@ from emorag import (
 from emorag.cli import main
 from emorag.flow import FrameSequence
 from emorag.retrieval import scan_block_rows
-from emorag.synthbench import load_report
 
 from helpers import build_db
 
@@ -53,17 +52,17 @@ def synth_space(tmp_path_factory):
     token_dir.mkdir()
     rng = np.random.default_rng(1)
     mapping = {}
-    for record in db.records:
+    for rid in db.ids:
         frames = FrameSequence(rng.standard_normal((2, 4)), 50.0)
-        save_frames(frames, token_dir / f"{record.id}.frames")
-        mapping[record.id] = f"{record.id}.frames"
+        save_frames(frames, token_dir / f"{rid}.frames")
+        mapping[rid] = f"{rid}.frames"
     map_path = token_dir / "map.json"
     map_path.write_text(json.dumps(mapping))
 
     ckpt_path = root / "model.ckpt"
     save_checkpoint(init_vector_field(5, 4, 8, (8,), seed=0), ckpt_path)
 
-    query_path = write_query(root / "query.json", db.records[4].embedding.values)
+    query_path = write_query(root / "query.json", db.matrix[4])
     return {
         "root": root,
         "db_path": db_path,
@@ -71,7 +70,7 @@ def synth_space(tmp_path_factory):
         "map_path": map_path,
         "ckpt_path": ckpt_path,
         "query_path": query_path,
-        "query_id": db.records[4].id,
+        "query_id": db.ids[4],
     }
 
 
@@ -176,8 +175,8 @@ def test_import_db_round_trip(tmp_path, capsys):
     assert main(["import-db", "--manifest", str(manifest), "--out", str(out)]) == 0
     assert "imported 2 records" in capsys.readouterr().out
     db = load_db(out)
-    assert [r.id for r in db.records] == ["a", "b"]
-    assert db.records[0].transcript == "hi"
+    assert db.ids == ("a", "b")
+    assert db.transcripts[0] == "hi"
 
 
 def test_import_db_missing_manifest(tmp_path, capsys):
@@ -244,7 +243,7 @@ def test_build_index_missing_db(tmp_path, capsys):
 
 def test_retrieve_exact_match_prints_result(tmp_path, capsys):
     db, db_path = make_db_file(tmp_path)
-    query = write_query(tmp_path / "q.json", db.records[7].embedding.values)
+    query = write_query(tmp_path / "q.json", db.matrix[7])
     assert main(["retrieve", "--db", str(db_path), "--query", str(query)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["record_id"] == "rec7"
@@ -256,7 +255,7 @@ def test_retrieve_exact_match_prints_result(tmp_path, capsys):
 
 def test_retrieve_empty_intensity_gate_is_exit_3(tmp_path, capsys):
     db, db_path = make_db_file(tmp_path, n=6, intensities=["weak"] * 6)
-    query = write_query(tmp_path / "q.json", db.records[0].embedding.values)
+    query = write_query(tmp_path / "q.json", db.matrix[0])
     code = main(
         ["retrieve", "--db", str(db_path), "--query", str(query), "--intensity", "strong"]
     )
@@ -265,7 +264,7 @@ def test_retrieve_empty_intensity_gate_is_exit_3(tmp_path, capsys):
 
 def test_emorag_log_debug_prints_the_gate_line(tmp_path):
     db, db_path = make_db_file(tmp_path, n=6, intensities=["weak", "strong"] * 3)
-    query = write_query(tmp_path / "q.json", db.records[0].embedding.values)
+    query = write_query(tmp_path / "q.json", db.matrix[0])
     argv = [sys.executable, "-m", "emorag", "retrieve", "--db", str(db_path), "--query", str(query)]
     gated = [*argv, "--intensity", "strong"]
     quiet = subprocess.run(gated, capture_output=True, text=True)
@@ -280,7 +279,7 @@ def test_emorag_log_debug_prints_the_gate_line(tmp_path):
 
 def test_retrieve_clustering_without_index_is_usage_error(tmp_path, capsys):
     db, db_path = make_db_file(tmp_path)
-    query = write_query(tmp_path / "q.json", db.records[0].embedding.values)
+    query = write_query(tmp_path / "q.json", db.matrix[0])
     code = main(
         ["retrieve", "--db", str(db_path), "--query", str(query), "--method", "clustering"]
     )
@@ -293,7 +292,7 @@ def test_retrieve_clustering_agrees_with_embedding_on_exact_match(tmp_path, caps
     index_path = tmp_path / "db.emix"
     assert main(["build-index", "--db", str(db_path), "--out", str(index_path)]) == 0
     capsys.readouterr()
-    query = write_query(tmp_path / "q.json", db.records[3].embedding.values)
+    query = write_query(tmp_path / "q.json", db.matrix[3])
     assert main(
         [
             "retrieve",
@@ -361,16 +360,16 @@ def test_bench_accuracy_repeats_exactly(tmp_path, capsys):
 def test_bench_json_format(tmp_path, capsys):
     out = tmp_path / "bench.json"
     assert main(bench_argv(out, fmt="json")) == 0
-    results = load_report(out)
+    results = json.loads(out.read_text())
     assert len(results) == 4
-    assert {r.db_size for r in results} == {40, 80}
+    assert {r["db_size"] for r in results} == {40, 80}
 
 
 def test_bench_prints_speedup_and_scaling_lines(tmp_path, capsys):
     out = tmp_path / "bench.json"
     assert main(bench_argv(out, fmt="json")) == 0
     lines = capsys.readouterr().out.splitlines()
-    mean = {(r.method.value, r.db_size): r.mean_latency_ns for r in load_report(out)}
+    mean = {(r["method"], r["db_size"]): r["mean_latency_ns"] for r in json.loads(out.read_text())}
     speedups = [
         f"clustering speedup at n={n}: {mean[('embedding', n)] / mean[('clustering', n)]:.2f}x"
         for n in (40, 80)
@@ -509,8 +508,8 @@ def test_synth_intensity_gate_retrieves_gated_record(synth_space, tmp_path, caps
     assert main(synth_argv(synth_space, out, intensity="weak")) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["intensity"] == "weak"
-    record = synth_space["db"].record_by_id(report["retrieved_id"])
-    assert record.intensity is IntensityLevel.WEAK
+    db = synth_space["db"]
+    assert db.intensity_codes[db.position(report["retrieved_id"])] == IntensityLevel.WEAK.wire_code
 
 
 def test_synth_missing_checkpoint_is_exit_4(synth_space, tmp_path, capsys):

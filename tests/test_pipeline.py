@@ -50,18 +50,18 @@ def assets(tmp_path):
         transcripts=["first prompt", "second prompt", "third prompt"],
     )
     token_map = {}
-    for i, record in enumerate(db.records):
+    for i, rid in enumerate(db.ids):
         frames = FrameSequence(rng.standard_normal((2 + i, TOKEN_DIM)), 50.0)
-        path = tmp_path / f"{record.id}.frames"
+        path = tmp_path / f"{rid}.frames"
         save_frames(frames, path)
-        token_map[record.id] = path
+        token_map[rid] = path
     model = init_vector_field(STATE_DIM, TOKEN_DIM, 8, (8,), seed=0)
     return db, model, token_map
 
 
 def make_request(db, record_pos=0, **kwargs):
     return SynthesisRequest(
-        reference=db.records[record_pos].embedding, target_text="hello", **kwargs
+        reference=EmotionEmbedding(db.matrix[record_pos]), target_text="hello", **kwargs
     )
 
 
@@ -100,7 +100,6 @@ def test_derive_speaker_deterministic_and_sized():
     assert np.array_equal(a.values, b.values)
     other = derive_speaker(EmotionEmbedding(np.array([0.1, -0.2, 0.31], dtype=np.float32)))
     assert not np.array_equal(a.values, other.values)
-    assert derive_speaker(ref, dim=16).values.shape == (16,)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +324,7 @@ def test_stage_error_names_failing_stage(assets, tmp_path):
         np.eye(2, dtype=np.float32), labels=["a", "b"], intensities=["weak", "weak"]
     )
     req = SynthesisRequest(
-        reference=sub.records[0].embedding, target_text="x", intensity="strong"
+        reference=EmotionEmbedding(sub.matrix[0]), target_text="x", intensity="strong"
     )
     with pytest.raises(StageError) as info:
         run_inference(sub, model, req, out, token_map=token_map)

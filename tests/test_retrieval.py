@@ -4,6 +4,7 @@ import logging
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,12 +24,10 @@ from emorag import (
     InvalidParameterError,
     MalformedHeaderError,
     MissingIndexError,
-    NonFiniteValueError,
     RetrievalMethod,
     StaleIndexError,
     ZeroNormError,
     build_index_bundle,
-    cosine_similarity,
     default_k,
     filter_by_intensity,
     kmeans_fit,
@@ -51,7 +50,7 @@ from emorag import retrieval, store
 from emorag.store import load_db, save_db
 from emorag.synthbench import SyntheticDatasetConfig, generate_synthetic_db, make_query_set
 
-from helpers import LEVELS, build_db, random_db, reference_retrieve_clustering_based
+from helpers import LEVELS, build_db, hand_filtered, random_db, reference_retrieve_clustering_based
 
 
 def brute_force_argmax(db, query):
@@ -59,45 +58,27 @@ def brute_force_argmax(db, query):
     q = query.values.astype(np.float64)
     qn = q / np.linalg.norm(q)
     best_id, best_sim = None, -2.0
-    for rec in db.records:
-        v = rec.embedding.values.astype(np.float64)
+    for rid, row in zip(db.ids, db.matrix):
+        v = row.astype(np.float64)
         sim = float(np.dot(v, qn) / np.linalg.norm(v))
         if sim > best_sim:
-            best_id, best_sim = rec.id, sim
+            best_id, best_sim = rid, sim
     return best_id, best_sim
 
 
 # ---------------------------------------------------------------------------
-# cosine similarity
+# cosine similarity: the value the exhaustive scan reports
 
 
 def test_cosine_examples():
-    assert cosine_similarity([1.0, 2.0, 2.0], [1.0, 2.0, 2.0]) == pytest.approx(1.0, abs=1e-12)
-    assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert cosine_similarity([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-    assert cosine_similarity([1.0, 0.0], [-2.0, 0.0]) == pytest.approx(-1.0, abs=1e-12)
+    def cosine(query, row):
+        db = build_db(np.array([row], dtype=np.float32))
+        return retrieve_embedding_based(db, EmotionEmbedding(query)).similarity
 
-
-def test_cosine_validation():
-    with pytest.raises(DimensionMismatchError):
-        cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
-    with pytest.raises(ZeroNormError):
-        cosine_similarity([0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(NonFiniteValueError):
-        cosine_similarity([np.nan, 0.0], [1.0, 0.0])
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_cosine_symmetric_scaled_bounded(seed):
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(1, 30))
-    a = rng.standard_normal(dim)
-    b = rng.standard_normal(dim)
-    s = cosine_similarity(a, b)
-    assert s == cosine_similarity(b, a)
-    assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
-    assert cosine_similarity(3.5 * a, b) == pytest.approx(s, abs=1e-12)
+    assert cosine([1.0, 2.0, 2.0], [1.0, 2.0, 2.0]) == pytest.approx(1.0, abs=1e-12)
+    assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    assert cosine([1.0, 0.0], [-2.0, 0.0]) == pytest.approx(-1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +132,7 @@ def test_kmeans_validation():
     with pytest.raises(InvalidParameterError):
         kmeans_fit(db, 2, max_iters=0)
     with pytest.raises(EmptyDatabaseError):
-        kmeans_fit(EmbeddingDatabase.from_records(3, ()), 1)
+        kmeans_fit(build_db(np.zeros((0, 3))), 1)
 
 
 def test_kmeans_deterministic_under_seed():
@@ -199,7 +180,7 @@ def test_default_k_counts_labels():
     db = build_db(np.eye(3, dtype=np.float32), labels=["a", "a", "b"])
     assert default_k(db) == 2
     with pytest.raises(EmptyDatabaseError):
-        default_k(EmbeddingDatabase.from_records(2, ()))
+        default_k(build_db(np.zeros((0, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +242,8 @@ def test_retrieve_singleton():
 
 def test_retrieve_exact_match_query():
     db = random_db(np.random.default_rng(1), n=20, dim=5)
-    target = db.records[7]
-    result = retrieve_embedding_based(db, target.embedding)
-    assert result.record_id == target.id
+    result = retrieve_embedding_based(db, EmotionEmbedding(db.matrix[7]))
+    assert result.record_id == db.ids[7]
     assert result.similarity == pytest.approx(1.0, abs=1e-9)
 
 
@@ -277,7 +257,7 @@ def test_retrieve_tie_breaks_to_lowest_position():
 def test_retrieve_validation():
     db = build_db(np.eye(2, dtype=np.float32))
     with pytest.raises(EmptyDatabaseError):
-        retrieve_embedding_based(EmbeddingDatabase.from_records(2, ()), EmotionEmbedding([1.0, 0.0]))
+        retrieve_embedding_based(build_db(np.zeros((0, 2))), EmotionEmbedding([1.0, 0.0]))
     with pytest.raises(DimensionMismatchError):
         retrieve_embedding_based(db, EmotionEmbedding([1.0, 0.0, 0.0]))
     with pytest.raises(ZeroNormError):
@@ -354,7 +334,7 @@ def test_clustered_scan_over_several_blocks_matches_direct_member_scan():
         sims = db.unit_matrix[members] @ qn
         best = int(np.argmax(sims))
         assert result.candidates_scanned == members.size
-        assert result.record_id == db.records[int(members[best])].id
+        assert result.record_id == db.ids[int(members[best])]
         assert result.similarity == float(sims[best])
 
 
@@ -461,9 +441,10 @@ def test_clustering_subset_dominance():
 def test_clustering_stale_index():
     db = random_db(np.random.default_rng(8), n=12, dim=4)
     index = kmeans_fit(db, 2, seed=0)
-    smaller = EmbeddingDatabase.from_records(db.dim, db.records[:-1])
+    columns = (db.matrix, db.intensity_codes, db.ids, db.labels, db.transcripts, db.audio_refs)
+    smaller = EmbeddingDatabase(db.dim, *(col[:-1] for col in columns))
     with pytest.raises(StaleIndexError):
-        retrieve_clustering_based(smaller, index, db.records[0].embedding)
+        retrieve_clustering_based(smaller, index, EmotionEmbedding(db.matrix[0]))
 
 
 def test_clustering_empty_cluster_falls_back_to_full_scan():
@@ -507,7 +488,7 @@ def test_clustering_routes_to_right_cluster():
     index = kmeans_fit(db, 6, seed=0)
     for query, label in make_query_set(cfg, 50, seed=77):
         result = retrieve_clustering_based(db, index, query)
-        assert db.record_by_id(result.record_id).emotion_label == label
+        assert db.labels[db.position(result.record_id)] == label
         assert result.candidates_scanned < len(db)
 
 
@@ -519,14 +500,14 @@ def test_clustering_label_recall_matches_embedding():
     )
     db = generate_synthetic_db(cfg)
     index = kmeans_fit(db, default_k(db), seed=0)
-    queries = make_query_set(cfg, 1000, seed=11, at_centers=True)
+    queries = make_query_set(replace(cfg, cluster_sigma=0.0), 1000, seed=11)
     agree = 0
     for query, _ in queries:
         emb = retrieve_embedding_based(db, query)
         clu = retrieve_clustering_based(db, index, query)
         if (
-            db.record_by_id(emb.record_id).emotion_label
-            == db.record_by_id(clu.record_id).emotion_label
+            db.labels[db.position(emb.record_id)]
+            == db.labels[db.position(clu.record_id)]
         ):
             agree += 1
     assert agree >= 990
@@ -663,7 +644,7 @@ def _gated_db():
 def test_retrieve_gate_empty_subset():
     db = _gated_db()
     with pytest.raises(EmptySubsetError) as err:
-        retrieve(db, db.records[0].embedding, RetrievalMethod.EMBEDDING, intensity="strong")
+        retrieve(db, EmotionEmbedding(db.matrix[0]), RetrievalMethod.EMBEDDING, intensity="strong")
     assert err.value.level == "strong"
 
 
@@ -671,7 +652,7 @@ def test_retrieve_gate_restricts_candidates():
     db = _gated_db()
     q = EmotionEmbedding(np.random.default_rng(5).standard_normal(5).astype(np.float32))
     gated = retrieve(db, q, "embedding", intensity=IntensityLevel.WEAK)
-    assert db.record_by_id(gated.record_id).intensity is IntensityLevel.WEAK
+    assert db.intensity_codes[db.position(gated.record_id)] == IntensityLevel.WEAK.wire_code
     assert gated.candidates_scanned == 6
     sub = filter_by_intensity(db, IntensityLevel.WEAK)
     direct = retrieve_embedding_based(sub, q)
@@ -690,14 +671,14 @@ def test_retrieve_elapsed_includes_the_gate(monkeypatch, method):
         return gate(d, level)
 
     monkeypatch.setattr(retrieval, "filter_by_intensity", slow_gate)
-    result = retrieve(db, db.records[0].embedding, method, index=bundle, intensity="weak")
+    result = retrieve(db, EmotionEmbedding(db.matrix[0]), method, index=bundle, intensity="weak")
     assert result.elapsed_ns >= 50_000_000
 
 
 def test_retrieve_clustering_requires_index():
     db = _gated_db()
     with pytest.raises(MissingIndexError):
-        retrieve(db, db.records[0].embedding, RetrievalMethod.CLUSTERING)
+        retrieve(db, EmotionEmbedding(db.matrix[0]), RetrievalMethod.CLUSTERING)
 
 
 def test_retrieve_gated_clustering_uses_level_index():
@@ -705,7 +686,7 @@ def test_retrieve_gated_clustering_uses_level_index():
     bundle = build_index_bundle(db, seed=0)
     q = EmotionEmbedding(np.random.default_rng(9).standard_normal(5).astype(np.float32))
     result = retrieve(db, q, "clustering", index=bundle, intensity="weak")
-    assert db.record_by_id(result.record_id).intensity is IntensityLevel.WEAK
+    assert db.intensity_codes[db.position(result.record_id)] == IntensityLevel.WEAK.wire_code
     # no strong subset -> no strong index -> gating on strong reports the gate
     with pytest.raises(EmptySubsetError):
         retrieve(db, q, "clustering", index=bundle, intensity="strong")
@@ -714,7 +695,7 @@ def test_retrieve_gated_clustering_uses_level_index():
 def test_retrieve_gated_clustering_needs_bundle():
     db = _gated_db()
     full_index = kmeans_fit(db, 2, seed=0)
-    q = db.records[0].embedding
+    q = EmotionEmbedding(db.matrix[0])
     with pytest.raises(MissingIndexError):
         retrieve(db, q, "clustering", index=full_index, intensity="weak")
 
@@ -724,7 +705,7 @@ def test_bundle_missing_level_raises():
     bundle = build_index_bundle(db, seed=0)
     del bundle.by_level[IntensityLevel.WEAK]
     with pytest.raises(MissingIndexError):
-        retrieve(db, db.records[0].embedding, "clustering", index=bundle, intensity="weak")
+        retrieve(db, EmotionEmbedding(db.matrix[0]), "clustering", index=bundle, intensity="weak")
 
 
 def test_gated_index_fingerprint_is_subset_fingerprint():
@@ -736,7 +717,7 @@ def test_gated_index_fingerprint_is_subset_fingerprint():
     # a full-db index slotted in for a gated subset must be rejected as stale
     swapped = IndexBundle(full=bundle.full, by_level={IntensityLevel.WEAK: bundle.full})
     with pytest.raises(StaleIndexError):
-        retrieve(db, db.records[0].embedding, "clustering", index=swapped, intensity="weak")
+        retrieve(db, EmotionEmbedding(db.matrix[0]), "clustering", index=swapped, intensity="weak")
 
 
 def test_build_index_bundle_defaults_and_limits():
@@ -790,7 +771,7 @@ def test_gated_retrieve_equals_hand_filtered_database(seed):
     bundle = build_index_bundle(db, seed=0)
     query = EmotionEmbedding(rng.standard_normal(db.dim).astype(np.float32))
     for lvl in LEVELS:
-        hand = EmbeddingDatabase.from_records(db.dim, [r for r in db.records if r.intensity is lvl])
+        hand = hand_filtered(db, lvl)
         if len(hand) == 0:
             continue
         for method in RetrievalMethod:
@@ -829,8 +810,8 @@ def test_gate_logs_once_per_level(caplog):
     caplog.set_level(logging.DEBUG, logger="emorag")
     db = _gated_db()
     for _ in range(3):
-        retrieve(db, db.records[0].embedding, "embedding", intensity="weak")
-    retrieve(db, db.records[0].embedding, "embedding")
+        retrieve(db, EmotionEmbedding(db.matrix[0]), "embedding", intensity="weak")
+    retrieve(db, EmotionEmbedding(db.matrix[0]), "embedding")
     lines = [r.getMessage() for r in caplog.records if r.name == "emorag"]
     assert lines == ["intensity gate weak: kept 6 of 12 records"]
 
@@ -838,7 +819,7 @@ def test_gate_logs_once_per_level(caplog):
 def test_clustered_query_logs_its_index(caplog):
     db = _gated_db()
     bundle = build_index_bundle(db, 2, seed=0)
-    q = db.records[0].embedding
+    q = EmotionEmbedding(db.matrix[0])
     caplog.set_level(logging.INFO, logger="emorag")
     retrieve(db, q, "clustering", index=bundle, intensity="weak")
     assert caplog.records == []

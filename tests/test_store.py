@@ -1,6 +1,7 @@
 """Store layer: types, validation, binary round-trips, manifest import."""
 
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from emorag import (
     DimensionMismatchError,
     DuplicateIdError,
+    EmoragError,
     EmbeddingDatabase,
     EmotionEmbedding,
     FormatError,
@@ -18,17 +20,15 @@ from emorag import (
     InvalidIntensityError,
     MalformedHeaderError,
     NonFiniteValueError,
-    UtteranceRecord,
     ZeroNormError,
     filter_by_intensity,
     load_db,
     load_manifest,
-    normalize_embedding,
     save_db,
 )
 from emorag.store import EMDB_MAGIC, EMDB_VERSION, deserialize_db, serialize_db
 
-from helpers import LEVELS, build_db, random_db
+from helpers import LEVELS, build_db, hand_filtered, random_db
 
 
 # ---------------------------------------------------------------------------
@@ -41,14 +41,12 @@ def test_intensity_parse_and_wire_codes():
     assert IntensityLevel.parse("STRONG") is IntensityLevel.STRONG
     assert [lvl.wire_code for lvl in LEVELS] == [0, 1, 2]
     for lvl in LEVELS:
-        assert IntensityLevel.from_wire_code(lvl.wire_code) is lvl
+        assert IntensityLevel.parse(lvl) is lvl
 
 
 def test_intensity_parse_rejects_unknown():
     with pytest.raises(InvalidIntensityError):
         IntensityLevel.parse("mild")
-    with pytest.raises(InvalidIntensityError):
-        IntensityLevel.from_wire_code(3)
 
 
 # ---------------------------------------------------------------------------
@@ -74,27 +72,17 @@ def test_embedding_validation():
         EmotionEmbedding([np.inf, 0.0])
 
 
-def test_normalize_three_four_five():
-    out = normalize_embedding(EmotionEmbedding([3.0, 4.0]))
-    np.testing.assert_allclose(out.values, [0.6, 0.8], atol=1e-7)
-
-
-def test_normalize_zero_raises():
-    with pytest.raises(ZeroNormError):
-        normalize_embedding(EmotionEmbedding([0.0, 0.0, 0.0]))
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_normalize_is_unit_and_idempotent(seed):
+    # the unit matrix is the store's one normalization
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 40))
     vec = rng.standard_normal(dim) * 10 ** rng.uniform(-2, 2)
-    e = EmotionEmbedding(vec.astype(np.float32))
-    once = normalize_embedding(e)
-    assert abs(float(np.linalg.norm(once.values.astype(np.float64))) - 1.0) < 1e-6
-    twice = normalize_embedding(once)
-    np.testing.assert_allclose(twice.values, once.values, atol=1e-6)
+    once = build_db(vec.astype(np.float32)[None, :]).unit_matrix[0]
+    assert abs(float(np.linalg.norm(once)) - 1.0) < 1e-12
+    twice = build_db(once.astype(np.float32)[None, :]).unit_matrix[0]
+    np.testing.assert_allclose(twice, once, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +90,15 @@ def test_normalize_is_unit_and_idempotent(seed):
 
 
 def test_record_validation():
-    emb = EmotionEmbedding([1.0, 0.0])
+    vec = np.array([[1.0, 0.0]], dtype=np.float32)
     with pytest.raises(FormatError):
-        UtteranceRecord(id="", emotion_label="joy", intensity=IntensityLevel.WEAK, embedding=emb)
+        build_db(vec, ids=[""])
     with pytest.raises(FormatError):
-        UtteranceRecord(id="a", emotion_label="", intensity=IntensityLevel.WEAK, embedding=emb)
+        build_db(vec, labels=[""])
     with pytest.raises(FormatError):
-        UtteranceRecord(
-            id="a", emotion_label="joy", intensity=IntensityLevel.WEAK, embedding=emb, audio_ref=3
-        )
-    rec = UtteranceRecord(id="a", emotion_label="joy", intensity="strong", embedding=[1.0, 2.0])
-    assert rec.intensity is IntensityLevel.STRONG
-    assert isinstance(rec.embedding, EmotionEmbedding)
+        build_db(vec, audio_refs=[3])
+    db = build_db(vec, intensities=["strong"])
+    assert db.intensity_codes[0] == IntensityLevel.STRONG.wire_code
 
 
 def test_db_rejects_duplicate_ids():
@@ -123,17 +108,15 @@ def test_db_rejects_duplicate_ids():
 
 
 def test_db_rejects_dim_mismatch():
-    emb2 = EmotionEmbedding([1.0, 0.0])
-    rec = UtteranceRecord(id="a", emotion_label="joy", intensity=IntensityLevel.WEAK, embedding=emb2)
     with pytest.raises(DimensionMismatchError):
-        EmbeddingDatabase.from_records(3, (rec,))
+        EmbeddingDatabase(3, [[1.0, 0.0]], [0], ["a"], ["joy"], [""], [None])
 
 
 def test_db_lookup_and_matrix():
     db = build_db(np.eye(3, dtype=np.float32), ids=["a", "b", "c"])
-    assert db.record_by_id("b").id == "b"
-    with pytest.raises(KeyError):
-        db.record_by_id("zzz")
+    assert db.position("b") == 1
+    with pytest.raises(KeyError, match="zzz"):
+        db.position("zzz")
     assert db.matrix.shape == (3, 3)
     assert db.matrix.dtype == np.float32
     np.testing.assert_allclose(db.unit_matrix, np.eye(3))
@@ -150,7 +133,7 @@ def test_unit_matrix_zero_norm_record():
 
 
 def test_empty_db_is_exactly_header(tmp_path):
-    db = EmbeddingDatabase.from_records(8, ())
+    db = build_db(np.zeros((0, 8)))
     data = serialize_db(db)
     assert len(data) == 16
     path = tmp_path / "empty.emdb"
@@ -172,13 +155,12 @@ def test_roundtrip_preserves_everything(tmp_path):
     save_db(db, path)
     loaded = load_db(path)
     assert loaded.dim == db.dim
-    assert [r.id for r in loaded.records] == ["утт-1", "utt-2"]
-    for a, b in zip(db.records, loaded.records):
-        assert a.emotion_label == b.emotion_label
-        assert a.intensity is b.intensity
-        assert a.transcript == b.transcript
-        assert a.audio_ref == b.audio_ref
-        assert a.embedding.values.tobytes() == b.embedding.values.tobytes()
+    assert loaded.ids == ("утт-1", "utt-2")
+    assert loaded.labels == db.labels
+    assert loaded.intensity_codes.tobytes() == db.intensity_codes.tobytes()
+    assert loaded.transcripts == db.transcripts
+    assert loaded.audio_refs == db.audio_refs
+    assert loaded.matrix.tobytes() == db.matrix.tobytes()
     assert serialize_db(loaded) == serialize_db(db)
 
 
@@ -201,7 +183,7 @@ def test_fingerprint_is_sha256_of_bytes():
 @given(seed=st.integers(0, 2**32 - 1))
 def test_streamed_fingerprint_is_sha256_of_serialized_bytes(seed):
     rng = np.random.default_rng(seed)
-    for db in (random_db(rng), EmbeddingDatabase.from_records(int(rng.integers(1, 9)), ())):
+    for db in (random_db(rng), build_db(np.zeros((0, int(rng.integers(1, 9)))))):
         assert db.fingerprint == hashlib.sha256(serialize_db(db)).digest()
 
 
@@ -213,7 +195,7 @@ def test_fingerprint_sensitive_to_content():
 
 
 def test_save_to_directory_raises_oserror(tmp_path):
-    db = EmbeddingDatabase.from_records(2, ())
+    db = build_db(np.zeros((0, 2)))
     with pytest.raises(OSError):
         save_db(db, tmp_path)
 
@@ -326,7 +308,7 @@ def test_filter_by_intensity_counts_and_order():
     ]
     db = build_db(vecs, intensities=levels)
     strong = filter_by_intensity(db, IntensityLevel.STRONG)
-    assert [r.id for r in strong.records] == ["rec0", "rec2", "rec3"]
+    assert strong.ids == ("rec0", "rec2", "rec3")
     assert strong.dim == db.dim
     normal = filter_by_intensity(db, "normal")
     assert len(normal) == 0 and normal.dim == db.dim
@@ -337,18 +319,12 @@ def test_filter_by_intensity_counts_and_order():
 def test_filter_partitions_database(seed):
     db = random_db(np.random.default_rng(seed))
     parts = [filter_by_intensity(db, lvl) for lvl in LEVELS]
-    ids = [r.id for part in parts for r in part.records]
-    assert sorted(ids) == sorted(r.id for r in db.records)
+    ids = [rid for part in parts for rid in part.ids]
+    assert sorted(ids) == sorted(db.ids)
     for part, lvl in zip(parts, LEVELS):
-        assert all(r.intensity is lvl for r in part.records)
-        order = [r.id for r in part.records]
-        full_order = [r.id for r in db.records if r.intensity is lvl]
-        assert order == full_order
-
-
-def _hand_filtered(db, level):
-    """The records at ``level``, picked one by one from ``db.records``."""
-    return EmbeddingDatabase.from_records(db.dim, [r for r in db.records if r.intensity is level])
+        assert all(code == lvl.wire_code for code in part.intensity_codes)
+        full_order = [rid for rid, code in zip(db.ids, db.intensity_codes) if code == lvl.wire_code]
+        assert list(part.ids) == full_order
 
 
 @settings(max_examples=30, deadline=None)
@@ -359,7 +335,7 @@ def test_gate_is_built_once_per_level(seed):
         sub = filter_by_intensity(db, lvl)
         assert filter_by_intensity(db, lvl) is sub
         assert filter_by_intensity(db, lvl.value) is sub
-        hand = _hand_filtered(db, lvl)
+        hand = hand_filtered(db, lvl)
         assert sub.fingerprint == hashlib.sha256(serialize_db(hand)).digest()
         assert sub.matrix.tobytes() == hand.matrix.tobytes()
         assert sub.ids == hand.ids
@@ -392,32 +368,15 @@ def test_gate_from_many_threads_returns_one_subset_per_level():
     assert set(seen) == {tuple(id(filter_by_intensity(db, lvl)) for lvl in LEVELS * 20)}
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_from_records_keeps_columns_and_fingerprint(seed):
-    db = random_db(np.random.default_rng(seed))
-    again = EmbeddingDatabase.from_records(db.dim, db.records)
-    assert again.matrix.dtype == np.float32
-    assert again.matrix.tobytes() == db.matrix.tobytes()
-    assert again.intensity_codes.dtype == np.uint8
-    assert again.intensity_codes.tobytes() == db.intensity_codes.tobytes()
-    assert (again.ids, again.labels) == (db.ids, db.labels)
-    assert (again.transcripts, again.audio_refs) == (db.transcripts, db.audio_refs)
-    assert again.fingerprint == db.fingerprint
-
-
 def test_loaded_columns_are_readonly_and_records_are_views():
     db = deserialize_db(serialize_db(random_db(np.random.default_rng(4), n=6, dim=3)))
     with pytest.raises(ValueError):
         db.matrix[0, 0] = 1.0
     with pytest.raises(ValueError):
         db.intensity_codes[0] = 2
-    assert db.records is db.records
-    for pos, rec in enumerate(db.records):
-        assert rec.id == db.ids[pos] and rec.emotion_label == db.labels[pos]
-        assert rec.intensity.wire_code == db.intensity_codes[pos]
-        assert rec.embedding.values.tobytes() == db.matrix[pos].tobytes()
-        assert db.record_by_id(rec.id).transcript == db.transcripts[pos]
+    for pos, rid in enumerate(db.ids):
+        assert db.position(rid) == pos
+        assert np.shares_memory(db.matrix[pos], db.matrix)
 
 
 def test_column_checks_name_the_first_bad_record():
@@ -443,8 +402,6 @@ def test_column_checks_name_the_first_bad_record():
         make(codes=(0,))
     with pytest.raises(DimensionMismatchError):
         make(matrix=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
-    with pytest.raises(FormatError, match="position 1"):
-        EmbeddingDatabase.from_records(2, [make().records[0], "not a record"])
 
 
 def test_columnar_paths_build_no_record_objects(monkeypatch):
@@ -455,11 +412,10 @@ def test_columnar_paths_build_no_record_objects(monkeypatch):
     data = serialize_db(db)
     query = EmotionEmbedding(np.ones(4, dtype=np.float32))
     built = []
-    for cls in (UtteranceRecord, EmotionEmbedding):
-        original = cls.__post_init__
-        monkeypatch.setattr(
-            cls, "__post_init__", lambda self, _orig=original: built.append(self) or _orig(self)
-        )
+    original = EmotionEmbedding.__post_init__
+    monkeypatch.setattr(
+        EmotionEmbedding, "__post_init__", lambda self: built.append(self) or original(self)
+    )
     loaded = deserialize_db(data)
     generate_synthetic_db(SyntheticDatasetConfig(num_emotions=3, dim=4, records_per_emotion=20))
     bundle = build_index_bundle(loaded, k=1)
@@ -486,9 +442,9 @@ def test_manifest_list_form(tmp_path):
     )
     db = load_manifest(path)
     assert db.dim == 2 and len(db) == 2
-    assert db.record_by_id("a").transcript == "hi"
-    assert db.record_by_id("b").audio_ref == "b.wav"
-    assert db.record_by_id("b").intensity is IntensityLevel.WEAK
+    assert db.transcripts[db.position("a")] == "hi"
+    assert db.audio_refs[db.position("b")] == "b.wav"
+    assert db.intensity_codes[db.position("b")] == IntensityLevel.WEAK.wire_code
 
 
 def test_manifest_dict_form_with_dim(tmp_path):
@@ -525,3 +481,42 @@ def test_manifest_empty_needs_dim(tmp_path):
     with pytest.raises(FormatError):
         load_manifest(path)
     assert load_manifest(path, dim=4).dim == 4
+
+
+_GOOD_ENTRY = {"id": "a", "emotion_label": "joy", "intensity": "weak", "embedding": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "fault, expected",
+    [
+        ({"intensity": "mild"}, InvalidIntensityError),
+        ({"embedding": [float("nan"), 0.0]}, NonFiniteValueError),
+        ({"embedding": [[1.0, 0.0]]}, DimensionMismatchError),
+        ({"embedding": []}, DimensionMismatchError),
+        ({"id": ""}, FormatError),
+        ({"audio_ref": 3}, FormatError),
+        ({"id": "a"}, DuplicateIdError),
+        ({"embedding": [1.0, 0.0, 0.0]}, DimensionMismatchError),
+        ({"id": 7}, "7"),
+    ],
+    ids=[
+        "unknown-intensity",
+        "nan-embedding",
+        "2d-embedding",
+        "empty-embedding",
+        "empty-id",
+        "non-string-audio-ref",
+        "duplicate-id",
+        "mixed-dims",
+        "numeric-id",
+    ],
+)
+def test_manifest_second_entry_with_one_fault(tmp_path, fault, expected):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([_GOOD_ENTRY, {**_GOOD_ENTRY, "id": "b", **fault}]))
+    if isinstance(expected, str):
+        assert load_manifest(path).ids == ("a", expected)
+        return
+    with pytest.raises(EmoragError) as caught:
+        load_manifest(path)
+    assert type(caught.value) is expected

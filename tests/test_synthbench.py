@@ -1,5 +1,8 @@
 """Synthetic dataset generator and the method × size benchmark grid."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from emorag import (
     run_benchmark,
     run_cell,
 )
-from emorag.synthbench import CSV_COLUMNS, _p95_nearest_rank, load_report
+from emorag.synthbench import CSV_COLUMNS, _p95_nearest_rank
 
 
 def small_config(**overrides):
@@ -39,7 +42,7 @@ def count_label_hits(db, method, query_set, index=None):
     hits = 0
     for query, truth in query_set:
         result = retrieve(db, query, method, index=index)
-        hits += db.record_by_id(result.record_id).emotion_label == truth
+        hits += db.labels[db.position(result.record_id)] == truth
     return hits
 
 
@@ -73,13 +76,13 @@ def test_generated_db_counts_ids_and_labels():
     db = generate_synthetic_db(config)
     assert len(db) == 3000
     assert db.dim == 8
-    labels = [r.emotion_label for r in db.records]
+    labels = list(db.labels)
     assert sorted(set(labels)) == ["emo0", "emo1", "emo2", "emo3"]
     assert all(labels.count(lab) == 750 for lab in set(labels))
-    assert db.records[0].id == "emo0-0000"
-    assert db.records[750].id == "emo1-0000"
-    assert db.records[-1].id == "emo3-0749"
-    assert db.records[0].transcript == "synthetic utterance emo0 0"
+    assert db.ids[0] == "emo0-0000"
+    assert db.ids[750] == "emo1-0000"
+    assert db.ids[-1] == "emo3-0749"
+    assert db.transcripts[0] == "synthetic utterance emo0 0"
 
 
 def test_generated_vectors_are_unit_norm():
@@ -111,14 +114,14 @@ def test_generation_is_seed_deterministic():
 
 def test_intensity_mix_degenerate_is_all_weak():
     db = generate_synthetic_db(small_config(intensity_mix=(1.0, 0.0, 0.0)))
-    assert all(r.intensity is IntensityLevel.WEAK for r in db.records)
+    assert all(code == IntensityLevel.WEAK.wire_code for code in db.intensity_codes)
 
 
 def test_intensity_mix_roughly_followed():
     db = generate_synthetic_db(
         SyntheticDatasetConfig(num_emotions=2, dim=4, records_per_emotion=1500)
     )
-    frac_normal = sum(r.intensity is IntensityLevel.NORMAL for r in db.records) / len(db)
+    frac_normal = np.count_nonzero(db.intensity_codes == IntensityLevel.NORMAL.wire_code) / len(db)
     assert 0.4 < frac_normal < 0.6  # target 0.5, n=3000
 
 
@@ -141,7 +144,8 @@ def test_query_set_at_centers_sits_on_normalized_centers():
     config = small_config()
     centers = drawn_centers(config)
     unit = (centers / np.linalg.norm(centers, axis=1, keepdims=True)).astype(np.float32)
-    for emb, truth in make_query_set(config, 20, seed=2, at_centers=True):
+    # with zero noise a query sits exactly on its normalized center
+    for emb, truth in make_query_set(replace(config, cluster_sigma=0.0), 20, seed=2):
         e = int(truth.removeprefix("emo"))
         assert np.array_equal(emb.values, unit[e])
 
@@ -162,7 +166,7 @@ def test_center_queries_equal_zero_sigma_db_rows(overrides):
     config = small_config(cluster_sigma=0.0, **overrides)
     db = generate_synthetic_db(config)
     per = config.records_per_emotion
-    for emb, truth in make_query_set(config, 30, seed=11, at_centers=True):
+    for emb, truth in make_query_set(config, 30, seed=11):
         e = int(truth.removeprefix("emo"))
         assert emb.values.tobytes() == db.matrix[e * per].tobytes()
 
@@ -179,7 +183,7 @@ def test_query_set_rejects_empty():
 def test_accuracy_is_perfect_on_center_queries():
     config = small_config()
     db = generate_synthetic_db(config)
-    queries = make_query_set(config, 40, seed=3, at_centers=True)
+    queries = make_query_set(replace(config, cluster_sigma=0.0), 40, seed=3)
     bench, _ = run_cell(db, RetrievalMethod.EMBEDDING, queries)
     assert bench.accuracy == 1.0
     assert count_label_hits(db, RetrievalMethod.EMBEDDING, queries) == 40
@@ -192,7 +196,7 @@ def test_accuracy_is_perfect_on_center_queries():
 def test_accuracy_zero_when_truth_is_scrambled():
     config = small_config()
     db = generate_synthetic_db(config)
-    queries = make_query_set(config, 30, seed=4, at_centers=True)
+    queries = make_query_set(replace(config, cluster_sigma=0.0), 30, seed=4)
     wrong = [(emb, "emo" + str((int(t[3:]) + 1) % 4)) for emb, t in queries]
     assert run_cell(db, RetrievalMethod.EMBEDDING, wrong)[0].accuracy == 0.0
     assert count_label_hits(db, RetrievalMethod.EMBEDDING, wrong) == 0
@@ -340,7 +344,8 @@ def test_json_report_round_trips(tmp_path):
     path = tmp_path / "bench.json"
     results = fake_results()
     emit_report(results, path, "json")
-    assert load_report(path) == results
+    loaded = json.loads(path.read_text())
+    assert [BenchResult(**{**d, "method": RetrievalMethod.parse(d["method"])}) for d in loaded] == results
 
 
 def test_emit_report_rejects_bad_input(tmp_path):
