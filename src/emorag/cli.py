@@ -57,7 +57,6 @@ from .retrieval import (
     load_index_bundle,
     retrieve,
     save_index_bundle,
-    scan_block_rows,
 )
 from .store import IntensityLevel, load_db, load_manifest, save_db
 from .synthbench import (
@@ -198,8 +197,7 @@ def cmd_bench(args) -> int:
         lo, hi = min(emb), max(emb)
         print(
             f"exhaustive-scan latency scaling {hi}/{lo}: {emb[hi] / emb[lo]:.2f} "
-            f"(size ratio {hi / lo:.2f}, "
-            f"scan blocks of {scan_block_rows(args.dim)} rows at dim {args.dim})"
+            f"(size ratio {hi / lo:.2f})"
         )
     print(f"report written to {args.out}")
     return EXIT_OK

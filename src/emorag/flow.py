@@ -573,10 +573,8 @@ def linear_map_task(state_dim: int, cond_dim: int, spk_dim: int, *, scale: float
     return sampler
 
 
-def transport_toy_task(
-    *, offset=(3.0, 3.0), spread: float = 0.5, spk_dim: int = 8
-):
-    """2-D sanity task: move N(0, I) mass to a small blob at ``offset``."""
+def transport_toy_task(*, offset=(3.0, 3.0), spread: float = 0.5):
+    """2-D sanity task: move N(0, I) mass to a small blob at ``offset``; speakers have dim 8."""
     offset = np.asarray(offset, dtype=np.float64)
     dim = offset.shape[0]
 
@@ -584,7 +582,7 @@ def transport_toy_task(
         x0 = rng.standard_normal((batch_size, dim))
         x1 = offset + spread * rng.standard_normal((batch_size, dim))
         t = rng.uniform(0.0, 1.0, size=batch_size)
-        spk = rng.standard_normal((batch_size, spk_dim))
+        spk = rng.standard_normal((batch_size, 8))
         return FlowBatch(x0=x0, x1=x1, t=t, cond=np.zeros((batch_size, dim)), spk=spk)
 
     return sampler

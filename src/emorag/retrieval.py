@@ -19,23 +19,13 @@ minimize squared euclidean distance (which is monotone in cosine on the
 sphere), and the centroid update is the normalized mean — the exact minimizer
 of within-cluster squared distance over unit vectors, so inertia never
 increases.  All ties (seeding, assignment, argmax) break to the lowest index,
-which keeps every run bit-reproducible under a fixed seed; rows that score
-within rounding of the best are re-scored by a position-independent kernel so
-that an exact copy of the best row never outscores it.
+which keeps every run bit-reproducible under a fixed seed.
 
-Every cosine scan, exhaustive or in-cluster, scores the unit matrix in
-fixed-size row blocks of about ``SCAN_BLOCK_ELEMENTS`` float64 values and
-keeps a running argmax across blocks.  A BLAS matrix-vector product switches
-to several threads once the matrix is large enough (OpenBLAS 0.3.31 does so
-from about 460,000 elements), so an unblocked scan runs single-threaded on a
-small database and multi-threaded on a large one, and its latency stops
-scaling with the row count.  The block size was chosen below that measured
-OpenBLAS 0.3.31 threshold; another BLAS, or another version, may thread
-smaller products, and then blocks no longer keep every scan in one thread
-regime.  Where they do, scan latency is comparable across database sizes; the
-price is that BLAS's own threading is not used on large scans: on a 2-core
-x86 machine with OpenBLAS 0.3.31, an exhaustive scan of 32,000 x 128 records
-takes about 1.7 ms instead of 0.8 ms.
+Every cosine score, of a record or of a centroid, is one dot product of
+``dim`` values per row (``np.vecdot``).  A row therefore gets the same bits
+wherever it sits in the scanned matrix, so an exact copy of the best row ties
+with it and ``argmax`` alone keeps the lower position; and the scan stays on
+one core at any database size, so its latency scales with the row count.
 
 Index files record a fingerprint of the database they were built from; lookups
 against a database with a different fingerprint fail rather than silently
@@ -75,15 +65,6 @@ from .util import atomic_write_bytes, log
 EMIX_MAGIC = b"EMIX"
 EMIX_VERSION = 1
 FINGERPRINT_BYTES = 32
-# float64 values per scan block (2,048 rows at dim 128); kept below the
-# ~460,800 elements from which OpenBLAS 0.3.31 runs a matrix-vector product
-# on several threads (measured; other BLAS builds may differ)
-SCAN_BLOCK_ELEMENTS = 1 << 18
-# block rows are a multiple of this, so that a block boundary never splits the
-# group of rows a BLAS kernel scores together: such a split would score the
-# rows before it through the kernel's remainder loop, whose summation order
-# differs in the last bit
-SCAN_ROW_ALIGN = 16
 
 
 class RetrievalMethod(enum.Enum):
@@ -130,49 +111,15 @@ def _unit_query(db: EmbeddingDatabase, query: EmotionEmbedding) -> np.ndarray:
     return q / norm
 
 
-def scan_block_rows(dim: int) -> int:
-    """Rows per scan block for embeddings of dimension ``dim``."""
-    rows = SCAN_BLOCK_ELEMENTS // int(dim) // SCAN_ROW_ALIGN * SCAN_ROW_ALIGN
-    return max(SCAN_ROW_ALIGN, rows)
-
-
 def _scan_argmax(unit: np.ndarray, qn: np.ndarray) -> tuple:
-    """``(position, similarity)`` of the best row of ``unit @ qn``, scored blockwise.
+    """``(position, similarity)`` of the row of ``unit`` most similar to ``qn``.
 
-    Equal to ``argmax(unit @ qn)`` and its value whenever BLAS runs that one
-    product on a single thread and no other row scores within rounding of the
-    best.  BLAS scores the last rows of a product through a remainder loop
-    whose last bit can differ, so an exact copy of the best row may outscore
-    it there.  Every row within ``2(d+2)·2^-53`` (a bound on the rounding of a
-    unit dot product) of the best is therefore a candidate; when there are
-    several, they are re-scored with a kernel that does not depend on a row's
-    position, and the first maximum wins.  ``unit`` must have at least one row.
+    Each row is scored by its own dot product, so ties go to the lowest
+    position.  ``unit`` must have at least one row.
     """
-    n, dim = unit.shape
-    rows = scan_block_rows(dim)
-    tol = 2 * (dim + 2) * 2.0**-53
-    # a lone last row joins the block before it: numpy scores a one-row
-    # product with a dot kernel, whose last bit can differ from the product's
-    starts = range(0, max(n - 1, 1), rows)
-    best_pos, best_sim = 0, -np.inf
-    near = []  # (maximum, start, scores) of the blocks whose maximum is within tol of the best
-    for start in starts:
-        stop = n if start == starts[-1] else start + rows
-        sims = unit[start:stop] @ qn
-        j = int(np.argmax(sims))
-        top = float(sims[j])
-        if top > best_sim:
-            best_pos, best_sim = start + j, top
-            near = [block for block in near if block[0] >= top - tol]
-        if top >= best_sim - tol:
-            near.append((top, start, sims))
-    floor = best_sim - tol
-    if len(near) == 1 and np.count_nonzero(near[0][2] >= floor) == 1:
-        return best_pos, best_sim
-    candidates = np.concatenate([start + np.flatnonzero(sims >= floor) for _, start, sims in near])
-    exact = np.multiply(unit[candidates], qn).sum(axis=1)
-    k = int(np.argmax(exact))
-    return int(candidates[k]), float(exact[k])
+    sims = np.vecdot(unit, qn)
+    pos = int(np.argmax(sims))
+    return pos, float(sims[pos])
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +366,7 @@ def retrieve_clustering_based(
             f"index covers {index.assignments.shape[0]} records, database has {len(db)}"
         )
     qn = _unit_query(db, query)
-    cluster = int(np.argmax(index.unit_centroids @ qn))
+    cluster, _ = _scan_argmax(index.unit_centroids, qn)
     order, offsets, rows = index._inverted_lists(db.unit_matrix)
     lo, hi = int(offsets[cluster]), int(offsets[cluster + 1])
     if lo == hi:

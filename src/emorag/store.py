@@ -163,6 +163,7 @@ class EmbeddingDatabase:
             raise InvalidIntensityError(f"record {self.ids[bad[0]]!r}: intensity code {raw[bad[0]]}")
         _check_text(self.ids, "id", {str}, True)
         _check_text(self.labels, "emotion_label", {str}, True)
+        _check_text(self.transcripts, "transcript", {str}, False)
         _check_text(self.audio_refs, "audio_ref", {str, type(None)}, False)
         self._position = dict(zip(self.ids, range(n)))
         if len(self._position) != n:
@@ -355,7 +356,9 @@ def load_manifest(path, dim: int | None = None) -> EmbeddingDatabase:
         if entries is None:
             raise FormatError("manifest object must contain a 'records' list")
         if dim is None and "dim" in payload:
-            dim = int(payload["dim"])
+            dim = payload["dim"]
+            if type(dim) is not int or dim <= 0:
+                raise FormatError(f"manifest dim must be a positive integer, got {dim!r}")
     elif isinstance(payload, list):
         entries = payload
     else:
@@ -368,6 +371,9 @@ def load_manifest(path, dim: int | None = None) -> EmbeddingDatabase:
         missing = [k for k in ("id", "emotion_label", "intensity", "embedding") if k not in entry]
         if missing:
             raise FormatError(f"manifest entry {i} is missing keys: {', '.join(missing)}")
+        for key in ("emotion_label", "transcript"):
+            if entry.get(key, "") is None:
+                raise FormatError(f"manifest entry {entry['id']!r}: {key} is null")
         try:
             vec = np.asarray(entry["embedding"], dtype=np.float32)
         except (TypeError, ValueError) as exc:

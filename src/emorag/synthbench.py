@@ -10,13 +10,9 @@ The benchmark grid crosses retrieval methods with database sizes, reporting
 accuracy plus mean and p95 per-query latency after a fixed number of
 discarded warm-up queries.  Accuracy is exactly reproducible under the seed;
 latency is whatever the machine gives you, so only orderings and ratios are
-meaningful.  Those ratios hold because retrieval scores every database in
-fixed-size row blocks (see :mod:`emorag.retrieval`).  Each block stays below
-the size at which OpenBLAS 0.3.31 was measured to run a matrix-vector product
-on several threads, so with that library a small and a large database are
-scanned in the same thread regime; a BLAS that threads smaller products
-would break this.  The price is that BLAS's own threading is not used on
-large scans.
+meaningful.  Those ratios hold because retrieval scores each row with its own
+dot product (see :mod:`emorag.retrieval`), which runs on one core whatever
+the database size, so a small and a large database are scanned alike.
 """
 
 from __future__ import annotations
@@ -218,7 +214,6 @@ def run_benchmark(
     dim: int = DEFAULT_DIM,
     cluster_sigma: float = DEFAULT_SIGMA,
     center_spread: float = DEFAULT_SPREAD,
-    warmup: int = WARMUP_QUERIES,
 ) -> list:
     """Run every (method, size) cell and return BenchResults in cell order.
 
@@ -261,7 +256,7 @@ def run_benchmark(
             # fitted here, not up front, so that no earlier cell is timed while
             # BLAS threads from k-means' products are still spinning
             index = built[size][2] = kmeans_fit(db, default_k(db), seed=seed)
-        bench, _ = run_cell(db, method, queries, index=index, warmup=warmup)
+        bench, _ = run_cell(db, method, queries, index=index)
         results.append(bench)
     return results
 

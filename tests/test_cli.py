@@ -21,7 +21,6 @@ from emorag import (
 )
 from emorag.cli import main
 from emorag.flow import FrameSequence
-from emorag.retrieval import scan_block_rows
 
 from helpers import build_db
 
@@ -185,6 +184,13 @@ def test_import_db_missing_manifest(tmp_path, capsys):
     )
     assert code == 4
     assert "manifest not found" in capsys.readouterr().err
+
+
+def test_import_db_bad_manifest_dim_is_invalid_input(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"dim": "x", "records": []}')
+    assert main(["import-db", "--manifest", str(manifest), "--out", str(tmp_path / "o.emdb")]) == 5
+    assert "error: manifest dim must be a positive integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +382,7 @@ def test_bench_prints_speedup_and_scaling_lines(tmp_path, capsys):
     ]
     scaling = (
         f"exhaustive-scan latency scaling 80/40: "
-        f"{mean[('embedding', 80)] / mean[('embedding', 40)]:.2f} (size ratio 2.00, "
-        f"scan blocks of {scan_block_rows(8)} rows at dim 8)"
+        f"{mean[('embedding', 80)] / mean[('embedding', 40)]:.2f} (size ratio 2.00)"
     )
     assert lines[4:] == [*speedups, scaling, f"report written to {out}"]
 

@@ -43,7 +43,6 @@ from emorag.retrieval import (
     _scan_argmax,
     deserialize_index,
     level_index_path,
-    scan_block_rows,
     serialize_index,
 )
 from emorag import retrieval, store
@@ -279,7 +278,11 @@ def test_retrieve_matches_brute_force(seed):
 
 
 # ---------------------------------------------------------------------------
-# blocked cosine scan
+# cosine scan
+
+# rows in a 16-row-aligned block of 2^18 float64 values: sizes around these
+# catch a kernel that scores a row by where it sits in a BLAS product
+BLOCK_ROWS = {2: 131_072, 96: 2_720, 128: 2_048, 300: 864}
 
 
 def _unit_rows(rng, n, dim):
@@ -287,28 +290,36 @@ def _unit_rows(rng, n, dim):
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
+def _first_max_by_row(unit, qn):
+    """Reference scan: one ``np.dot`` per row, strict ``>`` keeps the earliest maximum."""
+    best_pos, best_sim = 0, -np.inf
+    for pos, sim in enumerate(map(qn.dot, unit)):
+        if sim > best_sim:
+            best_pos, best_sim = pos, sim
+    return best_pos, float(best_sim)
+
+
 @pytest.mark.parametrize("dim", [2, 96, 128, 300])
 @pytest.mark.parametrize("extra", [-1, 0, 1, "several"])
 def test_scan_blocks_match_single_product(dim, extra):
-    rows = scan_block_rows(dim)
+    rows = BLOCK_ROWS[dim]
     n = 3 * rows + 80 if extra == "several" else rows + extra
     rng = np.random.default_rng([dim, n])
     unit = _unit_rows(rng, n, dim)
     # random queries, then queries aimed at the rows around the first block
-    # boundary and at the last rows, where a misplaced boundary would score
-    # the best row through a different kernel path
+    # boundary and at the last rows, where a product kernel would score the
+    # best row through a different path
     aimed = [*range(rows - 4, rows + 4), *range(n - 4, n)]
     planted = [unit[k] for k in aimed if 0 <= k < n]
     for qn in [_unit_rows(rng, 1, dim)[0] for _ in range(3)] + planted:
-        sims = unit @ qn
-        pos = int(np.argmax(sims))
+        pos, sim = _first_max_by_row(unit, qn)
         got_pos, got_sim = _scan_argmax(unit, qn)
         assert got_pos == pos
-        assert got_sim == float(sims[pos])  # bit for bit
+        assert got_sim == sim  # bit for bit
 
 
 def test_scan_tie_across_blocks_breaks_to_lowest_position():
-    rows = scan_block_rows(128)
+    rows = BLOCK_ROWS[128]
     vectors = np.zeros((3 * rows, 128), dtype=np.float32)
     vectors[:, 1] = 1.0
     # the same exact best score in each of the three blocks
@@ -328,14 +339,13 @@ def test_clustered_scan_over_several_blocks_matches_direct_member_scan():
         result = retrieve_clustering_based(db, index, query)
         qn = query.values.astype(np.float64)
         qn = qn / np.linalg.norm(qn)
-        cluster = int(np.argmax(index.unit_centroids @ qn))
+        cluster, _ = _first_max_by_row(index.unit_centroids, qn)
         members = np.nonzero(index.assignments == cluster)[0]
-        assert members.size > scan_block_rows(db.dim)
-        sims = db.unit_matrix[members] @ qn
-        best = int(np.argmax(sims))
+        assert members.size > BLOCK_ROWS[db.dim]
+        best, sim = _first_max_by_row(db.unit_matrix[members], qn)
         assert result.candidates_scanned == members.size
         assert result.record_id == db.ids[int(members[best])]
-        assert result.similarity == float(sims[best])
+        assert result.similarity == sim
 
 
 
@@ -390,7 +400,7 @@ def test_copy_of_best_row_ties_to_lowest_position():
 
 
 def test_copy_of_best_row_across_a_block_boundary_ties_to_lowest_position():
-    rows = scan_block_rows(128)
+    rows = BLOCK_ROWS[128]
     n = 2 * rows + 3
     base = np.random.default_rng(5).standard_normal((n, 128)).astype(np.float32)
     for first in (rows - 2, rows - 1):
@@ -401,12 +411,11 @@ def test_copy_of_best_row_across_a_block_boundary_ties_to_lowest_position():
 
 
 def test_scan_returns_the_rescored_value_of_several_candidates():
-    # a lone candidate keeps its BLAS value (test_scan_blocks_match_single_product)
     unit = _unit_rows(np.random.default_rng(17), 300, 64)
     unit[[40, 200]] = unit[7]
     pos, sim = _scan_argmax(unit, unit[7])
     assert pos == 7
-    assert sim == float(np.multiply(unit[[7]], unit[7]).sum(axis=1)[0])
+    assert sim == float(np.dot(unit[7], unit[7]))
 
 # ---------------------------------------------------------------------------
 # clustering-based retrieval

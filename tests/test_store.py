@@ -380,8 +380,10 @@ def test_loaded_columns_are_readonly_and_records_are_views():
 
 
 def test_column_checks_name_the_first_bad_record():
-    def make(matrix=((1.0, 0.0), (0.0, 1.0)), codes=(0, 1), ids=("a", "b"), labels=("x", "y")):
-        return EmbeddingDatabase(2, matrix, codes, ids, labels, ("", ""), (None, "b.wav"))
+    def make(
+        matrix=((1.0, 0.0), (0.0, 1.0)), codes=(0, 1), ids=("a", "b"), labels=("x", "y"), transcripts=("", "")
+    ):
+        return EmbeddingDatabase(2, matrix, codes, ids, labels, transcripts, (None, "b.wav"))
 
     assert len(make()) == 2
     with pytest.raises(NonFiniteValueError, match="'b'"):
@@ -398,6 +400,8 @@ def test_column_checks_name_the_first_bad_record():
         make(ids=("a", ""))
     with pytest.raises(FormatError, match="position 0"):
         make(labels=(7, "y"))
+    with pytest.raises(FormatError, match="position 1"):
+        make(transcripts=("", None))
     with pytest.raises(FormatError):
         make(codes=(0,))
     with pytest.raises(DimensionMismatchError):
@@ -443,6 +447,7 @@ def test_manifest_list_form(tmp_path):
     db = load_manifest(path)
     assert db.dim == 2 and len(db) == 2
     assert db.transcripts[db.position("a")] == "hi"
+    assert db.transcripts[db.position("b")] == ""
     assert db.audio_refs[db.position("b")] == "b.wav"
     assert db.intensity_codes[db.position("b")] == IntensityLevel.WEAK.wire_code
 
@@ -452,6 +457,14 @@ def test_manifest_dict_form_with_dim(tmp_path):
     path.write_text('{"dim": 3, "records": []}')
     db = load_manifest(path)
     assert db.dim == 3 and len(db) == 0
+
+
+@pytest.mark.parametrize("dim", ["x", 2.7, 0, -1, True, None], ids=str)
+def test_manifest_dim_must_be_a_positive_integer(tmp_path, dim):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": dim, "records": []}))
+    with pytest.raises(FormatError, match="manifest dim"):
+        load_manifest(path)
 
 
 def test_manifest_wrong_length_vector(tmp_path):
@@ -498,6 +511,8 @@ _GOOD_ENTRY = {"id": "a", "emotion_label": "joy", "intensity": "weak", "embeddin
         ({"id": "a"}, DuplicateIdError),
         ({"embedding": [1.0, 0.0, 0.0]}, DimensionMismatchError),
         ({"id": 7}, "7"),
+        ({"emotion_label": None}, FormatError),
+        ({"transcript": None}, FormatError),
     ],
     ids=[
         "unknown-intensity",
@@ -509,6 +524,8 @@ _GOOD_ENTRY = {"id": "a", "emotion_label": "joy", "intensity": "weak", "embeddin
         "duplicate-id",
         "mixed-dims",
         "numeric-id",
+        "null-label",
+        "null-transcript",
     ],
 )
 def test_manifest_second_entry_with_one_fault(tmp_path, fault, expected):

@@ -276,7 +276,6 @@ def tiny_grid(**overrides):
         seed=0,
         num_emotions=8,
         dim=16,
-        warmup=2,
     )
     kwargs.update(overrides)
     return run_benchmark(**kwargs)
@@ -372,7 +371,7 @@ def test_benchmark_fits_each_index_just_before_its_first_clustering_cell(monkeyp
     monkeypatch.setattr(synthbench, "kmeans_fit", fit)
     monkeypatch.setattr(synthbench, "run_cell", cell)
     cells = [("embedding", 80), ("embedding", 160), ("clustering", 80), ("clustering", 160), ("clustering", 80)]
-    results = run_benchmark(cells, n_queries=5, num_emotions=4, dim=8, warmup=0)
+    results = run_benchmark(cells, n_queries=5, num_emotions=4, dim=8)
     assert [(r.method.value, r.db_size) for r in results] == cells
     assert events == [
         ("embedding", 80),
