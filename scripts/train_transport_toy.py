@@ -32,7 +32,6 @@ def main() -> int:
     parser.add_argument("--ode-steps", type=int, default=32)
     parser.add_argument("--samples", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--no-decay", action="store_true")
     parser.add_argument("--checkpoint", type=Path, default=None)
     args = parser.parse_args()
 
@@ -44,7 +43,7 @@ def main() -> int:
         seed=args.seed,
     )
     sampler = transport_toy_task(offset=tuple(args.offset), spread=args.spread)
-    losses = train_vector_field(model, sampler, config, decay=not args.no_decay)
+    losses = train_vector_field(model, sampler, config)
     if losses:
         k = max(1, len(losses) // 20)
         print(

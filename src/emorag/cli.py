@@ -217,7 +217,7 @@ def cmd_train_fm(args) -> int:
     sampler = linear_map_task(
         args.state_dim, args.token_dim, args.spk_dim, scale=args.scale, seed=args.seed
     )
-    losses = train_vector_field(model, sampler, config, decay=not args.no_decay)
+    losses = train_vector_field(model, sampler, config)
     save_checkpoint(model, args.out)
     loss_log = args.loss_log or Path(args.out).with_suffix(".loss.csv")
     lines = ["step,loss"] + [f"{i},{loss!r}" for i, loss in enumerate(losses)]
@@ -345,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spk-dim", type=int, default=8)
     p.add_argument("--hidden", type=_int_list, default=[64, 64])
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--no-decay", action="store_true", help="disable the linear lr decay")
     p.add_argument("--loss-log", default=None, help="CSV path; default <out>.loss.csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_fm)

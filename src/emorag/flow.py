@@ -1,11 +1,12 @@
 """Token-to-mel alignment and a small conditional flow-matching stack.
 
 The pieces here are deliberately self-contained numpy: a frame container, the
-1.6:1 linear-interpolation upsampler that bridges 50 Hz token sequences to
-80 Hz mel sequences, the linear interpolation path used for flow-matching
-targets, a fully-connected time-conditioned vector field with hand-written
-backprop under an L1 objective, explicit Euler integration of the learned
-field, and length-prefixed binary artifacts for checkpoints and frames.
+linear-interpolation upsampler that bridges 50 Hz token sequences to 80 Hz mel
+sequences at the 1.6:1 ratio those rates fix, the linear interpolation path
+used for flow-matching targets, a fully-connected time-conditioned vector
+field with hand-written backprop under an L1 objective, explicit Euler
+integration of the learned field, and length-prefixed binary artifacts for
+checkpoints and frames; a checkpoint's array table is the one its dims fix.
 
 Everything numerical runs in float64.  The vector field consumes the
 concatenation ``[state, conditioning, speaker, t]`` in that order; hidden
@@ -25,9 +26,9 @@ L1 makes each weight's gradient magnitude scale like 1/state_dim (the sign
 pattern is dense but tiny), so useful learning rates grow with the output
 dimension; and because sign gradients never shrink near the optimum, a fixed
 step size leaves the parameters jittering at a floor proportional to the
-rate.  The loop in :func:`train_vector_field` therefore decays the step
-linearly to zero by default, which is what lets the toy tasks actually
-converge instead of orbiting.
+rate.  The loop in :func:`train_vector_field` therefore always shrinks the
+step linearly to zero, which is what lets the toy tasks actually converge
+instead of orbiting.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ class SpeakerEmbedding:
         return int(self.values.shape[0])
 
 
-def upsample_tokens(seq: FrameSequence, ratio: float = UPSAMPLE_RATIO) -> FrameSequence:
-    """Linearly interpolate a frame sequence to ``round(T * ratio)`` frames.
+def upsample_tokens(seq: FrameSequence) -> FrameSequence:
+    """Linearly interpolate a frame sequence to ``round(T * UPSAMPLE_RATIO)`` frames.
 
     The output grid spans the input endpoints exactly: output frame j sits at
     source position ``j * (T - 1) / (T' - 1)``, so the first and last input
@@ -121,22 +122,15 @@ def upsample_tokens(seq: FrameSequence, ratio: float = UPSAMPLE_RATIO) -> FrameS
     combination of its two neighbours.  Rounding of the output length is
     half-away-from-zero.  Needs at least two input frames.
     """
-    ratio = float(ratio)
-    if not math.isfinite(ratio) or ratio <= 0.0:
-        raise InvalidParameterError(f"ratio must be positive, got {ratio}")
     T = seq.num_frames
     if T < 2:
         raise InvalidParameterError(f"upsampling needs at least 2 frames, got {T}")
-    T_out = int(math.floor(T * ratio + 0.5))
-    if T_out < 2:
-        raise InvalidParameterError(
-            f"ratio {ratio} maps {T} frames to {T_out}; output must keep both endpoints"
-        )
+    T_out = int(math.floor(T * UPSAMPLE_RATIO + 0.5))
     src = np.arange(T_out, dtype=np.float64) * (T - 1) / (T_out - 1)
     i0 = np.minimum(src.astype(np.int64), T - 2)
     w = (src - i0)[:, None]
     frames = (1.0 - w) * seq.frames[i0] + w * seq.frames[i0 + 1]
-    return FrameSequence(frames=frames, frame_rate_hz=seq.frame_rate_hz * ratio)
+    return FrameSequence(frames=frames, frame_rate_hz=seq.frame_rate_hz * UPSAMPLE_RATIO)
 
 
 def cfm_sample_path(x0: np.ndarray, x1: np.ndarray, t):
@@ -480,15 +474,14 @@ def generate_mel(
         raise DimensionMismatchError(
             f"token dim {tokens.dim} does not match model cond dim {model.cond_dim}"
         )
-    s = speaker.values if isinstance(speaker, SpeakerEmbedding) else np.asarray(speaker)
-    if s.shape != (model.spk_dim,):
+    if speaker.dim != model.spk_dim:
         raise DimensionMismatchError(
-            f"speaker dim {s.shape} does not match model spk dim ({model.spk_dim},)"
+            f"speaker dim {speaker.dim} does not match model spk dim {model.spk_dim}"
         )
     up = upsample_tokens(tokens)
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal((up.num_frames, model.state_dim))
-    mel = ode_integrate_batch(model, x0, up.frames, s, n_steps)
+    mel = ode_integrate_batch(model, x0, up.frames, speaker.values, n_steps)
     return FrameSequence(frames=mel, frame_rate_hz=up.frame_rate_hz)
 
 
@@ -527,20 +520,18 @@ def train_vector_field(
     model: VectorFieldModel,
     sampler,
     config: FlowTrainConfig,
-    *,
-    decay: bool = True,
 ) -> list:
     """Run the training loop; returns the per-step loss history.
 
-    ``sampler(rng, batch_size)`` must yield a :class:`FlowBatch`.  With
-    ``decay=True`` the step size shrinks linearly, lr_t = lr (1 - t/T), which
-    drains the sign-gradient jitter floor at the end of the run.
+    ``sampler(rng, batch_size)`` must yield a :class:`FlowBatch`.  The step
+    size shrinks linearly, lr_t = lr (1 - t/T), which drains the sign-gradient
+    jitter floor at the end of the run.
     """
     rng = np.random.default_rng(config.seed)
     losses = []
     total = config.total_steps
     for step in range(total):
-        lr_t = config.learning_rate * (1.0 - step / total) if decay else config.learning_rate
+        lr_t = config.learning_rate * (1.0 - step / total)
         batch = sampler(rng, config.batch_size)
         losses.append(vf_train_step(model, batch, lr_t))
     return losses
@@ -622,14 +613,15 @@ def _unpack_artifact(data: bytes, expected_format: str):
     return header, data[4 + hlen :]
 
 
+def _array_table(sizes) -> list:
+    """A checkpoint's ``arrays`` entries for layer sizes ``sizes``: W0, b0, W1, b1, ..."""
+    table = []
+    for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        table += [{"name": f"W{l}", "shape": [fan_out, fan_in]}, {"name": f"b{l}", "shape": [fan_out]}]
+    return table
+
+
 def save_checkpoint(model: VectorFieldModel, path) -> None:
-    arrays = []
-    blobs = []
-    for l, (W, b) in enumerate(zip(model.weights, model.biases)):
-        arrays.append({"name": f"W{l}", "shape": list(W.shape)})
-        blobs.append(np.ascontiguousarray(W, dtype="<f8").tobytes())
-        arrays.append({"name": f"b{l}", "shape": list(b.shape)})
-        blobs.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": ARTIFACT_VERSION,
@@ -637,49 +629,35 @@ def save_checkpoint(model: VectorFieldModel, path) -> None:
         "cond_dim": model.cond_dim,
         "spk_dim": model.spk_dim,
         "hidden": list(model.hidden),
-        "arrays": arrays,
+        "arrays": _array_table(model.layer_sizes),
     }
-    atomic_write_bytes(path, _pack_artifact(header, b"".join(blobs)))
+    payload = b"".join(
+        np.ascontiguousarray(a, dtype="<f8").tobytes() for W, b in zip(model.weights, model.biases) for a in (W, b)
+    )
+    atomic_write_bytes(path, _pack_artifact(header, payload))
 
 
 def load_checkpoint(path) -> VectorFieldModel:
+    """The model in a checkpoint whose ``arrays`` and payload are exactly the
+    ``W0, b0, W1, b1, ...`` table of the sizes its header gives."""
     header, payload = _unpack_artifact(Path(path).read_bytes(), CHECKPOINT_FORMAT)
     try:
-        state_dim = int(header["state_dim"])
-        cond_dim = int(header["cond_dim"])
-        spk_dim = int(header["spk_dim"])
+        dims = [int(header[k]) for k in ("state_dim", "cond_dim", "spk_dim")]
         hidden = tuple(int(h) for h in header["hidden"])
         arrays = header["arrays"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedHeaderError(f"checkpoint header missing or malformed field: {exc}") from None
-    parsed = {}
-    pos = 0
-    for entry in arrays:
-        shape = tuple(int(s) for s in entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        need = 8 * n
-        if pos + need > len(payload):
-            raise FormatError("checkpoint payload ends before all declared arrays")
-        parsed[entry["name"]] = np.frombuffer(
-            payload[pos : pos + need], dtype="<f8"
-        ).reshape(shape)
-        pos += need
-    if pos != len(payload):
-        raise FormatError(f"{len(payload) - pos} trailing bytes in checkpoint payload")
-    n_layers = len(hidden) + 1
-    try:
-        weights = [parsed[f"W{l}"] for l in range(n_layers)]
-        biases = [parsed[f"b{l}"] for l in range(n_layers)]
-    except KeyError as exc:
-        raise FormatError(f"checkpoint is missing array {exc}") from None
-    return VectorFieldModel(
-        state_dim=state_dim,
-        cond_dim=cond_dim,
-        spk_dim=spk_dim,
-        hidden=hidden,
-        weights=weights,
-        biases=biases,
-    )
+    if min(dims + list(hidden)) <= 0:
+        raise MalformedHeaderError(f"checkpoint sizes must be positive, got dims {dims} and hidden {hidden}")
+    table = _array_table((sum(dims) + 1, *hidden, dims[0]))
+    if arrays != table:
+        raise FormatError("checkpoint array table is not the W0, b0, W1, b1, ... table its dims fix")
+    counts = [math.prod(entry["shape"]) for entry in table]
+    if len(payload) != 8 * sum(counts):
+        raise FormatError(f"checkpoint payload has {len(payload)} bytes, its dims fix {8 * sum(counts)}")
+    values = np.split(np.frombuffer(payload, dtype="<f8"), np.cumsum(counts)[:-1])
+    params = [v.reshape(entry["shape"]) for v, entry in zip(values, table)]
+    return VectorFieldModel(*dims, hidden, params[0::2], params[1::2])
 
 
 def save_frames(seq: FrameSequence, path) -> None:
@@ -702,6 +680,8 @@ def load_frames(path) -> FrameSequence:
         rate = float(header["frame_rate_hz"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedHeaderError(f"frames header missing or malformed field: {exc}") from None
+    if T < 0 or D < 1:
+        raise MalformedHeaderError(f"frames header declares {T} frames of dim {D}")
     if len(payload) != 8 * T * D:
         raise FormatError(
             f"frames payload has {len(payload)} bytes, header declares {8 * T * D}"

@@ -36,7 +36,7 @@ from .flow import (
     save_frames,
 )
 from .retrieval import RetrievalMethod, RetrievalResult, retrieve
-from .store import EmbeddingDatabase, EmotionEmbedding, IntensityLevel
+from .store import EmbeddingDatabase, EmotionEmbedding, IntensityLevel, json_vector
 from .util import atomic_write_text
 
 FRAMES_PER_CHAR = 4
@@ -97,10 +97,7 @@ def load_embedding_file(path, dim: int | None = None) -> EmotionEmbedding:
         payload = payload.get("values")
     if not isinstance(payload, list):
         raise FormatError("embedding file must hold a JSON list or {'values': [...]}")
-    try:
-        emb = EmotionEmbedding(np.asarray(payload, dtype=np.float32))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"embedding file holds non-numeric values: {exc}") from None
+    emb = EmotionEmbedding(json_vector(payload, "embedding file"))
     if dim is not None and emb.dim != dim:
         raise DimensionMismatchError(f"embedding has dim {emb.dim}, expected {dim}")
     return emb

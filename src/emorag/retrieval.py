@@ -29,7 +29,8 @@ one core at any database size, so its latency scales with the row count.
 
 Index files record a fingerprint of the database they were built from; lookups
 against a database with a different fingerprint fail rather than silently
-returning positions from the wrong snapshot.
+returning positions from the wrong snapshot.  A zero-norm centroid fails at
+load, where the index normalizes its centroids, not at its first query.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class ClusterIndex:
     """Centroids plus a full record→cluster assignment for one database.
 
     ``centroids`` stay float32 in memory so that a save/load round trip is
-    bit-exact; scoring promotes to float64 on the fly.
+    bit-exact; routing scores their float64 unit rows, ``unit_centroids``.
     """
 
     k: int
@@ -158,31 +159,23 @@ class ClusterIndex:
             raise InvalidParameterError("assignment refers to a cluster >= k")
         if not isinstance(self.fingerprint, bytes) or len(self.fingerprint) != FINGERPRINT_BYTES:
             raise FormatError(f"fingerprint must be {FINGERPRINT_BYTES} bytes")
+        c64 = c.astype(np.float64)
+        norms = np.linalg.norm(c64, axis=1)
+        if np.any(norms == 0.0):
+            raise ZeroNormError("index contains a zero-norm centroid")
+        self.unit_centroids = c64 / norms[:, None]
         c = c.copy()
-        c.flags.writeable = False
         a = a.copy()
-        a.flags.writeable = False
+        for arr in (c, a, self.unit_centroids):
+            arr.flags.writeable = False
         self.centroids = c
         self.assignments = a
         self.inertia = float(self.inertia)
-        self._unit_centroids = None
         self._lists = None
 
     @property
     def dim(self) -> int:
         return int(self.centroids.shape[1])
-
-    @property
-    def unit_centroids(self) -> np.ndarray:
-        if self._unit_centroids is None:
-            c = self.centroids.astype(np.float64)
-            norms = np.linalg.norm(c, axis=1)
-            if np.any(norms == 0.0):
-                raise ZeroNormError("index contains a zero-norm centroid")
-            u = c / norms[:, None]
-            u.flags.writeable = False
-            self._unit_centroids = u
-        return self._unit_centroids
 
     def _inverted_lists(self, unit: np.ndarray) -> tuple:
         """``(order, offsets, rows)``: the records grouped by cluster, cached.

@@ -145,7 +145,10 @@ class EmbeddingDatabase:
         self.ids, self.labels = tuple(self.ids), tuple(self.labels)
         self.transcripts, self.audio_refs = tuple(self.transcripts), tuple(self.audio_refs)
         n = len(self.ids)
-        m = np.array(self.matrix, dtype=np.float32)
+        m = self.matrix  # kept as is if a frozen C-ordered float32 array owning its data, else copied
+        frozen = isinstance(m, np.ndarray) and not m.flags.writeable and m.flags.owndata
+        if not (frozen and m.dtype == np.float32 and m.flags.c_contiguous):
+            m = np.array(m, dtype=np.float32)
         if m.size == 0:
             m = m.reshape(0, self.dim)
         raw = np.asarray(self.intensity_codes)
@@ -229,7 +232,9 @@ def filter_by_intensity(db: EmbeddingDatabase, level: IntensityLevel) -> Embeddi
         rows = np.flatnonzero(db.intensity_codes == level.wire_code).tolist()
         columns = (db.ids, db.labels, db.transcripts, db.audio_refs)
         picked = ([col[i] for i in rows] for col in columns)
-        sub = EmbeddingDatabase(db.dim, db.matrix[rows], db.intensity_codes[rows], *picked)
+        matrix = db.matrix[rows]
+        matrix.flags.writeable = False
+        sub = EmbeddingDatabase(db.dim, matrix, db.intensity_codes[rows], *picked)
         sub = db._subsets.setdefault(level, sub)  # a racing thread's subset wins if first
         log.debug("intensity gate %s: kept %d of %d records", level.value, len(sub), len(db))
     return sub
@@ -326,6 +331,7 @@ def deserialize_db(data: bytes) -> EmbeddingDatabase:
         ids.append(rid)
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes after last record")
+    matrix.flags.writeable = False
     return EmbeddingDatabase(dim, matrix, codes, ids, labels, transcripts, audio_refs)
 
 
@@ -336,6 +342,16 @@ def load_db(path) -> EmbeddingDatabase:
 
 # ---------------------------------------------------------------------------
 # JSON manifest import
+
+
+def json_vector(values, what: str) -> np.ndarray:
+    """A JSON embedding as float32; :class:`FormatError` for a string, boolean or other non-number."""
+    if isinstance(values, list) and (bad := [v for v in values if isinstance(v, (str, bool))]):
+        raise FormatError(f"{what} holds non-numeric value {bad[0]!r}")
+    try:
+        return np.asarray(values, dtype=np.float32)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{what} holds non-numeric values: {exc}") from None
 
 
 def load_manifest(path, dim: int | None = None) -> EmbeddingDatabase:
@@ -374,10 +390,7 @@ def load_manifest(path, dim: int | None = None) -> EmbeddingDatabase:
         for key in ("emotion_label", "transcript"):
             if entry.get(key, "") is None:
                 raise FormatError(f"manifest entry {entry['id']!r}: {key} is null")
-        try:
-            vec = np.asarray(entry["embedding"], dtype=np.float32)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"manifest entry {entry['id']!r}: bad embedding: {exc}") from None
+        vec = json_vector(entry["embedding"], f"manifest entry {entry['id']!r}: embedding")
         if dim is None and vec.ndim == 1 and vec.size:
             dim = vec.size
         if vec.shape != (dim,):

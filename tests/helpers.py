@@ -44,6 +44,12 @@ def hand_filtered(db, level):
     return EmbeddingDatabase(db.dim, *([col[pos] for pos in rows] for col in columns))
 
 
+def zero_first_centroid(emix: bytes) -> bytes:
+    """EMIX bytes with the first centroid's floats zeroed (they follow the 16-byte header)."""
+    dim = int.from_bytes(emix[12:16], "little")
+    return emix[:16] + bytes(4 * dim) + emix[16 + 4 * dim :]
+
+
 def random_db(rng, n=None, dim=None, n_labels=3, with_metadata=True):
     """A random gaussian database; optionally with messy unicode metadata."""
     if n is None:

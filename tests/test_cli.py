@@ -19,10 +19,11 @@ from emorag import (
     save_db,
     save_frames,
 )
+from emorag import flow
 from emorag.cli import main
 from emorag.flow import FrameSequence
 
-from helpers import build_db
+from helpers import build_db, zero_first_centroid
 
 
 def write_query(path, values):
@@ -186,6 +187,15 @@ def test_import_db_missing_manifest(tmp_path, capsys):
     assert "manifest not found" in capsys.readouterr().err
 
 
+def test_import_db_non_numeric_embedding_is_invalid_input(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    entry = {"id": "a", "emotion_label": "joy", "intensity": "weak", "embedding": ["1.5", True, 2]}
+    manifest.write_text(json.dumps([entry]))
+    assert main(["import-db", "--manifest", str(manifest), "--out", str(tmp_path / "o.emdb")]) == 5
+    assert "holds non-numeric value '1.5'" in capsys.readouterr().err
+    assert not (tmp_path / "o.emdb").exists()
+
+
 def test_import_db_bad_manifest_dim_is_invalid_input(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text('{"dim": "x", "records": []}')
@@ -318,6 +328,26 @@ def test_retrieve_corrupt_db_is_invalid(tmp_path, capsys):
     db_path.write_bytes(b"this is not a database")
     query = write_query(tmp_path / "q.json", [1.0, 0.0])
     assert main(["retrieve", "--db", str(db_path), "--query", str(query)]) == 5
+
+
+def test_retrieve_non_numeric_query_is_invalid(tmp_path, capsys):
+    _, db_path = make_db_file(tmp_path, dim=3)
+    query = tmp_path / "q.json"
+    query.write_text('{"values": ["1.5", true, 2]}')
+    assert main(["retrieve", "--db", str(db_path), "--query", str(query)]) == 5
+    assert "holds non-numeric value '1.5'" in capsys.readouterr().err
+
+
+def test_retrieve_clustering_with_zero_norm_centroid_is_invalid(tmp_path, capsys):
+    db, db_path = make_db_file(tmp_path)
+    index_path = tmp_path / "db.emix"
+    assert main(["build-index", "--db", str(db_path), "--out", str(index_path)]) == 0
+    index_path.write_bytes(zero_first_centroid(index_path.read_bytes()))
+    capsys.readouterr()
+    query = write_query(tmp_path / "q.json", db.matrix[3])
+    argv = ["retrieve", "--db", str(db_path), "--query", str(query), "--method", "clustering"]
+    assert main([*argv, "--index", str(index_path)]) == 5
+    assert "zero-norm centroid" in capsys.readouterr().err
 
 
 def test_retrieve_dim_mismatch_is_invalid(tmp_path, capsys):
@@ -522,6 +552,30 @@ def test_synth_missing_checkpoint_is_exit_4(synth_space, tmp_path, capsys):
     argv[argv.index("--checkpoint") + 1] = str(tmp_path / "missing.ckpt")
     assert main(argv) == 4
     assert "checkpoint not found" in capsys.readouterr().err
+
+
+def test_synth_malformed_checkpoint_table_is_invalid(synth_space, tmp_path, capsys):
+    # the header's table drops b0's shape; the dims fix every entry, so it is a format error
+    raw = synth_space["ckpt_path"].read_bytes()
+    header, payload = flow._unpack_artifact(raw, flow.CHECKPOINT_FORMAT)
+    del header["arrays"][1]["shape"]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(flow._pack_artifact(header, payload))
+    argv = synth_argv(synth_space, tmp_path / "mel.frames")
+    argv[argv.index("--checkpoint") + 1] = str(bad)
+    assert main(argv) == 5
+    assert "checkpoint array table" in capsys.readouterr().err
+
+
+def test_synth_malformed_token_frames_is_invalid(synth_space, tmp_path, capsys):
+    header = {"format": flow.FRAMES_FORMAT, "version": flow.ARTIFACT_VERSION, "num_frames": -2, "dim": -4, "frame_rate_hz": 50.0}
+    (tmp_path / "bad.frames").write_bytes(flow._pack_artifact(header, bytes(64)))
+    token_map = tmp_path / "map.json"
+    token_map.write_text(json.dumps(dict.fromkeys(synth_space["db"].ids, "bad.frames")))
+    argv = synth_argv(synth_space, tmp_path / "mel.frames")
+    argv[argv.index("--tokens") + 1] = str(token_map)
+    assert main(argv) == 5
+    assert "frames header declares -2 frames of dim -4" in capsys.readouterr().err
 
 
 def test_synth_clustering_requires_index(synth_space, tmp_path, capsys):

@@ -126,20 +126,17 @@ def test_upsample_two_frames_has_exact_midpoint():
 
 @pytest.mark.parametrize(
     "length,ratio,expected",
-    [(10, 1.6, 16), (5, 1.5, 8), (2, 1.6, 3), (7, 1.6, 11), (3, 1.6, 5), (100, 1.6, 160)],
+    [(10, 1.6, 16), (2, 1.6, 3), (7, 1.6, 11), (3, 1.6, 5), (100, 1.6, 160)],
 )
 def test_upsample_length_rounds_half_away(length, ratio, expected):
+    assert ratio == flow.UPSAMPLE_RATIO  # the one ratio, fixed by the 50 Hz and 80 Hz rates
     seq = FrameSequence(np.zeros((length, 1)), 50.0)
-    assert upsample_tokens(seq, ratio).num_frames == expected
+    assert upsample_tokens(seq).num_frames == expected
 
 
 def test_upsample_validation():
     with pytest.raises(InvalidParameterError):
         upsample_tokens(FrameSequence(np.zeros((1, 2)), 50.0))
-    with pytest.raises(InvalidParameterError):
-        upsample_tokens(FrameSequence(np.zeros((2, 2)), 50.0), ratio=0.0)
-    with pytest.raises(InvalidParameterError):
-        upsample_tokens(FrameSequence(np.zeros((2, 2)), 50.0), ratio=0.3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -818,6 +815,62 @@ def test_checkpoint_malformed(tmp_path):
     with pytest.raises(MalformedHeaderError):
         (tmp_path / "junk.ckpt").write_bytes(b"\x05\x00\x00\x00junk!")
         load_checkpoint(tmp_path / "junk.ckpt")
+
+
+def _edited_checkpoint(tmp_path, edit, extra_floats):
+    """A saved checkpoint after ``edit(header)``, with ``extra_floats`` floats
+    appended to its payload (removed from its end if negative)."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_vector_field(2, 1, 1, (4,), seed=0), path)
+    header, payload = flow._unpack_artifact(path.read_bytes(), flow.CHECKPOINT_FORMAT)
+    edit(header)
+    payload = payload + bytes(8 * extra_floats) if extra_floats >= 0 else payload[: 8 * extra_floats]
+    path.write_bytes(flow._pack_artifact(header, payload))
+    return path
+
+
+CHECKPOINT_FAULTS = {
+    "entry-without-shape": (lambda h: h["arrays"][1].pop("shape"), 0, FormatError),
+    "arrays-out-of-order": (lambda h: h["arrays"].insert(0, h["arrays"].pop(1)), 0, FormatError),
+    "extra-array": (lambda h: h["arrays"].append({"name": "W9", "shape": [1]}), 1, FormatError),
+    "negative-hidden": (lambda h: h.update(hidden=[-4]), 0, MalformedHeaderError),
+    "payload-one-float-short": (lambda h: None, -1, FormatError),
+    "payload-one-float-long": (lambda h: None, 1, FormatError),
+}
+
+
+@pytest.mark.parametrize("fault", list(CHECKPOINT_FAULTS))
+def test_checkpoint_table_faults_are_format_errors(tmp_path, fault):
+    edit, extra_floats, expected = CHECKPOINT_FAULTS[fault]
+    with pytest.raises(FormatError) as caught:
+        load_checkpoint(_edited_checkpoint(tmp_path, edit, extra_floats))
+    assert type(caught.value) is expected
+
+
+def test_checkpoint_table_is_the_one_its_dims_fix(tmp_path):
+    path = _edited_checkpoint(tmp_path, lambda h: None, 0)
+    header, _ = flow._unpack_artifact(path.read_bytes(), flow.CHECKPOINT_FORMAT)
+    assert header["arrays"] == [
+        {"name": "W0", "shape": [4, 5]},
+        {"name": "b0", "shape": [4]},
+        {"name": "W1", "shape": [2, 4]},
+        {"name": "b1", "shape": [2]},
+    ]
+
+
+@pytest.mark.parametrize("num_frames, dim, payload_bytes", [(-2, -4, 64), (3, 0, 0), (-1, 2, 0)])
+def test_frames_header_with_bad_sizes_is_malformed(tmp_path, num_frames, dim, payload_bytes):
+    header = {
+        "format": flow.FRAMES_FORMAT,
+        "version": flow.ARTIFACT_VERSION,
+        "num_frames": num_frames,
+        "dim": dim,
+        "frame_rate_hz": 50.0,
+    }
+    path = tmp_path / "bad.frames"
+    path.write_bytes(flow._pack_artifact(header, bytes(payload_bytes)))
+    with pytest.raises(MalformedHeaderError, match="frames header declares"):
+        load_frames(path)
 
 
 def test_frames_roundtrip(tmp_path):

@@ -130,9 +130,10 @@ def test_load_embedding_file_rejects_garbage(tmp_path):
     with pytest.raises(FormatError):
         load_embedding_file(not_list)
     non_numeric = tmp_path / "c.json"
-    non_numeric.write_text('["x", "y"]')
-    with pytest.raises(FormatError):
-        load_embedding_file(non_numeric)
+    for text in ('["x", "y"]', '["1.5", true, 2]', '{"values": [1.5, true, 2]}', '[1.5, "2"]'):
+        non_numeric.write_text(text)
+        with pytest.raises(FormatError):
+            load_embedding_file(non_numeric)
 
 
 def test_load_token_map_resolves_relative_paths(tmp_path):

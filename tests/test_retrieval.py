@@ -49,7 +49,14 @@ from emorag import retrieval, store
 from emorag.store import load_db, save_db
 from emorag.synthbench import SyntheticDatasetConfig, generate_synthetic_db, make_query_set
 
-from helpers import LEVELS, build_db, hand_filtered, random_db, reference_retrieve_clustering_based
+from helpers import (
+    LEVELS,
+    build_db,
+    hand_filtered,
+    random_db,
+    reference_retrieve_clustering_based,
+    zero_first_centroid,
+)
 
 
 def brute_force_argmax(db, query):
@@ -200,6 +207,21 @@ def test_index_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "ix.emix"
     save_index(index, path)
     assert serialize_index(load_index(path)) == data
+
+
+def test_index_file_with_a_zero_norm_centroid_fails_at_load(tmp_path):
+    db = build_db(np.eye(3, dtype=np.float32))
+    path = tmp_path / "ix.emix"
+    path.write_bytes(zero_first_centroid(serialize_index(kmeans_fit(db, 2, seed=0))))
+    with pytest.raises(ZeroNormError, match="zero-norm centroid"):
+        load_index(path)
+
+
+def test_unit_centroids_are_frozen_and_equal_the_normalized_centroids():
+    index = kmeans_fit(random_db(np.random.default_rng(4), n=30, dim=5), 3, seed=1)
+    c = index.centroids.astype(np.float64)
+    assert index.unit_centroids.tobytes() == (c / np.linalg.norm(c, axis=1)[:, None]).tobytes()
+    assert not index.unit_centroids.flags.writeable
 
 
 def test_index_malformed_files():

@@ -122,6 +122,37 @@ def test_db_lookup_and_matrix():
     np.testing.assert_allclose(db.unit_matrix, np.eye(3))
 
 
+def _two_rows(matrix):
+    return EmbeddingDatabase(2, matrix, [0, 0], ["a", "b"], ["joy", "joy"], ["", ""], [None, None])
+
+
+def test_db_copies_a_writable_or_borrowed_matrix():
+    writable = np.eye(2, dtype=np.float32)
+    db = _two_rows(writable)
+    writable[0, 0] = 5.0
+    assert db.matrix[0, 0] == 1.0 and not db.matrix.flags.writeable
+    base = np.eye(4, dtype=np.float32)
+    view = base[:2, :2]  # frozen, but the data belongs to ``base``
+    view.flags.writeable = False
+    db = _two_rows(view)
+    base[0, 0] = 7.0
+    assert db.matrix[0, 0] == 1.0
+    for other in (np.eye(2), np.asfortranarray(np.array([[1, 1], [0, 1]], dtype=np.float32))):
+        other.flags.writeable = False
+        assert _two_rows(other).matrix is not other
+
+
+def test_db_keeps_a_frozen_float32_matrix_it_owns():
+    frozen = np.eye(2, dtype=np.float32)
+    frozen.flags.writeable = False
+    assert _two_rows(frozen).matrix is frozen
+    data = serialize_db(build_db(np.eye(3, dtype=np.float32)))
+    loaded = deserialize_db(data)
+    assert loaded.matrix.flags.owndata and not loaded.matrix.flags.writeable
+    sub = filter_by_intensity(loaded, IntensityLevel.WEAK)
+    assert sub.matrix.flags.owndata and not sub.matrix.flags.writeable
+
+
 def test_unit_matrix_zero_norm_record():
     db = build_db(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.float32))
     with pytest.raises(ZeroNormError, match="rec1"):
@@ -513,6 +544,8 @@ _GOOD_ENTRY = {"id": "a", "emotion_label": "joy", "intensity": "weak", "embeddin
         ({"id": 7}, "7"),
         ({"emotion_label": None}, FormatError),
         ({"transcript": None}, FormatError),
+        ({"embedding": ["1.5", 0.0]}, FormatError),
+        ({"embedding": [True, 0.0]}, FormatError),
     ],
     ids=[
         "unknown-intensity",
@@ -526,6 +559,8 @@ _GOOD_ENTRY = {"id": "a", "emotion_label": "joy", "intensity": "weak", "embeddin
         "numeric-id",
         "null-label",
         "null-transcript",
+        "string-component",
+        "bool-component",
     ],
 )
 def test_manifest_second_entry_with_one_fault(tmp_path, fault, expected):
