@@ -15,8 +15,10 @@ intensity-gate subset when it is built, the index each clustered query
 probes (full or its level, with its k), a clustered probe that falls back to
 a full scan because its cluster is empty, and k-means reseeding an empty
 cluster.  ``synth`` adds the nanoseconds each of its file loads took to its
-report as ``load_timings_ns``.  All stochastic commands take ``--seed``
-(default 0) so documented invocations reproduce byte-for-byte.
+report as ``load_timings_ns``.  All stochastic commands take ``--seed`` (a
+non-negative integer, default 0) so documented invocations reproduce
+byte-for-byte.  A flag that several subcommands take is declared once, and
+``retrieve`` and ``synth`` load the inputs their shared flags name alike.
 """
 
 from __future__ import annotations
@@ -86,6 +88,13 @@ def _str_list(text: str) -> list:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _seed(text: str) -> int:
+    seed = int(text)  # argparse reports a ValueError as an invalid value
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _mix(text: str):
     try:
         parts = tuple(float(p) for p in text.split(","))
@@ -96,16 +105,34 @@ def _mix(text: str):
     return parts
 
 
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _need_file(path, what: str) -> Path:
     p = Path(path)
     if not p.exists():
         raise MissingAssetError(f"{what} not found: {p}")
     return p
+
+
+def _timed_load(load_ns: dict, name: str, path, what: str, load):
+    """``load(path)`` of a file that must exist; its nanoseconds go to ``load_ns[name]``."""
+    t0 = time.perf_counter_ns()
+    value = load(_need_file(path, what))
+    load_ns[name] = time.perf_counter_ns() - t0
+    return value
+
+
+def _retrieval_inputs(args, load_ns: dict) -> tuple:
+    """``(db, query, index)`` named by the flags ``retrieve`` and ``synth`` share;
+    ``index`` is the bundle at ``--index`` for clustering, else None."""
+    if args.method == "clustering" and not args.index:
+        raise argparse.ArgumentError(None, "--index is required with --method clustering")
+    db = _timed_load(load_ns, "database", args.db, "database", load_db)
+    query = _timed_load(
+        load_ns, "query", args.query, "query embedding", lambda p: load_embedding_file(p, dim=db.dim)
+    )
+    index = None
+    if args.method == "clustering":
+        index = _timed_load(load_ns, "index", args.index, "cluster index", load_index_bundle)
+    return db, query, index
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +164,7 @@ def cmd_import_db(args) -> int:
 
 def cmd_build_index(args) -> int:
     db = load_db(_need_file(args.db, "database"))
-    bundle = build_index_bundle(db, args.k, max_iters=args.max_iters, seed=args.seed)
+    bundle = build_index_bundle(db, args.k, seed=args.seed)
     for level in IntensityLevel:
         if level not in bundle.by_level:
             print(
@@ -153,27 +180,18 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    method = RetrievalMethod.parse(args.method)
-    if method is RetrievalMethod.CLUSTERING and not args.index:
-        return _usage("--index is required with --method clustering")
-    db = load_db(_need_file(args.db, "database"))
-    query = load_embedding_file(_need_file(args.query, "query embedding"), dim=db.dim)
-    index = None
-    if method is RetrievalMethod.CLUSTERING:
-        index = load_index_bundle(_need_file(args.index, "cluster index"))
-    intensity = IntensityLevel.parse(args.intensity) if args.intensity else None
-    result = retrieve(db, query, method, index=index, intensity=intensity)
+    db, query, index = _retrieval_inputs(args, {})
+    result = retrieve(db, query, args.method, index=index, intensity=args.intensity)
     print(json.dumps(result.to_json_dict(), indent=2))
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
     if args.queries < 1:
-        return _usage("--queries must be a positive integer")
+        raise argparse.ArgumentError(None, "--queries must be a positive integer")
     if not args.sizes or not args.methods:
-        return _usage("--sizes and --methods must be non-empty")
-    methods = [RetrievalMethod.parse(m) for m in args.methods]
-    cells = [(m, s) for m in methods for s in args.sizes]
+        raise argparse.ArgumentError(None, "--sizes and --methods must be non-empty")
+    cells = [(m, s) for m in args.methods for s in args.sizes]
     results = run_benchmark(
         cells,
         n_queries=args.queries,
@@ -210,13 +228,8 @@ def cmd_train_fm(args) -> int:
         total_steps=args.steps,
         seed=args.seed,
     )
-    hidden = tuple(args.hidden)
-    model = init_vector_field(
-        args.state_dim, args.token_dim, args.spk_dim, hidden, seed=args.seed
-    )
-    sampler = linear_map_task(
-        args.state_dim, args.token_dim, args.spk_dim, scale=args.scale, seed=args.seed
-    )
+    model = init_vector_field(args.state_dim, args.token_dim, args.spk_dim, args.hidden, seed=args.seed)
+    sampler = linear_map_task(args.state_dim, args.token_dim, args.spk_dim, seed=args.seed)
     losses = train_vector_field(model, sampler, config)
     save_checkpoint(model, args.out)
     loss_log = args.loss_log or Path(args.out).with_suffix(".loss.csv")
@@ -234,31 +247,15 @@ def cmd_train_fm(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    method = RetrievalMethod.parse(args.method)
-    if method is RetrievalMethod.CLUSTERING and not args.index:
-        return _usage("--index is required with --method clustering")
     load_ns = {}
-
-    def timed_load(name, path, what, load):
-        t0 = time.perf_counter_ns()
-        value = load(_need_file(path, what))
-        load_ns[name] = time.perf_counter_ns() - t0
-        return value
-
-    db = timed_load("database", args.db, "database", load_db)
-    model = timed_load("checkpoint", args.checkpoint, "checkpoint", load_checkpoint)
-    query = timed_load(
-        "query", args.query, "query embedding", lambda p: load_embedding_file(p, dim=db.dim)
-    )
-    token_map = timed_load("token_map", args.tokens, "token map", load_token_map)
-    index = None
-    if method is RetrievalMethod.CLUSTERING:
-        index = timed_load("index", args.index, "cluster index", load_index_bundle)
+    db, query, index = _retrieval_inputs(args, load_ns)
+    model = _timed_load(load_ns, "checkpoint", args.checkpoint, "checkpoint", load_checkpoint)
+    token_map = _timed_load(load_ns, "token_map", args.tokens, "token map", load_token_map)
     request = SynthesisRequest(
         reference=query,
         target_text=args.text,
-        method=method,
-        intensity=IntensityLevel.parse(args.intensity) if args.intensity else None,
+        method=args.method,
+        intensity=args.intensity,
         seed=args.seed,
     )
     report = run_inference(
@@ -288,41 +285,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"emorag {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by several subcommands, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_seed, default=0)
+    db_flag = argparse.ArgumentParser(add_help=False)
+    db_flag.add_argument("--db", required=True)
+    retrieval = argparse.ArgumentParser(add_help=False, parents=[db_flag])
+    retrieval.add_argument("--query", required=True, help="JSON embedding file")
+    retrieval.add_argument("--method", choices=["embedding", "clustering"], default="embedding")
+    retrieval.add_argument("--index", default=None)
+    retrieval.add_argument("--intensity", choices=["weak", "normal", "strong"], default=None)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic emotion database")
+    p = sub.add_parser("gen-data", parents=[seeded, out], help="generate a synthetic emotion database")
     p.add_argument("--emotions", type=int, default=4)
     p.add_argument("--per-emotion", type=int, default=750)
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--sigma", type=float, default=0.05)
     p.add_argument("--spread", type=float, default=10.0)
     p.add_argument("--mix", type=_mix, default=(0.25, 0.5, 0.25))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("import-db", help="build a database file from a JSON manifest")
+    p = sub.add_parser("import-db", parents=[out], help="build a database file from a JSON manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_import_db)
 
-    p = sub.add_parser("build-index", help="fit cluster indexes (full + per intensity)")
-    p.add_argument("--db", required=True)
+    p = sub.add_parser(
+        "build-index", parents=[db_flag, seeded, out], help="fit cluster indexes (full + per intensity)"
+    )
     p.add_argument("--k", type=int, default=None, help="clusters; default = distinct labels")
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_index)
 
-    p = sub.add_parser("retrieve", help="retrieve the best prompt for a query embedding")
-    p.add_argument("--db", required=True)
-    p.add_argument("--query", required=True, help="JSON embedding file")
-    p.add_argument("--method", choices=["embedding", "clustering"], default="embedding")
-    p.add_argument("--index", default=None)
-    p.add_argument("--intensity", choices=["weak", "normal", "strong"], default=None)
+    p = sub.add_parser(
+        "retrieve", parents=[retrieval], help="retrieve the best prompt for a query embedding"
+    )
     p.set_defaults(func=cmd_retrieve)
 
-    p = sub.add_parser("bench", help="run the method x size retrieval benchmark")
+    p = sub.add_parser("bench", parents=[seeded, out], help="run the method x size retrieval benchmark")
     p.add_argument("--sizes", type=_int_list, default=[3000, 8000])
     p.add_argument("--methods", type=_str_list, default=["embedding", "clustering"])
     p.add_argument("--queries", type=int, default=1000)
@@ -330,44 +331,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=128)
     p.add_argument("--sigma", type=float, default=0.05)
     p.add_argument("--spread", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("train-fm", help="train the vector field on a synthetic token-to-mel task")
+    p = sub.add_parser(
+        "train-fm", parents=[seeded, out], help="train the vector field on a synthetic token-to-mel task"
+    )
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--state-dim", type=int, default=80, help="output (mel) dimension")
     p.add_argument("--token-dim", type=int, default=8)
     p.add_argument("--spk-dim", type=int, default=8)
     p.add_argument("--hidden", type=_int_list, default=[64, 64])
-    p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--loss-log", default=None, help="CSV path; default <out>.loss.csv")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_fm)
 
-    p = sub.add_parser("synth", help="full inference: retrieve, assemble, generate, write mel")
-    p.add_argument("--db", required=True)
+    p = sub.add_parser(
+        "synth",
+        parents=[retrieval, seeded, out],
+        help="full inference: retrieve, assemble, generate, write mel",
+    )
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--query", required=True, help="JSON reference-embedding file")
     p.add_argument("--tokens", required=True, help="JSON token map: record id -> frames file")
     p.add_argument("--text", required=True)
-    p.add_argument("--method", choices=["embedding", "clustering"], default="embedding")
-    p.add_argument("--index", default=None)
-    p.add_argument("--intensity", choices=["weak", "normal", "strong"], default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ode-steps", type=int, default=32)
     p.add_argument("--report", default=None, help="also write the JSON report here")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     return parser
 
 
 def _exit_code_for(exc: BaseException) -> int:
+    if isinstance(exc, argparse.ArgumentError):
+        return EXIT_USAGE
     if isinstance(exc, StageError):
         return _exit_code_for(exc.__cause__) if exc.__cause__ is not None else EXIT_UNEXPECTED
     if isinstance(exc, (EmptySubsetError, EmptyDatabaseError)):
@@ -388,7 +385,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (EmoragError, OSError) as exc:
+    except (argparse.ArgumentError, EmoragError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
     except Exception as exc:  # pragma: no cover - safety net

@@ -22,7 +22,7 @@ BLAS threads do not oversubscribe the cores and numpy's one-core elementwise
 work uses them all.
 
 Training notes, learned the hard way on this loss: the mean-over-everything
-L1 makes each weight's gradient magnitude scale like 1/state_dim (the sign
+L1 makes each weight's gradient magnitude go as 1/state_dim (the sign
 pattern is dense but tiny), so useful learning rates grow with the output
 dimension; and because sign gradients never shrink near the optimum, a fixed
 step size leaves the parameters jittering at a floor proportional to the
@@ -54,7 +54,7 @@ from .errors import (
     NonFiniteValueError,
     TrainingDivergenceError,
 )
-from .util import atomic_write_bytes, openblas_threads
+from .util import atomic_write_bytes, json_int, openblas_threads
 
 TOKEN_RATE_HZ = 50.0
 MEL_RATE_HZ = 80.0
@@ -211,11 +211,16 @@ class VectorFieldModel:
 
     @property
     def input_dim(self) -> int:
-        return self.state_dim + self.cond_dim + self.spk_dim + 1
+        return self.layer_sizes[0]
 
     @property
     def layer_sizes(self) -> tuple:
-        return (self.input_dim, *self.hidden, self.state_dim)
+        return mlp_sizes(self.state_dim, self.cond_dim, self.spk_dim, self.hidden)
+
+
+def mlp_sizes(state_dim: int, cond_dim: int, spk_dim: int, hidden) -> tuple:
+    """Layer widths of a vector field: its ``[state, cond, spk, t]`` input, ``hidden``, its state output."""
+    return (state_dim + cond_dim + spk_dim + 1, *hidden, state_dim)
 
 
 def init_vector_field(
@@ -226,7 +231,7 @@ def init_vector_field(
     seed: int = 0,
 ) -> VectorFieldModel:
     """Glorot-uniform weights, zero biases, deterministic under ``seed``."""
-    sizes = (state_dim + cond_dim + spk_dim + 1, *tuple(hidden), state_dim)
+    sizes = mlp_sizes(state_dim, cond_dim, spk_dim, hidden)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -491,7 +496,7 @@ def generate_mel(
 
 @dataclass
 class FlowTrainConfig:
-    """Desk-scale training hyperparameters.
+    """Desk-sized training hyperparameters.
 
     ``total_steps=0`` is allowed (a checkpoint of the fresh initialization);
     everything else must be strictly positive.
@@ -537,7 +542,7 @@ def train_vector_field(
     return losses
 
 
-def linear_map_task(state_dim: int, cond_dim: int, spk_dim: int, *, scale: float = 1.0, seed: int = 0):
+def linear_map_task(state_dim: int, cond_dim: int, spk_dim: int, *, seed: int = 0):
     """Noiseless synthetic task: transport zero to A·cond.
 
     The target field is exactly reachable (u = A·cond, no irreducible error),
@@ -545,7 +550,7 @@ def linear_map_task(state_dim: int, cond_dim: int, spk_dim: int, *, scale: float
     an L1 objective.
     """
     A = np.random.default_rng(seed).standard_normal((state_dim, cond_dim)) * (
-        scale / math.sqrt(cond_dim)
+        1.0 / math.sqrt(cond_dim)
     )
 
     def sampler(rng: np.random.Generator, batch_size: int) -> FlowBatch:
@@ -641,16 +646,12 @@ def load_checkpoint(path) -> VectorFieldModel:
     """The model in a checkpoint whose ``arrays`` and payload are exactly the
     ``W0, b0, W1, b1, ...`` table of the sizes its header gives."""
     header, payload = _unpack_artifact(Path(path).read_bytes(), CHECKPOINT_FORMAT)
-    try:
-        dims = [int(header[k]) for k in ("state_dim", "cond_dim", "spk_dim")]
-        hidden = tuple(int(h) for h in header["hidden"])
-        arrays = header["arrays"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedHeaderError(f"checkpoint header missing or malformed field: {exc}") from None
-    if min(dims + list(hidden)) <= 0:
-        raise MalformedHeaderError(f"checkpoint sizes must be positive, got dims {dims} and hidden {hidden}")
-    table = _array_table((sum(dims) + 1, *hidden, dims[0]))
-    if arrays != table:
+    dims = [header.get(k) for k in ("state_dim", "cond_dim", "spk_dim")]
+    hidden = header.get("hidden")
+    if not (isinstance(hidden, list) and all(json_int(v, 1) for v in [*dims, *hidden])):
+        raise MalformedHeaderError(f"checkpoint sizes must be positive integers: dims {dims}, hidden {hidden!r}")
+    table = _array_table(mlp_sizes(*dims, hidden))
+    if header.get("arrays") != table:
         raise FormatError("checkpoint array table is not the W0, b0, W1, b1, ... table its dims fix")
     counts = [math.prod(entry["shape"]) for entry in table]
     if len(payload) != 8 * sum(counts):
@@ -674,14 +675,9 @@ def save_frames(seq: FrameSequence, path) -> None:
 
 def load_frames(path) -> FrameSequence:
     header, payload = _unpack_artifact(Path(path).read_bytes(), FRAMES_FORMAT)
-    try:
-        T = int(header["num_frames"])
-        D = int(header["dim"])
-        rate = float(header["frame_rate_hz"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedHeaderError(f"frames header missing or malformed field: {exc}") from None
-    if T < 0 or D < 1:
-        raise MalformedHeaderError(f"frames header declares {T} frames of dim {D}")
+    T, D, rate = (header.get(k) for k in ("num_frames", "dim", "frame_rate_hz"))
+    if not (json_int(T, 0) and json_int(D, 1) and type(rate) in (int, float)):
+        raise MalformedHeaderError(f"frames header declares {T!r} frames of dim {D!r} at {rate!r} Hz")
     if len(payload) != 8 * T * D:
         raise FormatError(
             f"frames payload has {len(payload)} bytes, header declares {8 * T * D}"

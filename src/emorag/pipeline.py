@@ -37,7 +37,7 @@ from .flow import (
 )
 from .retrieval import RetrievalMethod, RetrievalResult, retrieve
 from .store import EmbeddingDatabase, EmotionEmbedding, IntensityLevel, json_vector
-from .util import atomic_write_text
+from .util import atomic_write_text, read_json
 
 FRAMES_PER_CHAR = 4
 SPEAKER_DIM = 8
@@ -89,10 +89,7 @@ def derive_speaker(reference: EmotionEmbedding) -> SpeakerEmbedding:
 
 def load_embedding_file(path, dim: int | None = None) -> EmotionEmbedding:
     """Read a query embedding from JSON: a bare list or ``{"values": [...]}``."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"embedding file is not valid JSON: {exc}") from None
+    payload = read_json(path, "embedding file")
     if isinstance(payload, dict):
         payload = payload.get("values")
     if not isinstance(payload, list):
@@ -109,14 +106,10 @@ def load_token_map(path) -> dict:
     Relative paths resolve against the map file's own directory, so fixture
     trees stay relocatable.
     """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"token map is not valid JSON: {exc}") from None
+    payload = read_json(path, "token map")
     if not isinstance(payload, dict):
         raise FormatError("token map must be a JSON object of id -> path")
-    base = path.parent
+    base = Path(path).parent
     out = {}
     for rid, rel in payload.items():
         if not isinstance(rel, str):

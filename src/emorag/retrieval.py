@@ -14,8 +14,8 @@ copy, in ascending position, and the winner maps back through the order.  The
 price is one float64 copy of the indexed rows per queried index (8 MB for
 8,000 rows at dim 128), held as long as the index is.
 
-Clustering is spherical k-means: rows are unit-normalized, Lloyd iterations
-minimize squared euclidean distance (which is monotone in cosine on the
+Clustering is spherical k-means: rows are unit-normalized, at most 100 Lloyd
+iterations minimize squared euclidean distance (monotone in cosine on the
 sphere), and the centroid update is the normalized mean — the exact minimizer
 of within-cluster squared distance over unit vectors, so inertia never
 increases.  All ties (seeding, assignment, argmax) break to the lowest index,
@@ -27,10 +27,12 @@ wherever it sits in the scanned matrix, so an exact copy of the best row ties
 with it and ``argmax`` alone keeps the lower position; and the scan stays on
 one core at any database size, so its latency scales with the row count.
 
-Index files record a fingerprint of the database they were built from; lookups
-against a database with a different fingerprint fail rather than silently
-returning positions from the wrong snapshot.  A zero-norm centroid fails at
-load, where the index normalizes its centroids, not at its first query.
+An EMIX index file is the EMDB header (:data:`~emorag.store.HEADER`, with k
+and dim for sizes), f32 centroids, a u32 count and u32 assignments, and the
+fingerprint of the database it was built from, read through the same bounded
+reader as EMDB; lookups against a database with another fingerprint fail
+rather than silently returning positions from the wrong snapshot.  A
+zero-norm centroid fails at load, where the index normalizes its centroids.
 """
 
 from __future__ import annotations
@@ -56,8 +58,10 @@ from .errors import (
     ZeroNormError,
 )
 from .store import (
+    HEADER,
     EmbeddingDatabase,
     EmotionEmbedding,
+    HeaderedFile,
     IntensityLevel,
     filter_by_intensity,
 )
@@ -66,6 +70,7 @@ from .util import atomic_write_bytes, log
 EMIX_MAGIC = b"EMIX"
 EMIX_VERSION = 1
 FINGERPRINT_BYTES = 32
+KMEANS_MAX_ITERS = 100
 
 
 class RetrievalMethod(enum.Enum):
@@ -226,20 +231,25 @@ def _plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return chosen
 
 
+def _nearest(X: np.ndarray, centroids: np.ndarray) -> tuple:
+    """``(assign, point_d2, inertia)``: each unit row's nearest centroid (ties to the lowest),
+    its squared distance ``1 + ||c||^2 - 2 x.c`` to it, and the sum of those clipped at 0."""
+    d2 = 1.0 + np.sum(centroids * centroids, axis=1)[None, :] - 2.0 * (X @ centroids.T)
+    assign = np.argmin(d2, axis=1)
+    point_d2 = np.take_along_axis(d2, assign[:, None], axis=1).ravel()
+    return assign, point_d2, float(np.maximum(point_d2, 0.0).sum())
+
+
 def kmeans_fit(
-    db: EmbeddingDatabase,
-    k: int,
-    *,
-    max_iters: int = 100,
-    seed: int = 0,
-    return_history: bool = False,
+    db: EmbeddingDatabase, k: int, *, seed: int = 0, return_history: bool = False
 ):
     """Fit spherical k-means over the database embeddings.
 
-    Runs Lloyd's algorithm in float64 on unit-normalized rows with k-means++
-    seeding, then freezes the centroids to float32 and recomputes assignments
-    and inertia against the frozen values, so the returned index satisfies
-    assignment-is-nearest-centroid exactly as stored.
+    Runs at most :data:`KMEANS_MAX_ITERS` Lloyd iterations in float64 on
+    unit-normalized rows with k-means++ seeding, then freezes the centroids to
+    float32 and recomputes assignments and inertia against the frozen values,
+    so the returned index satisfies assignment-is-nearest-centroid exactly as
+    stored.
 
     With ``return_history=True`` also returns the per-iteration inertia list
     (evaluated after each assignment step).
@@ -251,8 +261,6 @@ def kmeans_fit(
         raise InvalidParameterError(f"k must be an integer, got {k!r}")
     if k < 1 or k > n:
         raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
-    if max_iters < 1:
-        raise InvalidParameterError(f"max_iters must be >= 1, got {max_iters}")
     k = int(k)
     rng = np.random.default_rng(seed)
     X = db.unit_matrix  # (n, dim) float64, rows unit
@@ -260,12 +268,9 @@ def kmeans_fit(
 
     history = []
     prev_assign = None
-    for _ in range(max_iters):
-        # squared distance on the sphere: ||x - c||^2 = 1 + ||c||^2 - 2 x.c
-        d2 = 1.0 + np.sum(centroids * centroids, axis=1)[None, :] - 2.0 * (X @ centroids.T)
-        assign = np.argmin(d2, axis=1)
-        point_d2 = np.take_along_axis(d2, assign[:, None], axis=1).ravel()
-        history.append(float(np.maximum(point_d2, 0.0).sum()))
+    for _ in range(KMEANS_MAX_ITERS):
+        assign, point_d2, inertia = _nearest(X, centroids)
+        history.append(inertia)
 
         counts = np.bincount(assign, minlength=k)
         empty = np.nonzero(counts == 0)[0]
@@ -291,12 +296,7 @@ def kmeans_fit(
         # a zero-sum cluster (perfectly antipodal members) keeps its centroid
 
     frozen = centroids.astype(np.float32)
-    c64 = frozen.astype(np.float64)
-    d2 = 1.0 + np.sum(c64 * c64, axis=1)[None, :] - 2.0 * (X @ c64.T)
-    final_assign = np.argmin(d2, axis=1).astype(np.uint32)
-    final_inertia = float(
-        np.maximum(np.take_along_axis(d2, final_assign[:, None].astype(np.int64), axis=1), 0.0).sum()
-    )
+    final_assign, _, final_inertia = _nearest(X, frozen.astype(np.float64))
     index = ClusterIndex(
         k=k,
         centroids=frozen,
@@ -399,11 +399,7 @@ class IndexBundle:
 
 
 def build_index_bundle(
-    db: EmbeddingDatabase,
-    k: int | None = None,
-    *,
-    max_iters: int = 100,
-    seed: int = 0,
+    db: EmbeddingDatabase, k: int | None = None, *, seed: int = 0
 ) -> IndexBundle:
     """Fit the full-database index and one per non-empty intensity subset.
 
@@ -411,15 +407,12 @@ def build_index_bundle(
     for each subset; an explicit ``k`` applies everywhere and must fit the
     smallest subset it is used on.
     """
-    full = kmeans_fit(db, k if k is not None else default_k(db), max_iters=max_iters, seed=seed)
-    by_level = {}
-    for level in IntensityLevel:
-        sub = filter_by_intensity(db, level)
-        if len(sub) == 0:
-            continue
-        k_sub = k if k is not None else default_k(sub)
-        by_level[level] = kmeans_fit(sub, k_sub, max_iters=max_iters, seed=seed)
-    return IndexBundle(full=full, by_level=by_level)
+    def fit(part: EmbeddingDatabase) -> ClusterIndex:
+        return kmeans_fit(part, k if k is not None else default_k(part), seed=seed)
+
+    full = fit(db)
+    subsets = ((level, filter_by_intensity(db, level)) for level in IntensityLevel)
+    return IndexBundle(full=full, by_level={level: fit(sub) for level, sub in subsets if len(sub)})
 
 
 def retrieve(
@@ -464,11 +457,9 @@ def retrieve(
 # ---------------------------------------------------------------------------
 # index serialization
 
-_IX_HEADER = struct.Struct("<4sIII")
-
 
 def serialize_index(index: ClusterIndex) -> bytes:
-    out = [_IX_HEADER.pack(EMIX_MAGIC, EMIX_VERSION, index.k, index.dim)]
+    out = [HEADER.pack(EMIX_MAGIC, EMIX_VERSION, index.k, index.dim)]
     out.append(np.ascontiguousarray(index.centroids, dtype="<f4").tobytes())
     out.append(struct.pack("<I", index.assignments.shape[0]))
     out.append(np.ascontiguousarray(index.assignments, dtype="<u4").tobytes())
@@ -477,38 +468,15 @@ def serialize_index(index: ClusterIndex) -> bytes:
 
 
 def deserialize_index(data: bytes) -> ClusterIndex:
-    if len(data) < _IX_HEADER.size:
-        raise MalformedHeaderError(
-            f"file too short for header: {len(data)} bytes, need {_IX_HEADER.size}"
-        )
-    magic, version, k, dim = _IX_HEADER.unpack_from(data, 0)
-    if magic != EMIX_MAGIC:
-        raise MalformedHeaderError(f"bad magic {magic!r}, expected {EMIX_MAGIC!r}")
-    if version != EMIX_VERSION:
-        raise MalformedHeaderError(f"unsupported version {version}")
+    body = HeaderedFile(data, EMIX_MAGIC, EMIX_VERSION)
+    k, dim = body.sizes
     if k == 0 or dim == 0:
         raise MalformedHeaderError("k and dim must be positive")
-    pos = _IX_HEADER.size
-    need = 4 * k * dim
-    if pos + need > len(data):
-        raise FormatError("truncated file: centroid block ends early")
-    centroids = np.frombuffer(data[pos : pos + need], dtype="<f4").reshape(k, dim)
-    pos += need
-    if pos + 4 > len(data):
-        raise FormatError("truncated file: missing assignment count")
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    need = 4 * count
-    if pos + need > len(data):
-        raise FormatError("truncated file: assignment block ends early")
-    assignments = np.frombuffer(data[pos : pos + need], dtype="<u4")
-    pos += need
-    if pos + FINGERPRINT_BYTES > len(data):
-        raise FormatError("truncated file: missing fingerprint")
-    fingerprint = bytes(data[pos : pos + FINGERPRINT_BYTES])
-    pos += FINGERPRINT_BYTES
-    if pos != len(data):
-        raise FormatError(f"{len(data) - pos} trailing bytes after fingerprint")
+    centroids = np.frombuffer(body.take(4 * k * dim, "centroids"), dtype="<f4").reshape(k, dim)
+    (count,) = struct.unpack("<I", body.take(4, "assignment count"))
+    assignments = np.frombuffer(body.take(4 * count, "assignments"), dtype="<u4")
+    fingerprint = bytes(body.take(FINGERPRINT_BYTES, "fingerprint"))
+    body.finish("the fingerprint")
     if count and int(assignments.max()) >= k:
         raise FormatError("assignment refers to a cluster >= k")
     # inertia belongs to the fit, not the file; without the database it cannot

@@ -27,14 +27,15 @@ On-disk layout (little-endian throughout)::
 
 An empty database is exactly the 16-byte header.  Serialization is canonical:
 the same database always produces the same bytes, which is what makes the
-sha256 fingerprint below meaningful.
+sha256 fingerprint below meaningful.  EMIX index files share the header's
+layout (:data:`HEADER`); :class:`HeaderedFile` checks it and bounds every
+read of either format's body.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,11 +51,11 @@ from .errors import (
     NonFiniteValueError,
     ZeroNormError,
 )
-from .util import atomic_write_bytes, log
+from .util import atomic_write_bytes, json_int, log, read_json
 
 EMDB_MAGIC = b"EMDB"
 EMDB_VERSION = 1
-_HEADER = struct.Struct("<4sIII")
+HEADER = struct.Struct("<4sIII")  # magic, version, two u32 sizes: EMDB dim, count; EMIX k, dim
 _U16 = struct.Struct("<H")
 
 
@@ -254,7 +255,7 @@ def _pack_str(text: str, what: str, rid: str) -> bytes:
 def _emdb_pieces(db: EmbeddingDatabase):
     """The EMDB v1 bytes of ``db`` in order, as pieces: each record's fields,
     then its vector as a memoryview of the matrix (no copy)."""
-    yield _HEADER.pack(EMDB_MAGIC, EMDB_VERSION, db.dim, len(db))
+    yield HEADER.pack(EMDB_MAGIC, EMDB_VERSION, db.dim, len(db))
     vectors = memoryview(np.ascontiguousarray(db.matrix, dtype="<f4").reshape(-1).view(np.uint8))
     codes = db.intensity_codes.tobytes()
     step = 4 * db.dim
@@ -279,65 +280,80 @@ def save_db(db: EmbeddingDatabase, path) -> None:
     atomic_write_bytes(path, serialize_db(db))
 
 
+class HeaderedFile:
+    """An EMDB or EMIX file read forward after its :data:`HEADER`, whose two sizes are ``sizes``.
+
+    A short header, another magic or version: :class:`MalformedHeaderError`.  A read past
+    the end, or bytes left at :meth:`finish`: :class:`FormatError`, its text built only then.
+    """
+
+    def __init__(self, data: bytes, magic: bytes, version: int):
+        if len(data) < HEADER.size:
+            raise MalformedHeaderError(f"file too short for header: {len(data)} bytes, need {HEADER.size}")
+        got, got_version, *self.sizes = HEADER.unpack_from(data, 0)
+        if got != magic:
+            raise MalformedHeaderError(f"bad magic {got!r}, expected {magic!r}")
+        if got_version != version:
+            raise MalformedHeaderError(f"unsupported version {got_version}")
+        self.data, self.pos = data, HEADER.size
+
+    def take(self, n: int, what: str) -> bytes:
+        """The next ``n`` bytes, as a slice of the file's ``bytes``."""
+        pos = self.pos
+        if pos + n > len(self.data):
+            raise FormatError(f"truncated file: ran out of bytes reading {what}")
+        self.pos = pos + n
+        return self.data[pos : pos + n]
+
+    def finish(self, what: str) -> None:
+        if self.pos != len(self.data):
+            raise FormatError(f"{len(self.data) - self.pos} trailing bytes after {what}")
+
+
 def deserialize_db(data: bytes) -> EmbeddingDatabase:
-    if len(data) < _HEADER.size:
-        raise MalformedHeaderError(
-            f"file too short for header: {len(data)} bytes, need {_HEADER.size}"
-        )
-    magic, version, dim, count = _HEADER.unpack_from(data, 0)
-    if magic != EMDB_MAGIC:
-        raise MalformedHeaderError(f"bad magic {magic!r}, expected {EMDB_MAGIC!r}")
-    if version != EMDB_VERSION:
-        raise MalformedHeaderError(f"unsupported version {version}")
+    body = HeaderedFile(data, EMDB_MAGIC, EMDB_VERSION)
+    dim, count = body.sizes
     if dim == 0:
         raise MalformedHeaderError("header dim must be positive")
-    pos = _HEADER.size
+    take = body.take
 
-    def take(n: int, what: str, i: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise FormatError(f"truncated file: ran out of bytes reading {what} of record {i}")
-        pos += n
-        return data[pos - n : pos]
-
-    def string(what: str, i: int) -> str:
-        try:
-            return take(_U16.unpack(take(2, what + " length", i))[0], what, i).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"invalid UTF-8 in {what} of record {i}: {exc}") from None
+    def string(what: str) -> str:
+        return take(_U16.unpack(take(2, what))[0], what).decode("utf-8")
 
     vec_bytes = 4 * dim
     # at most as many rows as the remaining bytes can hold, so that a header
     # claiming more records than the file has allocates no more than the file
-    matrix = np.empty((min(count, (len(data) - pos) // vec_bytes), dim), dtype="<f4")
+    matrix = np.empty((min(count, (len(data) - body.pos) // vec_bytes), dim), dtype="<f4")
     rows, view = memoryview(matrix.reshape(-1).view(np.uint8)), memoryview(data)
     ids, labels, codes, transcripts, audio_refs = [], [], [], [], []
-    for i in range(count):
-        rid = string("id", i)
-        labels.append(string("label", i))
-        codes.append(take(1, "intensity", i)[0])
-        transcripts.append(string("transcript", i))
-        flag = take(1, "audio_ref flag", i)[0]
-        if flag not in (0, 1):
-            raise FormatError(f"record {rid!r}: audio_ref flag must be 0 or 1, got {flag}")
-        audio_refs.append(string("audio_ref", i) if flag else None)
-        if pos + vec_bytes > len(data):
-            have = (len(data) - pos) // 4
-            raise DimensionMismatchError(
-                f"record {rid!r}: vector data ends early ({have} of {dim} floats present)"
-            )
-        rows[i * vec_bytes : (i + 1) * vec_bytes] = view[pos : pos + vec_bytes]
-        pos += vec_bytes
-        ids.append(rid)
-    if pos != len(data):
-        raise FormatError(f"{len(data) - pos} trailing bytes after last record")
+    try:
+        for i in range(count):
+            rid = string("id")
+            labels.append(string("label"))
+            codes.append(take(1, "intensity")[0])
+            transcripts.append(string("transcript"))
+            flag = take(1, "audio_ref flag")[0]
+            if flag not in (0, 1):
+                raise FormatError(f"audio_ref flag must be 0 or 1, got {flag}")
+            audio_refs.append(string("audio_ref") if flag else None)
+            pos = body.pos
+            if pos + vec_bytes > len(data):
+                have = (len(data) - pos) // 4
+                raise DimensionMismatchError(
+                    f"record {rid!r}: vector data ends early ({have} of {dim} floats present)"
+                )
+            rows[i * vec_bytes : (i + 1) * vec_bytes] = view[pos : pos + vec_bytes]
+            body.pos = pos + vec_bytes
+            ids.append(rid)
+    except (FormatError, UnicodeDecodeError) as exc:  # the latter from a string field
+        raise FormatError(f"record {i}: {exc}") from None
+    body.finish("the last record")
     matrix.flags.writeable = False
     return EmbeddingDatabase(dim, matrix, codes, ids, labels, transcripts, audio_refs)
 
 
 def load_db(path) -> EmbeddingDatabase:
-    data = Path(path).read_bytes()
-    return deserialize_db(data)
+    return deserialize_db(Path(path).read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +379,14 @@ def load_manifest(path, dim: int | None = None) -> EmbeddingDatabase:
     optional.  ``dim`` (argument or manifest key) is required only when the
     record list is empty, otherwise it is validated against the data.
     """
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest is not valid JSON: {exc}") from None
+    payload = read_json(path, "manifest")
     if isinstance(payload, dict):
         entries = payload.get("records")
         if entries is None:
             raise FormatError("manifest object must contain a 'records' list")
         if dim is None and "dim" in payload:
             dim = payload["dim"]
-            if type(dim) is not int or dim <= 0:
+            if not json_int(dim, 1):
                 raise FormatError(f"manifest dim must be a positive integer, got {dim!r}")
     elif isinstance(payload, list):
         entries = payload

@@ -72,9 +72,9 @@ class SyntheticDatasetConfig:
                 f"center_spread must be > 0, got {self.center_spread}"
             )
         mix = tuple(float(f) for f in self.intensity_mix)
-        if len(mix) != 3 or any(f < 0.0 for f in mix):
+        if len(mix) != 3 or not all(math.isfinite(f) and f >= 0.0 for f in mix):
             raise InvalidParameterError(
-                "intensity_mix must be three non-negative fractions"
+                "intensity_mix must be three finite non-negative fractions"
             )
         if abs(sum(mix) - 1.0) > 1e-9:
             raise InvalidParameterError(
@@ -227,8 +227,6 @@ def run_benchmark(
     cells = [(RetrievalMethod.parse(m), int(s)) for m, s in cells]
     if not cells:
         raise InvalidParameterError("benchmark needs at least one cell")
-    if int(n_queries) < 1:
-        raise InvalidParameterError(f"n_queries must be >= 1, got {n_queries}")
 
     sizes = sorted({s for _, s in cells})
     built = {}

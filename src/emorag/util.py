@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import json
 import logging
 import os
 import tempfile
 from pathlib import Path
+
+from .errors import FormatError
 
 log = logging.getLogger("emorag")
 
@@ -27,6 +30,19 @@ def openblas_threads():
             put.argtypes, put.restype = [ctypes.c_int], None
             return get, put
     return None
+
+
+def json_int(value, least: int) -> bool:
+    """Whether ``value`` is a JSON integer of at least ``least`` (a bool or float is not)."""
+    return type(value) is int and value >= least
+
+
+def read_json(path, what: str):
+    """The JSON value in the file at ``path``; :class:`FormatError` naming ``what`` if it is not UTF-8 JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{what} is not valid JSON: {exc}") from None
 
 
 def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:

@@ -155,6 +155,27 @@ def test_gen_data_wrong_mix_arity_is_usage_error(tmp_path, capsys):
     assert main(["gen-data", "--mix", "0.5,0.5", "--out", str(tmp_path / "db.emdb")]) == 2
 
 
+def test_gen_data_non_finite_mix_is_invalid(tmp_path, capsys):
+    assert main(["gen-data", "--mix", "nan,0.5,0.5", "--out", str(tmp_path / "db.emdb")]) == 5
+    assert "intensity_mix must be three finite non-negative fractions" in capsys.readouterr().err
+    assert not (tmp_path / "db.emdb").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "build-index", "bench", "train-fm", "synth"])
+def test_negative_seed_is_usage_error(synth_space, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "gen-data": ["gen-data", "--out", str(out)],
+        "build-index": ["build-index", "--db", str(synth_space["db_path"]), "--out", str(out)],
+        "bench": ["bench", "--sizes", "8", "--queries", "1", "--emotions", "2", "--out", str(out)],
+        "train-fm": ["train-fm", "--steps", "1", "--out", str(out)],
+        "synth": synth_argv(synth_space, out),
+    }[command]
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert "--seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_import_db_round_trip(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(
@@ -194,6 +215,13 @@ def test_import_db_non_numeric_embedding_is_invalid_input(tmp_path, capsys):
     assert main(["import-db", "--manifest", str(manifest), "--out", str(tmp_path / "o.emdb")]) == 5
     assert "holds non-numeric value '1.5'" in capsys.readouterr().err
     assert not (tmp_path / "o.emdb").exists()
+
+
+def test_import_db_manifest_that_is_not_utf8_is_invalid_input(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(b"\xff[")
+    assert main(["import-db", "--manifest", str(manifest), "--out", str(tmp_path / "o.emdb")]) == 5
+    assert "error: manifest is not valid JSON" in capsys.readouterr().err
 
 
 def test_import_db_bad_manifest_dim_is_invalid_input(tmp_path, capsys):
@@ -514,8 +542,8 @@ def test_synth_reports_each_load(synth_space, tmp_path, capsys):
     index_path = tmp_path / "db.emix"
     assert main(["build-index", "--db", str(synth_space["db_path"]), "--out", str(index_path)]) == 0
     capsys.readouterr()
-    loads = ["database", "checkpoint", "query", "token_map"]
-    for method, want in (("embedding", loads), ("clustering", [*loads, "index"])):
+    loads = ["database", "query", "checkpoint", "token_map"]
+    for method, want in (("embedding", loads), ("clustering", [*loads[:2], "index", *loads[2:]])):
         report_path = tmp_path / f"{method}.json"
         argv = synth_argv(
             synth_space, tmp_path / f"{method}.frames", method=method, report=report_path

@@ -836,6 +836,10 @@ CHECKPOINT_FAULTS = {
     "negative-hidden": (lambda h: h.update(hidden=[-4]), 0, MalformedHeaderError),
     "payload-one-float-short": (lambda h: None, -1, FormatError),
     "payload-one-float-long": (lambda h: None, 1, FormatError),
+    "float-state-dim": (lambda h: h.update(state_dim=2.9), 0, MalformedHeaderError),
+    "string-state-dim": (lambda h: h.update(state_dim="2"), 0, MalformedHeaderError),
+    "bool-spk-dim": (lambda h: h.update(spk_dim=True), 0, MalformedHeaderError),
+    "float-hidden": (lambda h: h.update(hidden=[4.5]), 0, MalformedHeaderError),
 }
 
 
@@ -858,14 +862,30 @@ def test_checkpoint_table_is_the_one_its_dims_fix(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("num_frames, dim, payload_bytes", [(-2, -4, 64), (3, 0, 0), (-1, 2, 0)])
-def test_frames_header_with_bad_sizes_is_malformed(tmp_path, num_frames, dim, payload_bytes):
+# sizes must be JSON integers and the rate a JSON number; each payload has the
+# size that reading the header with int() and float() would expect
+FRAMES_HEADER_FAULTS = {
+    "-2--4-64": (-2, -4, 64, 50.0),
+    "3-0-0": (3, 0, 0, 50.0),
+    "-1-2-0": (-1, 2, 0, 50.0),
+    "string-frames": ("2", 2, 32, 50.0),
+    "bool-frames": (True, 2, 16, 50.0),
+    "float-frames": (2.9, 2, 32, 50.0),
+    "float-dim": (2, 2.0, 32, 50.0),
+    "string-rate": (2, 2, 32, "50"),
+    "bool-rate": (2, 2, 32, True),
+}
+
+
+@pytest.mark.parametrize("fault", list(FRAMES_HEADER_FAULTS))
+def test_frames_header_with_bad_sizes_is_malformed(tmp_path, fault):
+    num_frames, dim, payload_bytes, rate = FRAMES_HEADER_FAULTS[fault]
     header = {
         "format": flow.FRAMES_FORMAT,
         "version": flow.ARTIFACT_VERSION,
         "num_frames": num_frames,
         "dim": dim,
-        "frame_rate_hz": 50.0,
+        "frame_rate_hz": rate,
     }
     path = tmp_path / "bad.frames"
     path.write_bytes(flow._pack_artifact(header, bytes(payload_bytes)))

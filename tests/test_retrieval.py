@@ -135,8 +135,6 @@ def test_kmeans_validation():
         kmeans_fit(db, 4)
     with pytest.raises(InvalidParameterError):
         kmeans_fit(db, 1.5)
-    with pytest.raises(InvalidParameterError):
-        kmeans_fit(db, 2, max_iters=0)
     with pytest.raises(EmptyDatabaseError):
         kmeans_fit(build_db(np.zeros((0, 3))), 1)
 
@@ -235,6 +233,28 @@ def test_index_malformed_files():
         deserialize_index(data[:-1])
     with pytest.raises(FormatError):
         deserialize_index(data + b"\x00")
+
+
+# ``end`` is where the centroid block ends: a file of k=2, dim=3 and 3 assignments
+EMIX_FAULTS = {
+    "bad-version": (lambda raw, end: raw[:4] + (2).to_bytes(4, "little") + raw[8:], MalformedHeaderError),
+    "zero-k": (lambda raw, end: raw[:8] + bytes(4) + raw[12:], MalformedHeaderError),
+    "zero-dim": (lambda raw, end: raw[:12] + bytes(4) + raw[16:], MalformedHeaderError),
+    "ends-in-centroids": (lambda raw, end: raw[: end - 1], FormatError),
+    "ends-in-count": (lambda raw, end: raw[: end + 3], FormatError),
+    "ends-in-assignments": (lambda raw, end: raw[: end + 5], FormatError),
+    "ends-in-fingerprint": (lambda raw, end: raw[:-1], FormatError),
+    "trailing-byte": (lambda raw, end: raw + b"\x00", FormatError),
+}
+
+
+@pytest.mark.parametrize("fault", list(EMIX_FAULTS))
+def test_index_file_faults_keep_their_error_types(fault):
+    edit, expected = EMIX_FAULTS[fault]
+    index = kmeans_fit(build_db(np.eye(3, dtype=np.float32)), 2, seed=0)
+    with pytest.raises(FormatError) as caught:
+        deserialize_index(edit(serialize_index(index), 16 + 4 * index.k * index.dim))
+    assert type(caught.value) is expected
 
 
 def test_index_rejects_out_of_range_assignment():

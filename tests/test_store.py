@@ -293,6 +293,13 @@ def test_load_short_vector_is_dimension_mismatch():
         deserialize_db(data)
 
 
+def test_load_invalid_utf8_is_format_error():
+    data = _header(2, 1) + _pack_str("r0")[:2] + b"\xff\xfe" + _record_bytes()[4:]
+    with pytest.raises(FormatError, match="record 0") as caught:
+        deserialize_db(data)
+    assert type(caught.value) is FormatError
+
+
 def test_load_rejects_trailing_bytes():
     data = _header(2, 1) + _record_bytes() + b"\x00"
     with pytest.raises(FormatError):

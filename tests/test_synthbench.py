@@ -63,6 +63,8 @@ def test_config_validation():
         small_config(intensity_mix=(0.5, 0.5))
     with pytest.raises(InvalidParameterError):
         small_config(intensity_mix=(0.5, 0.4, 0.2))
+    with pytest.raises(InvalidParameterError):
+        small_config(intensity_mix=(float("nan"), 0.5, 0.5))
     assert small_config(cluster_sigma=0.0).cluster_sigma == 0.0
     assert small_config().num_records == 100
 
