@@ -19,6 +19,7 @@ from emorag import (
     train_vector_field,
     transport_toy_task,
 )
+from emorag.flow import ODE_STEPS
 
 
 def main() -> int:
@@ -29,7 +30,7 @@ def main() -> int:
     parser.add_argument("--hidden", type=int, nargs="+", default=[64, 64])
     parser.add_argument("--offset", type=float, nargs=2, default=[3.0, 3.0])
     parser.add_argument("--spread", type=float, default=0.5)
-    parser.add_argument("--ode-steps", type=int, default=32)
+    parser.add_argument("--ode-steps", type=int, default=ODE_STEPS)
     parser.add_argument("--samples", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--checkpoint", type=Path, default=None)

@@ -39,6 +39,7 @@ from .errors import (
     StageError,
 )
 from .flow import (
+    ODE_STEPS,
     FlowTrainConfig,
     init_vector_field,
     linear_map_task,
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--tokens", required=True, help="JSON token map: record id -> frames file")
     p.add_argument("--text", required=True)
-    p.add_argument("--ode-steps", type=int, default=32)
+    p.add_argument("--ode-steps", type=int, default=ODE_STEPS)
     p.add_argument("--report", default=None, help="also write the JSON report here")
     p.set_defaults(func=cmd_synth)
 

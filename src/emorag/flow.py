@@ -54,11 +54,12 @@ from .errors import (
     NonFiniteValueError,
     TrainingDivergenceError,
 )
-from .util import atomic_write_bytes, json_int, openblas_threads
+from .util import atomic_write_bytes, frozen_copy, json_int, openblas_threads
 
 TOKEN_RATE_HZ = 50.0
 MEL_RATE_HZ = 80.0
 UPSAMPLE_RATIO = MEL_RATE_HZ / TOKEN_RATE_HZ  # 1.6
+ODE_STEPS = 32  # default Euler steps of a synthesis
 
 
 @dataclass(eq=False)
@@ -69,19 +70,10 @@ class FrameSequence:
     frame_rate_hz: float
 
     def __post_init__(self):
-        arr = np.asarray(self.frames, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DimensionMismatchError(f"frames must be 2-D, got shape {arr.shape}")
-        if arr.shape[1] == 0:
-            raise DimensionMismatchError("frame dim must be positive")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteValueError("frames contain NaN or infinity")
+        self.frames = frozen_copy(self.frames, np.float64, 2, "frames")
         rate = float(self.frame_rate_hz)
         if not math.isfinite(rate) or rate <= 0.0:
             raise InvalidParameterError(f"frame_rate_hz must be positive, got {rate}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.frames = arr
         self.frame_rate_hz = rate
 
     @property
@@ -100,13 +92,7 @@ class SpeakerEmbedding:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64).copy()
-        if arr.ndim != 1 or arr.size == 0:
-            raise DimensionMismatchError("speaker embedding must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteValueError("speaker embedding contains NaN or infinity")
-        arr.flags.writeable = False
-        self.values = arr
+        self.values = frozen_copy(self.values, np.float64, 1, "speaker embedding")
 
     @property
     def dim(self) -> int:
@@ -422,7 +408,7 @@ def ode_integrate_batch(
     x_init: np.ndarray,
     cond: np.ndarray,
     spk: np.ndarray,
-    n_steps: int = 32,
+    n_steps: int,
 ) -> np.ndarray:
     """Explicit Euler from t=0 to t=1, rows integrated independently.
 
@@ -467,7 +453,7 @@ def generate_mel(
     tokens: FrameSequence,
     speaker: SpeakerEmbedding,
     *,
-    n_steps: int = 32,
+    n_steps: int = ODE_STEPS,
     seed: int = 0,
 ) -> FrameSequence:
     """Upsample tokens, then transport seeded noise along the learned field.

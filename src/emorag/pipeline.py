@@ -26,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FormatError, MissingAssetError, StageError
+from .errors import DimensionMismatchError, FormatError, InvalidParameterError, MissingAssetError, StageError
 from .flow import (
+    ODE_STEPS,
     FrameSequence,
     SpeakerEmbedding,
     VectorFieldModel,
@@ -62,6 +63,8 @@ class SynthesisRequest:
         if self.intensity is not None:
             self.intensity = IntensityLevel.parse(self.intensity)
         self.seed = int(self.seed)
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(eq=False)
@@ -163,7 +166,7 @@ def run_inference(
     *,
     index=None,
     token_map: dict | None = None,
-    ode_steps: int = 32,
+    ode_steps: int = ODE_STEPS,
 ) -> dict:
     """Full pipeline; returns the inference report as a plain dict.
 

@@ -1,10 +1,11 @@
 """Emotion-prompt retrieval: exhaustive cosine scan and cluster-routed scan.
 
-Two strategies over the same store.  The exhaustive path scores every record
-by cosine similarity and takes the argmax.  The clustered path first routes
-the query to its nearest centroid (single probe), then scores only that
-cluster's members, trading a little recall at cluster boundaries for a scan
-that touches n/k records on average.
+One search serves both strategies over the same store.  The exhaustive path
+scores every record by cosine similarity and takes the argmax.  The
+clustered path first routes the query to its nearest centroid (single
+probe), then scores only that cluster's members, trading a little recall at
+cluster boundaries for a scan that touches n/k records on average; a routed
+cluster with no members falls back to the full scan.
 
 The probe scans one contiguous slice.  On its first clustered query an index
 builds inverted lists (as in IVF): the stable argsort of its assignments, the
@@ -53,7 +54,6 @@ from .errors import (
     InvalidParameterError,
     MalformedHeaderError,
     MissingIndexError,
-    NonFiniteValueError,
     StaleIndexError,
     ZeroNormError,
 )
@@ -65,7 +65,7 @@ from .store import (
     IntensityLevel,
     filter_by_intensity,
 )
-from .util import atomic_write_bytes, log
+from .util import atomic_write_bytes, frozen_copy, log
 
 EMIX_MAGIC = b"EMIX"
 EMIX_VERSION = 1
@@ -150,31 +150,26 @@ class ClusterIndex:
         self.k = int(self.k)
         if self.k <= 0:
             raise InvalidParameterError(f"k must be positive, got {self.k}")
-        c = np.asarray(self.centroids, dtype=np.float32)
-        if c.ndim != 2 or c.shape[0] != self.k:
+        self.centroids = frozen_copy(self.centroids, np.float32, 2, "centroids")
+        if self.centroids.shape[0] != self.k:
             raise DimensionMismatchError(
-                f"centroids must have shape (k, dim); got {c.shape} with k={self.k}"
+                f"centroids must have shape (k, dim); got {self.centroids.shape} with k={self.k}"
             )
-        if not np.all(np.isfinite(c)):
-            raise NonFiniteValueError("centroids contain NaN or infinity")
-        a = np.asarray(self.assignments, dtype=np.uint32)
+        a = np.asarray(self.assignments)
         if a.ndim != 1:
             raise DimensionMismatchError("assignments must be 1-D")
-        if a.size and int(a.max()) >= self.k:
-            raise InvalidParameterError("assignment refers to a cluster >= k")
+        if a.size and not 0 <= int(a.min()) <= int(a.max()) < self.k:
+            raise InvalidParameterError(f"assignment refers to a cluster outside [0, {self.k})")
         if not isinstance(self.fingerprint, bytes) or len(self.fingerprint) != FINGERPRINT_BYTES:
             raise FormatError(f"fingerprint must be {FINGERPRINT_BYTES} bytes")
-        c64 = c.astype(np.float64)
+        c64 = self.centroids.astype(np.float64)
         norms = np.linalg.norm(c64, axis=1)
         if np.any(norms == 0.0):
             raise ZeroNormError("index contains a zero-norm centroid")
         self.unit_centroids = c64 / norms[:, None]
-        c = c.copy()
-        a = a.copy()
-        for arr in (c, a, self.unit_centroids):
+        self.assignments = a.astype(np.uint32)
+        for arr in (self.assignments, self.unit_centroids):
             arr.flags.writeable = False
-        self.centroids = c
-        self.assignments = a
         self.inertia = float(self.inertia)
         self._lists = None
 
@@ -320,64 +315,59 @@ def default_k(db: EmbeddingDatabase) -> int:
 # retrieval
 
 
-def retrieve_embedding_based(db: EmbeddingDatabase, query: EmotionEmbedding) -> RetrievalResult:
-    """Exhaustive cosine scan; highest similarity wins, ties to lowest position."""
-    t0 = time.perf_counter_ns()
+def _search(db: EmbeddingDatabase, index, query: EmotionEmbedding, method: RetrievalMethod, t0: int):
+    """The one search.  With a :class:`ClusterIndex`, check that it covers ``db``, route
+    the query to its nearest centroid and scan that cluster's slice; with ``index=None``,
+    or when the cluster has no members, scan every row.  ``elapsed_ns`` counts from ``t0``."""
+    if index is None and method is RetrievalMethod.CLUSTERING:
+        raise MissingIndexError("clustering retrieval requires a cluster index")
     if len(db) == 0:
         raise EmptyDatabaseError("cannot retrieve from an empty database")
-    pos, sim = _scan_argmax(db.unit_matrix, _unit_query(db, query))
+    if index is not None:
+        if index.dim != db.dim:
+            raise DimensionMismatchError(
+                f"index dim {index.dim} does not match database dim {db.dim}"
+            )
+        if index.fingerprint != db.fingerprint:
+            raise StaleIndexError(
+                "index fingerprint does not match this database; rebuild the index"
+            )
+        if index.assignments.shape[0] != len(db):
+            raise StaleIndexError(
+                f"index covers {index.assignments.shape[0]} records, database has {len(db)}"
+            )
+    qn = _unit_query(db, query)
+    rows, order = db.unit_matrix, None
+    if index is not None:
+        cluster, _ = _scan_argmax(index.unit_centroids, qn)
+        members, offsets, grouped = index._inverted_lists(db.unit_matrix)
+        lo, hi = int(offsets[cluster]), int(offsets[cluster + 1])
+        if lo < hi:
+            # members ascend within the slice, so the lowest member position still wins ties
+            rows, order = grouped[lo:hi], members[lo:hi]
+        else:
+            log.debug("cluster %d has no members; scanning all %d records", cluster, len(db))
+    best, sim = _scan_argmax(rows, qn)
     return RetrievalResult(
-        record_id=db.ids[pos],
+        record_id=db.ids[best if order is None else int(order[best])],
         similarity=sim,
-        method=RetrievalMethod.EMBEDDING,
-        candidates_scanned=len(db),
+        method=method,
+        candidates_scanned=len(rows),
         elapsed_ns=time.perf_counter_ns() - t0,
     )
+
+
+def retrieve_embedding_based(db: EmbeddingDatabase, query: EmotionEmbedding) -> RetrievalResult:
+    """Exhaustive cosine scan; highest similarity wins, ties to lowest position."""
+    return _search(db, None, query, RetrievalMethod.EMBEDDING, time.perf_counter_ns())
 
 
 def retrieve_clustering_based(
     db: EmbeddingDatabase, index: ClusterIndex, query: EmotionEmbedding
 ) -> RetrievalResult:
-    """Single-probe clustered scan: nearest centroid, then argmax inside it.
-
-    Falls back to a full scan when the routed cluster has no members (possible
-    with hand-built indexes; the fitted ones never produce empty clusters).
-    """
-    t0 = time.perf_counter_ns()
-    if len(db) == 0:
-        raise EmptyDatabaseError("cannot retrieve from an empty database")
-    if index.dim != db.dim:
-        raise DimensionMismatchError(
-            f"index dim {index.dim} does not match database dim {db.dim}"
-        )
-    if index.fingerprint != db.fingerprint:
-        raise StaleIndexError(
-            "index fingerprint does not match this database; rebuild the index"
-        )
-    if index.assignments.shape[0] != len(db):
-        raise StaleIndexError(
-            f"index covers {index.assignments.shape[0]} records, database has {len(db)}"
-        )
-    qn = _unit_query(db, query)
-    cluster, _ = _scan_argmax(index.unit_centroids, qn)
-    order, offsets, rows = index._inverted_lists(db.unit_matrix)
-    lo, hi = int(offsets[cluster]), int(offsets[cluster + 1])
-    if lo == hi:
-        log.debug("cluster %d has no members; scanning all %d records", cluster, len(db))
-        pos, sim = _scan_argmax(db.unit_matrix, qn)
-        scanned = len(db)
-    else:
-        # members ascend within the slice, so the lowest member position still wins ties
-        best, sim = _scan_argmax(rows[lo:hi], qn)
-        pos = int(order[lo + best])
-        scanned = hi - lo
-    return RetrievalResult(
-        record_id=db.ids[pos],
-        similarity=sim,
-        method=RetrievalMethod.CLUSTERING,
-        candidates_scanned=scanned,
-        elapsed_ns=time.perf_counter_ns() - t0,
-    )
+    """Single-probe clustered scan: nearest centroid, then argmax inside it
+    (over all rows if that cluster is empty)."""
+    return _search(db, index, query, RetrievalMethod.CLUSTERING, time.perf_counter_ns())
 
 
 @dataclass(eq=False)
@@ -438,20 +428,12 @@ def retrieve(
         target = filter_by_intensity(db, intensity)
         if len(target) == 0:
             raise EmptySubsetError(intensity.value)
-    if method is RetrievalMethod.EMBEDDING:
-        result = retrieve_embedding_based(target, query)
-    elif index is None:
-        raise MissingIndexError("clustering retrieval requires a cluster index")
-    elif intensity is not None and not isinstance(index, IndexBundle):
-        raise MissingIndexError(
-            "intensity-gated clustering needs an IndexBundle with per-level indexes"
-        )
-    else:
-        chosen = index.for_level(intensity) if isinstance(index, IndexBundle) else index
+    chosen = None
+    if method is RetrievalMethod.CLUSTERING and index is not None:
+        bundle = index if isinstance(index, IndexBundle) else IndexBundle(index, {})
+        chosen = bundle.for_level(intensity)
         log.debug("clustered query: %s index, k=%d", intensity or "full", chosen.k)
-        result = retrieve_clustering_based(target, chosen, query)
-    result.elapsed_ns = time.perf_counter_ns() - t0
-    return result
+    return _search(target, chosen, query, method, t0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ intensity level, and optional transcript / audio-reference metadata.
 
 In memory a database is columns, and columns are the only row representation:
 a read-only float32 embedding matrix, u8 intensity codes, and tuples of ids,
-labels, transcripts and audio refs.  Row ``i`` of every column is record
-``i``; :meth:`EmbeddingDatabase.position` maps an id to its row.  An
-intensity gate's subset is built once per level and cached on its parent,
-with its unit matrix and fingerprint.
+labels, transcripts and audio refs.  A database owns a private copy of its
+matrix, so a caller's array never changes the rows behind its fingerprint.
+Row ``i`` of every column is record ``i``; :meth:`EmbeddingDatabase.position`
+maps an id to its row.  An intensity gate's subset is built once per level
+and cached on its parent, with its unit matrix and fingerprint.
 
 On-disk layout (little-endian throughout)::
 
@@ -51,7 +52,7 @@ from .errors import (
     NonFiniteValueError,
     ZeroNormError,
 )
-from .util import atomic_write_bytes, json_int, log, read_json
+from .util import atomic_write_bytes, frozen_copy, json_int, log, read_json
 
 EMDB_MAGIC = b"EMDB"
 EMDB_VERSION = 1
@@ -96,16 +97,7 @@ class EmotionEmbedding:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float32)
-        if arr.ndim != 1:
-            raise DimensionMismatchError(f"embedding must be 1-D, got shape {arr.shape}")
-        if arr.size == 0:
-            raise DimensionMismatchError("embedding must have at least one component")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteValueError("embedding contains NaN or infinity")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.values = arr
+        self.values = frozen_copy(self.values, np.float32, 1, "embedding")
 
     @property
     def dim(self) -> int:
@@ -146,10 +138,7 @@ class EmbeddingDatabase:
         self.ids, self.labels = tuple(self.ids), tuple(self.labels)
         self.transcripts, self.audio_refs = tuple(self.transcripts), tuple(self.audio_refs)
         n = len(self.ids)
-        m = self.matrix  # kept as is if a frozen C-ordered float32 array owning its data, else copied
-        frozen = isinstance(m, np.ndarray) and not m.flags.writeable and m.flags.owndata
-        if not (frozen and m.dtype == np.float32 and m.flags.c_contiguous):
-            m = np.array(m, dtype=np.float32)
+        m = np.array(self.matrix, dtype=np.float32)  # private, so the cached fingerprint stays true
         if m.size == 0:
             m = m.reshape(0, self.dim)
         raw = np.asarray(self.intensity_codes)
@@ -233,9 +222,7 @@ def filter_by_intensity(db: EmbeddingDatabase, level: IntensityLevel) -> Embeddi
         rows = np.flatnonzero(db.intensity_codes == level.wire_code).tolist()
         columns = (db.ids, db.labels, db.transcripts, db.audio_refs)
         picked = ([col[i] for i in rows] for col in columns)
-        matrix = db.matrix[rows]
-        matrix.flags.writeable = False
-        sub = EmbeddingDatabase(db.dim, matrix, db.intensity_codes[rows], *picked)
+        sub = EmbeddingDatabase(db.dim, db.matrix[rows], db.intensity_codes[rows], *picked)
         sub = db._subsets.setdefault(level, sub)  # a racing thread's subset wins if first
         log.debug("intensity gate %s: kept %d of %d records", level.value, len(sub), len(db))
     return sub
@@ -348,7 +335,6 @@ def deserialize_db(data: bytes) -> EmbeddingDatabase:
     except (FormatError, UnicodeDecodeError) as exc:  # the latter from a string field
         raise FormatError(f"record {i}: {exc}") from None
     body.finish("the last record")
-    matrix.flags.writeable = False
     return EmbeddingDatabase(dim, matrix, codes, ids, labels, transcripts, audio_refs)
 
 

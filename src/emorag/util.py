@@ -10,7 +10,9 @@ import os
 import tempfile
 from pathlib import Path
 
-from .errors import FormatError
+import numpy as np
+
+from .errors import DimensionMismatchError, FormatError, NonFiniteValueError
 
 log = logging.getLogger("emorag")
 
@@ -30,6 +32,18 @@ def openblas_threads():
             put.argtypes, put.restype = [ctypes.c_int], None
             return get, put
     return None
+
+
+def frozen_copy(values, dtype, ndim: int, what: str) -> np.ndarray:
+    """A private read-only ``dtype`` copy of ``values``, which must be ``ndim``-D with a
+    non-empty last axis (:class:`DimensionMismatchError`) and finite (:class:`NonFiniteValueError`)."""
+    arr = np.array(values, dtype=dtype)
+    if arr.ndim != ndim or arr.shape[-1] == 0:
+        raise DimensionMismatchError(f"{what} must be {ndim}-D with a non-empty last axis, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteValueError(f"{what} contains NaN or infinity")
+    arr.flags.writeable = False
+    return arr
 
 
 def json_int(value, least: int) -> bool:

@@ -11,6 +11,7 @@ from emorag import (
     EmptySubsetError,
     FormatError,
     FrameSequence,
+    InvalidParameterError,
     MissingAssetError,
     RetrievalMethod,
     StageError,
@@ -86,6 +87,11 @@ def test_request_parses_strings_and_wraps_reference():
 def test_request_rejects_empty_text():
     with pytest.raises(FormatError):
         SynthesisRequest(reference=np.ones(2, dtype=np.float32), target_text="")
+
+
+def test_request_rejects_a_negative_seed():
+    with pytest.raises(InvalidParameterError, match="seed"):
+        SynthesisRequest(reference=np.ones(2, dtype=np.float32), target_text="hi", seed=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from emorag import (
     InvalidParameterError,
     MalformedHeaderError,
     MissingIndexError,
+    NonFiniteValueError,
     RetrievalMethod,
     StaleIndexError,
     ZeroNormError,
@@ -496,6 +497,32 @@ def test_clustering_stale_index():
     smaller = EmbeddingDatabase(db.dim, *(col[:-1] for col in columns))
     with pytest.raises(StaleIndexError):
         retrieve_clustering_based(smaller, index, EmotionEmbedding(db.matrix[0]))
+
+
+def test_cluster_index_validation():
+    cents = np.eye(2, dtype=np.float32)
+    fp = bytes(32)
+    ClusterIndex(2, cents, [0, 1], 0.0, fp)
+    for assignments in ([0, 2], [0, -1], np.array([0, -1], dtype=np.int64)):
+        with pytest.raises(InvalidParameterError):
+            ClusterIndex(2, cents, assignments, 0.0, fp)
+    with pytest.raises(InvalidParameterError):
+        ClusterIndex(0, cents[:0], [], 0.0, fp)
+    for centroids in (np.eye(3, 2, dtype=np.float32), np.zeros((2, 0)), cents[0]):
+        with pytest.raises(DimensionMismatchError):
+            ClusterIndex(2, centroids, [0, 1], 0.0, fp)
+    with pytest.raises(DimensionMismatchError):
+        ClusterIndex(2, cents, [[0, 1]], 0.0, fp)
+    with pytest.raises(NonFiniteValueError):
+        ClusterIndex(2, [[1.0, 0.0], [np.nan, 1.0]], [0, 1], 0.0, fp)
+    with pytest.raises(FormatError):
+        ClusterIndex(2, cents, [0, 1], 0.0, fp[:31])
+
+
+def test_clustering_without_an_index_is_a_missing_index():
+    db = build_db(np.eye(2, dtype=np.float32))
+    with pytest.raises(MissingIndexError):
+        retrieve_clustering_based(db, None, EmotionEmbedding([1.0, 0.0]))
 
 
 def test_clustering_empty_cluster_falls_back_to_full_scan():

@@ -10,16 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emorag import (
+    ClusterIndex,
     DimensionMismatchError,
     DuplicateIdError,
     EmoragError,
     EmbeddingDatabase,
     EmotionEmbedding,
     FormatError,
+    FrameSequence,
     IntensityLevel,
     InvalidIntensityError,
     MalformedHeaderError,
     NonFiniteValueError,
+    SpeakerEmbedding,
     ZeroNormError,
     filter_by_intensity,
     load_db,
@@ -145,12 +148,40 @@ def test_db_copies_a_writable_or_borrowed_matrix():
 def test_db_keeps_a_frozen_float32_matrix_it_owns():
     frozen = np.eye(2, dtype=np.float32)
     frozen.flags.writeable = False
-    assert _two_rows(frozen).matrix is frozen
+    db = _two_rows(frozen)
+    fingerprint = db.fingerprint
+    # the caller still owns ``frozen`` and may thaw it; the database's copy must not follow
+    frozen.flags.writeable = True
+    frozen[0, 0] = 9.0
+    assert db.matrix[0, 0] == 1.0 and not db.matrix.flags.writeable
+    assert hashlib.sha256(serialize_db(db)).digest() == fingerprint
     data = serialize_db(build_db(np.eye(3, dtype=np.float32)))
     loaded = deserialize_db(data)
     assert loaded.matrix.flags.owndata and not loaded.matrix.flags.writeable
     sub = filter_by_intensity(loaded, IntensityLevel.WEAK)
     assert sub.matrix.flags.owndata and not sub.matrix.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda a: EmotionEmbedding(a[0]), "values"),
+        (lambda a: SpeakerEmbedding(a[0]), "values"),
+        (lambda a: FrameSequence(a, 50.0), "frames"),
+        (lambda a: ClusterIndex(2, a, [0, 1], 0.0, bytes(32)), "centroids"),
+    ],
+)
+def test_value_types_keep_a_private_frozen_copy(make, field):
+    source = np.eye(2)
+    source.flags.writeable = False
+    kept = getattr(make(source), field)
+    source.flags.writeable = True
+    source[0, 0] = 9.0
+    assert kept.ravel()[0] == 1.0 and not kept.flags.writeable
+    with pytest.raises(NonFiniteValueError):
+        make(np.full((2, 2), np.inf))
+    with pytest.raises(DimensionMismatchError):
+        make(np.zeros((2, 0)))
 
 
 def test_unit_matrix_zero_norm_record():
