@@ -53,9 +53,9 @@ class EmptySubsetError(EmoragError):
     Carries the offending level so callers can report it.
     """
 
-    def __init__(self, level, message=None):
+    def __init__(self, level):
         self.level = level
-        super().__init__(message or f"no records at intensity {level!r}")
+        super().__init__(f"no records at intensity {level!r}")
 
 
 class StaleIndexError(EmoragError):

@@ -54,7 +54,7 @@ from .errors import (
     NonFiniteValueError,
     TrainingDivergenceError,
 )
-from .util import atomic_write_bytes, frozen_copy, json_int, openblas_threads
+from .util import atomic_write_bytes, frozen_copy, is_whole, openblas_threads, seeded_rng, whole
 
 TOKEN_RATE_HZ = 50.0
 MEL_RATE_HZ = 80.0
@@ -151,7 +151,7 @@ class VectorFieldModel:
     """Fully-connected vector field v(x, t | cond, spk).
 
     ``weights[l]`` has shape (fan_out, fan_in); tanh between layers, linear
-    output.  Input layout is ``[state, cond, spk, t]``.
+    output.  Input layout is ``[state, cond, spk, t]``; :func:`mlp_sizes` checks every size.
     """
 
     state_dim: int
@@ -162,15 +162,9 @@ class VectorFieldModel:
     biases: list
 
     def __post_init__(self):
-        for name in ("state_dim", "cond_dim", "spk_dim"):
-            v = int(getattr(self, name))
-            if v <= 0:
-                raise InvalidParameterError(f"{name} must be positive, got {v}")
-            setattr(self, name, v)
-        self.hidden = tuple(int(h) for h in self.hidden)
-        if any(h <= 0 for h in self.hidden):
-            raise InvalidParameterError(f"hidden sizes must be positive, got {self.hidden}")
         sizes = self.layer_sizes
+        self.cond_dim, self.spk_dim = whole(self.cond_dim, 1, "cond_dim"), whole(self.spk_dim, 1, "spk_dim")
+        self.state_dim, self.hidden = sizes[-1], sizes[1:-1]
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise DimensionMismatchError(
                 f"expected {len(sizes) - 1} weight/bias pairs, got "
@@ -205,8 +199,10 @@ class VectorFieldModel:
 
 
 def mlp_sizes(state_dim: int, cond_dim: int, spk_dim: int, hidden) -> tuple:
-    """Layer widths of a vector field: its ``[state, cond, spk, t]`` input, ``hidden``, its state output."""
-    return (state_dim + cond_dim + spk_dim + 1, *hidden, state_dim)
+    """Layer widths of a vector field: its ``[state, cond, spk, t]`` input, ``hidden``, its state output.
+    Each size must be a Python or numpy integer >= 1 (:class:`InvalidParameterError`)."""
+    state, cond, spk = whole(state_dim, 1, "state_dim"), whole(cond_dim, 1, "cond_dim"), whole(spk_dim, 1, "spk_dim")
+    return (state + cond + spk + 1, *(whole(h, 1, "hidden size") for h in hidden), state)
 
 
 def init_vector_field(
@@ -216,9 +212,9 @@ def init_vector_field(
     hidden: tuple = (64, 64),
     seed: int = 0,
 ) -> VectorFieldModel:
-    """Glorot-uniform weights, zero biases, deterministic under ``seed``."""
+    """Glorot-uniform weights, zero biases, deterministic under ``seed`` (an integer >= 0)."""
     sizes = mlp_sizes(state_dim, cond_dim, spk_dim, hidden)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         lim = math.sqrt(6.0 / (fan_in + fan_out))
@@ -420,9 +416,7 @@ def ode_integrate_batch(
     as parts of at least 128 rows on a thread pool while OpenBLAS is held to
     one thread (see the module docstring; ``_PART_MIN_ROWS`` for the scope).
     """
-    if int(n_steps) < 1:
-        raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps}")
-    n_steps = int(n_steps)
+    n_steps = whole(n_steps, 1, "n_steps")
     x_init = np.asarray(x_init, dtype=np.float64)
     cond = np.asarray(cond, dtype=np.float64)
     spk = np.asarray(spk, dtype=np.float64)
@@ -459,7 +453,7 @@ def generate_mel(
     """Upsample tokens, then transport seeded noise along the learned field.
 
     Each upsampled token frame conditions one mel frame; all frames integrate
-    in parallel from an N(0, I) start drawn with ``seed``.
+    in parallel from an N(0, I) start drawn with ``seed`` (an integer >= 0).
     """
     if tokens.dim != model.cond_dim:
         raise DimensionMismatchError(
@@ -470,8 +464,7 @@ def generate_mel(
             f"speaker dim {speaker.dim} does not match model spk dim {model.spk_dim}"
         )
     up = upsample_tokens(tokens)
-    rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal((up.num_frames, model.state_dim))
+    x0 = seeded_rng(seed).standard_normal((up.num_frames, model.state_dim))
     mel = ode_integrate_batch(model, x0, up.frames, speaker.values, n_steps)
     return FrameSequence(frames=mel, frame_rate_hz=up.frame_rate_hz)
 
@@ -484,8 +477,8 @@ def generate_mel(
 class FlowTrainConfig:
     """Desk-sized training hyperparameters.
 
-    ``total_steps=0`` is allowed (a checkpoint of the fresh initialization);
-    everything else must be strictly positive.
+    ``learning_rate`` and the integer ``batch_size`` must be positive; the integers
+    ``total_steps`` (0: a checkpoint of the fresh initialization) and ``seed`` may be 0.
     """
 
     learning_rate: float = 0.03
@@ -498,13 +491,9 @@ class FlowTrainConfig:
             raise InvalidParameterError(
                 f"learning_rate must be positive, got {self.learning_rate}"
             )
-        if int(self.batch_size) < 1:
-            raise InvalidParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if int(self.total_steps) < 0:
-            raise InvalidParameterError(f"total_steps must be >= 0, got {self.total_steps}")
-        self.batch_size = int(self.batch_size)
-        self.total_steps = int(self.total_steps)
-        self.seed = int(self.seed)
+        self.batch_size = whole(self.batch_size, 1, "batch_size")
+        self.total_steps = whole(self.total_steps, 0, "total_steps")
+        self.seed = whole(self.seed, 0, "seed")
 
 
 def train_vector_field(
@@ -518,7 +507,7 @@ def train_vector_field(
     size shrinks linearly, lr_t = lr (1 - t/T), which drains the sign-gradient
     jitter floor at the end of the run.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = seeded_rng(config.seed)
     losses = []
     total = config.total_steps
     for step in range(total):
@@ -535,7 +524,7 @@ def linear_map_task(state_dim: int, cond_dim: int, spk_dim: int, *, seed: int = 
     which is what makes large loss-reduction factors observable at all under
     an L1 objective.
     """
-    A = np.random.default_rng(seed).standard_normal((state_dim, cond_dim)) * (
+    A = seeded_rng(seed).standard_normal((state_dim, cond_dim)) * (
         1.0 / math.sqrt(cond_dim)
     )
 
@@ -634,7 +623,7 @@ def load_checkpoint(path) -> VectorFieldModel:
     header, payload = _unpack_artifact(Path(path).read_bytes(), CHECKPOINT_FORMAT)
     dims = [header.get(k) for k in ("state_dim", "cond_dim", "spk_dim")]
     hidden = header.get("hidden")
-    if not (isinstance(hidden, list) and all(json_int(v, 1) for v in [*dims, *hidden])):
+    if not (isinstance(hidden, list) and all(is_whole(v, 1) for v in [*dims, *hidden])):
         raise MalformedHeaderError(f"checkpoint sizes must be positive integers: dims {dims}, hidden {hidden!r}")
     table = _array_table(mlp_sizes(*dims, hidden))
     if header.get("arrays") != table:
@@ -662,7 +651,7 @@ def save_frames(seq: FrameSequence, path) -> None:
 def load_frames(path) -> FrameSequence:
     header, payload = _unpack_artifact(Path(path).read_bytes(), FRAMES_FORMAT)
     T, D, rate = (header.get(k) for k in ("num_frames", "dim", "frame_rate_hz"))
-    if not (json_int(T, 0) and json_int(D, 1) and type(rate) in (int, float)):
+    if not (is_whole(T, 0) and is_whole(D, 1) and type(rate) in (int, float)):
         raise MalformedHeaderError(f"frames header declares {T!r} frames of dim {D!r} at {rate!r} Hz")
     if len(payload) != 8 * T * D:
         raise FormatError(

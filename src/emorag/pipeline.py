@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FormatError, InvalidParameterError, MissingAssetError, StageError
+from .errors import DimensionMismatchError, FormatError, MissingAssetError, StageError
 from .flow import (
     ODE_STEPS,
     FrameSequence,
@@ -38,7 +38,7 @@ from .flow import (
 )
 from .retrieval import RetrievalMethod, RetrievalResult, retrieve
 from .store import EmbeddingDatabase, EmotionEmbedding, IntensityLevel, json_vector
-from .util import atomic_write_text, read_json
+from .util import atomic_write_text, read_json, seeded_rng, whole
 
 FRAMES_PER_CHAR = 4
 SPEAKER_DIM = 8
@@ -46,7 +46,8 @@ SPEAKER_DIM = 8
 
 @dataclass(eq=False)
 class SynthesisRequest:
-    """What the caller wants: emotional colour, text, and retrieval knobs."""
+    """What the caller wants: emotional colour, text, and retrieval knobs;
+    ``method`` and ``intensity`` may be names, ``seed`` is an integer >= 0."""
 
     reference: EmotionEmbedding
     target_text: str
@@ -62,9 +63,7 @@ class SynthesisRequest:
         self.method = RetrievalMethod.parse(self.method)
         if self.intensity is not None:
             self.intensity = IntensityLevel.parse(self.intensity)
-        self.seed = int(self.seed)
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be non-negative, got {self.seed}")
+        self.seed = whole(self.seed, 0, "seed")
 
 
 @dataclass(eq=False)
@@ -152,8 +151,7 @@ def mock_generate_tokens(assembly: PromptAssembly, seed: int) -> FrameSequence:
     """Prompt-prefixed pseudo-random token frames, length ∝ target length."""
     n_new = FRAMES_PER_CHAR * len(assembly.target_text)
     dim = assembly.prompt_tokens.dim
-    rng = np.random.default_rng(seed)
-    generated = rng.standard_normal((n_new, dim))
+    generated = seeded_rng(seed).standard_normal((n_new, dim))
     frames = np.vstack([assembly.prompt_tokens.frames, generated])
     return FrameSequence(frames=frames, frame_rate_hz=assembly.prompt_tokens.frame_rate_hz)
 
@@ -165,7 +163,7 @@ def run_inference(
     output_path,
     *,
     index=None,
-    token_map: dict | None = None,
+    token_map: dict,
     ode_steps: int = ODE_STEPS,
 ) -> dict:
     """Full pipeline; returns the inference report as a plain dict.

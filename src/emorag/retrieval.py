@@ -38,7 +38,6 @@ zero-norm centroid fails at load, where the index normalizes its centroids.
 
 from __future__ import annotations
 
-import enum
 import struct
 import time
 from dataclasses import asdict, dataclass
@@ -63,9 +62,10 @@ from .store import (
     EmotionEmbedding,
     HeaderedFile,
     IntensityLevel,
+    NamedEnum,
     filter_by_intensity,
 )
-from .util import atomic_write_bytes, frozen_copy, log
+from .util import atomic_write_bytes, frozen_copy, log, seeded_rng, whole
 
 EMIX_MAGIC = b"EMIX"
 EMIX_VERSION = 1
@@ -73,24 +73,13 @@ FINGERPRINT_BYTES = 32
 KMEANS_MAX_ITERS = 100
 
 
-class RetrievalMethod(enum.Enum):
+class RetrievalMethod(NamedEnum):
     EMBEDDING = "embedding"
     CLUSTERING = "clustering"
 
     @classmethod
-    def parse(cls, text) -> "RetrievalMethod":
-        """The method named by ``text`` (any case); a method is returned unchanged."""
-        if isinstance(text, cls):
-            return text
-        try:
-            return cls(str(text).lower())
-        except ValueError:
-            raise InvalidParameterError(
-                f"unknown retrieval method {text!r}; expected 'embedding' or 'clustering'"
-            ) from None
-
-    def __str__(self) -> str:
-        return self.value
+    def _unknown(cls, text) -> InvalidParameterError:
+        return InvalidParameterError(f"unknown retrieval method {text!r}; expected 'embedding' or 'clustering'")
 
 
 @dataclass(eq=False)
@@ -138,6 +127,7 @@ class ClusterIndex:
 
     ``centroids`` stay float32 in memory so that a save/load round trip is
     bit-exact; routing scores their float64 unit rows, ``unit_centroids``.
+    ``k`` is a Python or numpy integer >= 1 (:class:`InvalidParameterError`).
     """
 
     k: int
@@ -147,9 +137,7 @@ class ClusterIndex:
     fingerprint: bytes
 
     def __post_init__(self):
-        self.k = int(self.k)
-        if self.k <= 0:
-            raise InvalidParameterError(f"k must be positive, got {self.k}")
+        self.k = whole(self.k, 1, "k")
         self.centroids = frozen_copy(self.centroids, np.float32, 2, "centroids")
         if self.centroids.shape[0] != self.k:
             raise DimensionMismatchError(
@@ -252,12 +240,10 @@ def kmeans_fit(
     n = len(db)
     if n == 0:
         raise EmptyDatabaseError("cannot cluster an empty database")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise InvalidParameterError(f"k must be an integer, got {k!r}")
-    if k < 1 or k > n:
+    k = whole(k, 1, "k")
+    if k > n:
         raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
-    k = int(k)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     X = db.unit_matrix  # (n, dim) float64, rows unit
     centroids = X[_plus_plus_init(X, k, rng)].copy()
 
@@ -377,15 +363,15 @@ class IndexBundle:
     full: ClusterIndex
     by_level: dict
 
-    def for_level(self, level: IntensityLevel | None) -> ClusterIndex:
+    def for_level(self, level: IntensityLevel | str | None) -> ClusterIndex:
+        """The index of ``level`` (a level or its name, any case), or the full one for None."""
         if level is None:
             return self.full
+        level = IntensityLevel.parse(level)
         try:
             return self.by_level[level]
         except KeyError:
-            raise MissingIndexError(
-                f"no cluster index for intensity {level.value!r}"
-            ) from None
+            raise MissingIndexError(f"no cluster index for intensity {level.value!r}") from None
 
 
 def build_index_bundle(
@@ -464,7 +450,7 @@ def deserialize_index(data: bytes) -> ClusterIndex:
     # inertia belongs to the fit, not the file; without the database it cannot
     # be recomputed here, so a loaded index carries NaN
     return ClusterIndex(
-        k=int(k),
+        k=k,
         centroids=centroids,
         assignments=assignments,
         inertia=float("nan"),

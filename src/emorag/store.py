@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,7 +53,7 @@ from .errors import (
     NonFiniteValueError,
     ZeroNormError,
 )
-from .util import atomic_write_bytes, frozen_copy, json_int, log, read_json
+from .util import atomic_write_bytes, frozen_copy, is_whole, log, read_json
 
 EMDB_MAGIC = b"EMDB"
 EMDB_VERSION = 1
@@ -60,7 +61,24 @@ HEADER = struct.Struct("<4sIII")  # magic, version, two u32 sizes: EMDB dim, cou
 _U16 = struct.Struct("<H")
 
 
-class IntensityLevel(enum.Enum):
+class NamedEnum(enum.Enum):
+    """An enum named by its lower-case values: :meth:`parse` takes a name in any case (a member
+    is returned unchanged; an unknown name raises ``cls._unknown(text)``), ``str`` gives the value."""
+
+    @classmethod
+    def parse(cls, text):
+        if isinstance(text, cls):
+            return text
+        try:
+            return cls(str(text).lower())
+        except ValueError:
+            raise cls._unknown(text) from None
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class IntensityLevel(NamedEnum):
     """Discrete emotion-intensity levels, ordered weak < normal < strong."""
 
     WEAK = "weak"
@@ -68,23 +86,12 @@ class IntensityLevel(enum.Enum):
     STRONG = "strong"
 
     @classmethod
-    def parse(cls, text) -> "IntensityLevel":
-        """The level named by ``text`` (any case); a level is returned unchanged."""
-        if isinstance(text, cls):
-            return text
-        try:
-            return cls(str(text).lower())
-        except ValueError:
-            raise InvalidIntensityError(
-                f"unknown intensity {text!r}; expected one of weak, normal, strong"
-            ) from None
+    def _unknown(cls, text) -> InvalidIntensityError:
+        return InvalidIntensityError(f"unknown intensity {text!r}; expected one of weak, normal, strong")
 
     @property
     def wire_code(self) -> int:
         return _LEVEL_TO_CODE[self]
-
-    def __str__(self) -> str:
-        return self.value
 
 
 _LEVEL_TO_CODE = {level: code for code, level in enumerate(IntensityLevel)}  # weak 0 .. strong 2
@@ -120,7 +127,8 @@ class EmbeddingDatabase:
     way to build and read rows, and ``__post_init__`` is the store's one
     validator.  Derived views (unit-normalized matrix, fingerprint, per-level
     subsets) are computed lazily and cached; sharing a database across threads
-    for reads is fine.
+    for reads is fine.  ``dim`` is a Python or numpy integer >= 1; anything else,
+    a bool or float included, raises :class:`DimensionMismatchError`.
     """
 
     dim: int
@@ -132,9 +140,9 @@ class EmbeddingDatabase:
     audio_refs: tuple
 
     def __post_init__(self):
-        if int(self.dim) <= 0:
-            raise DimensionMismatchError(f"dim must be positive, got {self.dim}")
-        self.dim = int(self.dim)
+        if not is_whole(self.dim, 1):
+            raise DimensionMismatchError(f"dim must be a positive integer, got {self.dim!r}")
+        self.dim = operator.index(self.dim)
         self.ids, self.labels = tuple(self.ids), tuple(self.labels)
         self.transcripts, self.audio_refs = tuple(self.transcripts), tuple(self.audio_refs)
         n = len(self.ids)
@@ -372,7 +380,7 @@ def load_manifest(path, dim: int | None = None) -> EmbeddingDatabase:
             raise FormatError("manifest object must contain a 'records' list")
         if dim is None and "dim" in payload:
             dim = payload["dim"]
-            if not json_int(dim, 1):
+            if not is_whole(dim, 1):
                 raise FormatError(f"manifest dim must be a positive integer, got {dim!r}")
     elif isinstance(payload, list):
         entries = payload
@@ -404,4 +412,4 @@ def load_manifest(path, dim: int | None = None) -> EmbeddingDatabase:
         audio_refs.append(entry.get("audio_ref"))
     if dim is None:
         raise FormatError("empty manifest requires an explicit dim")
-    return EmbeddingDatabase(int(dim), vectors, codes, ids, labels, transcripts, audio_refs)
+    return EmbeddingDatabase(dim, vectors, codes, ids, labels, transcripts, audio_refs)

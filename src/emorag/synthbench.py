@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .retrieval import RetrievalMethod, default_k, kmeans_fit, retrieve
 from .store import EmbeddingDatabase, EmotionEmbedding
-from .util import atomic_write_text
+from .util import atomic_write_text, seeded_rng, whole
 
 DEFAULT_SIZES = (3000, 8000)
 DEFAULT_NUM_EMOTIONS = 8
@@ -45,7 +45,8 @@ def emotion_label(i: int) -> str:
 
 @dataclass
 class SyntheticDatasetConfig:
-    """Shape of one synthetic database: cluster layout, noise, label mix."""
+    """Shape of one synthetic database: cluster layout, noise, label mix;
+    the counts and ``dim`` are integers >= 1, ``seed`` an integer >= 0."""
 
     num_emotions: int
     dim: int
@@ -56,11 +57,8 @@ class SyntheticDatasetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_emotions", "dim", "records_per_emotion"):
-            v = int(getattr(self, name))
-            if v < 1:
-                raise InvalidParameterError(f"{name} must be >= 1, got {v}")
-            setattr(self, name, v)
+        for name, least in (("num_emotions", 1), ("dim", 1), ("records_per_emotion", 1), ("seed", 0)):
+            setattr(self, name, whole(getattr(self, name), least, name))
         self.cluster_sigma = float(self.cluster_sigma)
         if not math.isfinite(self.cluster_sigma) or self.cluster_sigma < 0.0:
             raise InvalidParameterError(
@@ -81,7 +79,6 @@ class SyntheticDatasetConfig:
                 f"intensity_mix must sum to 1 within 1e-9, got {sum(mix)}"
             )
         self.intensity_mix = mix
-        self.seed = int(self.seed)
 
     @property
     def num_records(self) -> int:
@@ -105,7 +102,7 @@ def generate_synthetic_db(config: SyntheticDatasetConfig) -> EmbeddingDatabase:
     Draw order under the seed is fixed (centers, then noise, then intensity
     codes) so the same config always produces byte-identical records.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = seeded_rng(config.seed)
     centers = _draw_centers(rng, config)
     n = config.num_records
     noise = rng.standard_normal((n, config.dim))
@@ -134,11 +131,9 @@ def make_query_set(config: SyntheticDatasetConfig, n_queries: int, seed: int) ->
     With ``cluster_sigma=0`` queries sit exactly on the normalized centers,
     which is the regime where both retrieval methods should be near-perfect.
     """
-    if int(n_queries) < 1:
-        raise InvalidParameterError(f"n_queries must be >= 1, got {n_queries}")
-    n_queries = int(n_queries)
-    centers = _draw_centers(np.random.default_rng(config.seed), config)
-    rng = np.random.default_rng(seed)
+    n_queries = whole(n_queries, 1, "n_queries")
+    centers = _draw_centers(seeded_rng(config.seed), config)
+    rng = seeded_rng(seed)
     which = rng.integers(0, config.num_emotions, size=n_queries)
     raw = centers[which] + config.cluster_sigma * rng.standard_normal((n_queries, config.dim))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
@@ -178,12 +173,12 @@ def run_cell(
     """Time one (method, database) cell over a query set.
 
     Returns ``(BenchResult, candidates_scanned per query)``.  The first
-    ``warmup`` queries run untimed to populate lazy caches before anything is
-    recorded.
+    ``warmup`` queries (an integer >= 0) run untimed to populate lazy caches
+    before anything is recorded.
     """
     if not query_set:
         raise InvalidParameterError("query set must be non-empty")
-    for query, _ in query_set[: max(0, int(warmup))]:
+    for query, _ in query_set[: whole(warmup, 0, "warmup")]:
         retrieve(db, query, method, index=index)
     latencies = []
     scans = []
@@ -220,18 +215,19 @@ def run_benchmark(
     Databases and query sets are built once per size with seeds derived from
     the top-level seed, so the two methods in one size answer exactly the
     same queries.  A size's cluster index is fitted just before its first
-    clustering cell.  Sizes must be divisible by ``num_emotions``.
+    clustering cell.  Sizes must be integers divisible by ``num_emotions``.
     """
     if cells is None:
         cells = [(m, s) for m in (RetrievalMethod.EMBEDDING, RetrievalMethod.CLUSTERING) for s in DEFAULT_SIZES]
-    cells = [(RetrievalMethod.parse(m), int(s)) for m, s in cells]
+    cells = [(RetrievalMethod.parse(m), whole(s, 1, "database size")) for m, s in cells]
+    seed, num_emotions = whole(seed, 0, "seed"), whole(num_emotions, 1, "num_emotions")
     if not cells:
         raise InvalidParameterError("benchmark needs at least one cell")
 
     sizes = sorted({s for _, s in cells})
     built = {}
     for size in sizes:
-        if size < 1 or size % num_emotions != 0:
+        if size % num_emotions != 0:
             raise InvalidParameterError(
                 f"database size {size} is not a multiple of num_emotions={num_emotions}"
             )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FormatError, NonFiniteValueError
+from .errors import DimensionMismatchError, FormatError, InvalidParameterError, NonFiniteValueError
 
 log = logging.getLogger("emorag")
 
@@ -46,9 +46,21 @@ def frozen_copy(values, dtype, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
-def json_int(value, least: int) -> bool:
-    """Whether ``value`` is a JSON integer of at least ``least`` (a bool or float is not)."""
-    return type(value) is int and value >= least
+def is_whole(value, least: int) -> bool:
+    """Whether ``value`` is a Python or numpy integer >= ``least``; a bool, float or string is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
+def whole(value, least: int, what: str) -> int:
+    """``value`` as an ``int`` if :func:`is_whole`, else :class:`InvalidParameterError` naming ``what``."""
+    if not is_whole(value, least):
+        raise InvalidParameterError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """The generator of ``seed``, which must be a whole number >= 0 (see :func:`whole`)."""
+    return np.random.default_rng(whole(seed, 0, "seed"))
 
 
 def read_json(path, what: str):

@@ -76,12 +76,12 @@ def test_request_parses_strings_and_wraps_reference():
         target_text="hi",
         method="clustering",
         intensity="STRONG",
-        seed="5",
     )
     assert isinstance(req.reference, EmotionEmbedding)
     assert req.method is RetrievalMethod.CLUSTERING
     assert req.intensity.value == "strong"
-    assert req.seed == 5
+    with pytest.raises(InvalidParameterError, match="seed"):
+        SynthesisRequest(reference=np.ones(4, dtype=np.float32), target_text="hi", seed="5")
 
 
 def test_request_rejects_empty_text():

@@ -21,6 +21,7 @@ from emorag import (
     FormatError,
     IndexBundle,
     IntensityLevel,
+    InvalidIntensityError,
     InvalidParameterError,
     MalformedHeaderError,
     MissingIndexError,
@@ -134,10 +135,16 @@ def test_kmeans_validation():
         kmeans_fit(db, 0)
     with pytest.raises(InvalidParameterError):
         kmeans_fit(db, 4)
-    with pytest.raises(InvalidParameterError):
-        kmeans_fit(db, 1.5)
+    for k in (1.5, 2.0, True):
+        with pytest.raises(InvalidParameterError, match="k must"):
+            kmeans_fit(db, k)
+    for seed in (-1, 1.5, True, "1"):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            kmeans_fit(db, 2, seed=seed)
     with pytest.raises(EmptyDatabaseError):
         kmeans_fit(build_db(np.zeros((0, 3))), 1)
+    a, b = kmeans_fit(db, np.int64(2), seed=np.int64(3)), kmeans_fit(db, 2, seed=3)
+    assert type(a.k) is int and serialize_index(a) == serialize_index(b)
 
 
 def test_kmeans_deterministic_under_seed():
@@ -506,8 +513,10 @@ def test_cluster_index_validation():
     for assignments in ([0, 2], [0, -1], np.array([0, -1], dtype=np.int64)):
         with pytest.raises(InvalidParameterError):
             ClusterIndex(2, cents, assignments, 0.0, fp)
-    with pytest.raises(InvalidParameterError):
-        ClusterIndex(0, cents[:0], [], 0.0, fp)
+    for k in (0, -1, 2.7, 2.0, True):
+        with pytest.raises(InvalidParameterError, match="k must"):
+            ClusterIndex(k, cents, [0, 1], 0.0, fp)
+    assert type(ClusterIndex(np.int64(2), cents, [0, 1], 0.0, fp).k) is int
     for centroids in (np.eye(3, 2, dtype=np.float32), np.zeros((2, 0)), cents[0]):
         with pytest.raises(DimensionMismatchError):
             ClusterIndex(2, centroids, [0, 1], 0.0, fp)
@@ -517,6 +526,18 @@ def test_cluster_index_validation():
         ClusterIndex(2, [[1.0, 0.0], [np.nan, 1.0]], [0, 1], 0.0, fp)
     with pytest.raises(FormatError):
         ClusterIndex(2, cents, [0, 1], 0.0, fp[:31])
+
+
+def test_bundle_for_level_takes_a_level_name():
+    db = build_db(np.eye(2, dtype=np.float32), intensities=["weak", "normal"])
+    bundle = build_index_bundle(db, 1)
+    weak = bundle.by_level[IntensityLevel.WEAK]
+    assert bundle.for_level("weak") is bundle.for_level("WEAK") is bundle.for_level(IntensityLevel.WEAK) is weak
+    for missing in ("strong", IntensityLevel.STRONG):
+        with pytest.raises(MissingIndexError, match="strong"):
+            bundle.for_level(missing)
+    with pytest.raises(InvalidIntensityError):
+        bundle.for_level("loud")
 
 
 def test_clustering_without_an_index_is_a_missing_index():

@@ -316,6 +316,8 @@ def test_benchmark_rejects_bad_sizes():
         run_benchmark(cells=[], n_queries=5)
     with pytest.raises(InvalidParameterError):
         run_benchmark(cells=[("embedding", 160)], n_queries=0, num_emotions=8, dim=8)
+    with pytest.raises(InvalidParameterError, match="num_emotions"):
+        run_benchmark(cells=[("embedding", 160)], n_queries=5, num_emotions=0, dim=8)
 
 
 # ---------------------------------------------------------------------------
