@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_import_db)
 
     p = sub.add_parser(
-        "build-index", parents=[db_flag, seeded, out], help="fit cluster indexes (full + per intensity)"
+        "build-index", parents=[db_flag, seeded, out], help="fit one cluster index; save it and its per-level parts"
     )
     p.add_argument("--k", type=int, default=None, help="clusters; default = distinct labels")
     p.set_defaults(func=cmd_build_index)

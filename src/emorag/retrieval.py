@@ -358,7 +358,8 @@ def retrieve_clustering_based(
 
 @dataclass(eq=False)
 class IndexBundle:
-    """A full-database index plus one index per intensity level present."""
+    """A full-database index plus, per intensity level present, that index restricted to
+    the level: its centroids, the level's assignments and the level subset's fingerprint."""
 
     full: ClusterIndex
     by_level: dict
@@ -377,18 +378,16 @@ class IndexBundle:
 def build_index_bundle(
     db: EmbeddingDatabase, k: int | None = None, *, seed: int = 0
 ) -> IndexBundle:
-    """Fit the full-database index and one per non-empty intensity subset.
-
-    ``k=None`` picks :func:`default_k` independently for the full database and
-    for each subset; an explicit ``k`` applies everywhere and must fit the
-    smallest subset it is used on.
-    """
-    def fit(part: EmbeddingDatabase) -> ClusterIndex:
-        return kmeans_fit(part, k if k is not None else default_k(part), seed=seed)
-
-    full = fit(db)
-    subsets = ((level, filter_by_intensity(db, level)) for level in IntensityLevel)
-    return IndexBundle(full=full, by_level={level: fit(sub) for level, sub in subsets if len(sub)})
+    """Fit spherical k-means once over ``db`` (``k=None``: :func:`default_k`) and restrict
+    it to each non-empty level; a level index has NaN inertia, as a loaded index has."""
+    full = kmeans_fit(db, k if k is not None else default_k(db), seed=seed)
+    by_level = {}
+    for level in IntensityLevel:
+        rows = db.intensity_codes == level.wire_code
+        if rows.any():
+            fingerprint = filter_by_intensity(db, level).fingerprint
+            by_level[level] = ClusterIndex(full.k, full.centroids, full.assignments[rows], float("nan"), fingerprint)
+    return IndexBundle(full=full, by_level=by_level)
 
 
 def retrieve(
@@ -401,10 +400,10 @@ def retrieve(
 ) -> RetrievalResult:
     """Front door: optional intensity gate, then the chosen strategy (``elapsed_ns`` covers both).
 
-    Gating searches the level's subset of ``db`` (built by the first gated
-    query, then cached on ``db``), so similarity competition happens only
-    among records at that level; an empty gate raises :class:`EmptySubsetError`.  Clustering needs an index covering exactly the
-    records being searched — an :class:`IndexBundle` when gating is in play.
+    Gating searches the level's subset of ``db`` (built by the first gated query,
+    then cached on ``db``), so only records at that level compete; an empty gate
+    raises :class:`EmptySubsetError`.  Clustering needs an index covering exactly
+    the records searched: an :class:`IndexBundle` when gating is in play.
     """
     t0 = time.perf_counter_ns()
     method = RetrievalMethod.parse(method)

@@ -328,11 +328,13 @@ def test_retrieve_matches_brute_force(seed):
 
 
 # ---------------------------------------------------------------------------
-# cosine scan
+# cosine scan: a row scores the same bits at any position
 
-# rows in a 16-row-aligned block of 2^18 float64 values: sizes around these
-# catch a kernel that scores a row by where it sits in a BLAS product
-BLOCK_ROWS = {2: 131_072, 96: 2_720, 128: 2_048, 300: 864}
+# a BLAS product scores rows in unrolled groups plus a remainder loop, and splits
+# a large product into per-thread row ranges; the scan tests put rows on both
+# sides of 2,048 (a multiple of 16, and where a two-thread OpenBLAS product over
+# 4,099 rows of dim 128 splits) and a few thousand rows past it
+SCAN_ROWS = 2048
 
 
 def _unit_rows(rng, n, dim):
@@ -341,25 +343,28 @@ def _unit_rows(rng, n, dim):
 
 
 def _first_max_by_row(unit, qn):
-    """Reference scan: one ``np.dot`` per row, strict ``>`` keeps the earliest maximum."""
-    best_pos, best_sim = 0, -np.inf
-    for pos, sim in enumerate(map(qn.dot, unit)):
-        if sim > best_sim:
-            best_pos, best_sim = pos, sim
-    return best_pos, float(best_sim)
+    """Reference scan: each row scored alone, as a stack of ``(1, dim) @ (dim, 1)``
+    products (one dot product each, the bits of ``qn.dot(row)``); the earliest maximum wins."""
+    sims = (unit[:, None, :] @ qn[:, None])[:, 0, 0]
+    pos = int(np.argmax(sims))
+    assert sims[pos] == qn.dot(unit[pos])
+    return pos, float(sims[pos])
 
 
 @pytest.mark.parametrize("dim", [2, 96, 128, 300])
 @pytest.mark.parametrize("extra", [-1, 0, 1, "several"])
 def test_scan_blocks_match_single_product(dim, extra):
-    rows = BLOCK_ROWS[dim]
-    n = 3 * rows + 80 if extra == "several" else rows + extra
+    """The scan gives every row the bits of its own dot product, wherever it sits.
+
+    (The name is that of the blocked scan this test first guarded.)
+    """
+    n = 3 * SCAN_ROWS + 80 if extra == "several" else SCAN_ROWS + extra
     rng = np.random.default_rng([dim, n])
     unit = _unit_rows(rng, n, dim)
-    # random queries, then queries aimed at the rows around the first block
-    # boundary and at the last rows, where a product kernel would score the
+    # random queries, then queries aimed at the rows around the first multiple
+    # of SCAN_ROWS and at the last rows, where a product kernel would score the
     # best row through a different path
-    aimed = [*range(rows - 4, rows + 4), *range(n - 4, n)]
+    aimed = [*range(SCAN_ROWS - 4, SCAN_ROWS + 4), *range(n - 4, n)]
     planted = [unit[k] for k in aimed if 0 <= k < n]
     for qn in [_unit_rows(rng, 1, dim)[0] for _ in range(3)] + planted:
         pos, sim = _first_max_by_row(unit, qn)
@@ -368,12 +373,11 @@ def test_scan_blocks_match_single_product(dim, extra):
         assert got_sim == sim  # bit for bit
 
 
-def test_scan_tie_across_blocks_breaks_to_lowest_position():
-    rows = BLOCK_ROWS[128]
-    vectors = np.zeros((3 * rows, 128), dtype=np.float32)
+def test_scan_tie_at_distant_positions_breaks_to_lowest_position():
+    vectors = np.zeros((3 * SCAN_ROWS, 128), dtype=np.float32)
     vectors[:, 1] = 1.0
-    # the same exact best score in each of the three blocks
-    for i in (5, rows + 5, 2 * rows + 5):
+    # the same exact best score near the start, the middle and the end
+    for i in (5, SCAN_ROWS + 5, 2 * SCAN_ROWS + 5):
         vectors[i] = np.eye(128, dtype=np.float32)[0]
     db = build_db(vectors)
     result = retrieve_embedding_based(db, EmotionEmbedding(np.eye(128, dtype=np.float32)[0]))
@@ -381,7 +385,7 @@ def test_scan_tie_across_blocks_breaks_to_lowest_position():
     assert result.similarity == 1.0
 
 
-def test_clustered_scan_over_several_blocks_matches_direct_member_scan():
+def test_clustered_scan_matches_direct_member_scan():
     cfg = SyntheticDatasetConfig(num_emotions=2, dim=128, records_per_emotion=2500, seed=11)
     db = generate_synthetic_db(cfg)
     index = kmeans_fit(db, 2, seed=0)
@@ -391,7 +395,7 @@ def test_clustered_scan_over_several_blocks_matches_direct_member_scan():
         qn = qn / np.linalg.norm(qn)
         cluster, _ = _first_max_by_row(index.unit_centroids, qn)
         members = np.nonzero(index.assignments == cluster)[0]
-        assert members.size > BLOCK_ROWS[db.dim]
+        assert members.size > SCAN_ROWS
         best, sim = _first_max_by_row(db.unit_matrix[members], qn)
         assert result.candidates_scanned == members.size
         assert result.record_id == db.ids[int(members[best])]
@@ -449,12 +453,11 @@ def test_copy_of_best_row_ties_to_lowest_position():
     assert failed == []
 
 
-def test_copy_of_best_row_across_a_block_boundary_ties_to_lowest_position():
-    rows = BLOCK_ROWS[128]
-    n = 2 * rows + 3
+def test_copy_of_best_row_far_from_it_ties_to_lowest_position():
+    n = 2 * SCAN_ROWS + 3
     base = np.random.default_rng(5).standard_normal((n, 128)).astype(np.float32)
-    for first in (rows - 2, rows - 1):
-        for copy in (rows, rows + 1, n - 2, n - 1):
+    for first in (SCAN_ROWS - 2, SCAN_ROWS - 1):
+        for copy in (SCAN_ROWS, SCAN_ROWS + 1, n - 2, n - 1):
             vectors = base.copy()
             vectors[copy] = vectors[first]
             assert _ties_to_first(vectors, first) == [f"rec{first}"] * 4, (first, copy)
@@ -824,8 +827,28 @@ def test_build_index_bundle_defaults_and_limits():
     bundle = build_index_bundle(db, seed=0)
     assert set(bundle.by_level) == {IntensityLevel.WEAK, IntensityLevel.NORMAL}
     assert bundle.full.k == default_k(db)
+    # k only has to fit the whole database: the 6-record weak level keeps all 7 centroids
+    assert build_index_bundle(db, k=7, seed=0).by_level[IntensityLevel.WEAK].k == 7
     with pytest.raises(InvalidParameterError):
-        build_index_bundle(db, k=7, seed=0)  # weak subset has only 6 records
+        build_index_bundle(db, k=13, seed=0)  # the database has 12 records
+
+
+def test_level_indexes_are_the_full_index_restricted_to_their_level(tmp_path, monkeypatch):
+    db = random_db(np.random.default_rng(8), n=60, dim=6)
+    fits = []
+    fit = retrieval.kmeans_fit
+    monkeypatch.setattr(retrieval, "kmeans_fit", lambda *a, **kw: fits.append(a) or fit(*a, **kw))
+    bundle = build_index_bundle(db, 3, seed=0)
+    assert len(fits) == 1
+    save_index_bundle(bundle, tmp_path / "db.emix")
+    for b in (bundle, load_index_bundle(tmp_path / "db.emix")):
+        assert set(b.by_level) == set(LEVELS)
+        for level, index in b.by_level.items():
+            rows = db.intensity_codes == level.wire_code
+            assert index.k == b.full.k
+            assert index.centroids.tobytes() == bundle.full.centroids.tobytes()
+            assert np.array_equal(index.assignments, bundle.full.assignments[rows])
+            assert index.fingerprint == filter_by_intensity(db, level).fingerprint
 
 
 def test_bundle_save_load(tmp_path):
@@ -933,7 +956,7 @@ def test_clustered_query_logs_its_index(caplog):
         "clustered query: full index, k=2",
         "cluster index k=2: inverted lists over 12 rows, largest 8",
         "clustered query: normal index, k=2",
-        "cluster index k=2: inverted lists over 6 rows, largest 4",
+        "cluster index k=2: inverted lists over 6 rows, largest 3",
         "clustered query: full index, k=2",
     ]
 
