@@ -58,8 +58,8 @@ def main() -> int:
     print(f"database: {db_path} ({len(db)} records, dim {db.dim})")
 
     index_path = root / "db.emix"
-    written = save_index_bundle(build_index_bundle(db, seed=args.seed), index_path)
-    print(f"indexes:  {', '.join(str(p) for p in written)}")
+    save_index_bundle(build_index_bundle(db, seed=args.seed), index_path)
+    print(f"index:    {index_path}")
 
     token_dir = root / "tokens"
     token_dir.mkdir(exist_ok=True)

@@ -11,14 +11,15 @@ Exit codes, used consistently by every subcommand:
 
 The ``EMORAG_LOG`` environment variable (DEBUG/INFO/...) sets the level of
 the ``emorag`` logger, which writes to stderr.  At DEBUG it reports each
-intensity-gate subset when it is built, the index each clustered query
-probes (full or its level, with its k), a clustered probe that falls back to
-a full scan because its cluster is empty, and k-means reseeding an empty
-cluster.  ``synth`` adds the nanoseconds each of its file loads took to its
-report as ``load_timings_ns``.  All stochastic commands take ``--seed`` (a
-non-negative integer, default 0) so documented invocations reproduce
-byte-for-byte.  A flag that several subcommands take is declared once, and
-``retrieve`` and ``synth`` load the inputs their shared flags name alike.
+intensity-gate subset when it is built, each clustered query's gate, the
+cluster it probes and that cluster's rows at the gate, a clustered probe that
+falls back to a full scan because those rows are none, and k-means reseeding
+an empty cluster.  ``synth`` adds the nanoseconds each of its file loads took
+to its report as ``load_timings_ns``.  All stochastic commands take
+``--seed`` (a non-negative integer, default 0) so documented invocations
+reproduce byte-for-byte.  A flag that several subcommands take is declared
+once, and ``retrieve`` and ``synth`` load the inputs their shared flags name
+alike.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .retrieval import (
     retrieve,
     save_index_bundle,
 )
-from .store import IntensityLevel, load_db, load_manifest, save_db
+from .store import load_db, load_manifest, save_db
 from .synthbench import (
     SyntheticDatasetConfig,
     emit_report,
@@ -166,17 +167,8 @@ def cmd_import_db(args) -> int:
 def cmd_build_index(args) -> int:
     db = load_db(_need_file(args.db, "database"))
     bundle = build_index_bundle(db, args.k, seed=args.seed)
-    for level in IntensityLevel:
-        if level not in bundle.by_level:
-            print(
-                f"warning: no records at intensity {level.value}; skipping that index",
-                file=sys.stderr,
-            )
-    written = save_index_bundle(bundle, args.out)
-    print(
-        f"wrote full index (k={bundle.full.k}) and {len(bundle.by_level)} "
-        f"per-intensity indexes: {', '.join(str(p) for p in written)}"
-    )
+    save_index_bundle(bundle, args.out)
+    print(f"wrote cluster index (k={bundle.full.k}) to {args.out}; it serves every intensity gate")
     return EXIT_OK
 
 
@@ -314,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_import_db)
 
     p = sub.add_parser(
-        "build-index", parents=[db_flag, seeded, out], help="fit one cluster index; save it and its per-level parts"
+        "build-index", parents=[db_flag, seeded, out], help="fit the cluster index that serves every intensity gate"
     )
     p.add_argument("--k", type=int, default=None, help="clusters; default = distinct labels")
     p.set_defaults(func=cmd_build_index)

@@ -63,7 +63,7 @@ class StaleIndexError(EmoragError):
 
 
 class MissingIndexError(EmoragError):
-    """Clustering retrieval was requested but no index covers the subset."""
+    """Clustering retrieval was requested without a cluster index."""
 
 
 class MissingAssetError(EmoragError):

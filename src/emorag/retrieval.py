@@ -8,12 +8,16 @@ cluster boundaries for a scan that touches n/k records on average; a routed
 cluster with no members falls back to the full scan.
 
 The probe scans one contiguous slice.  On its first clustered query an index
-builds inverted lists (as in IVF): the stable argsort of its assignments, the
-offsets at which each cluster starts, and a read-only copy of the database's
-unit rows in that order.  A cluster's members are then one slice of that
-copy, in ascending position, and the winner maps back through the order.  The
-price is one float64 copy of the indexed rows per queried index (8 MB for
-8,000 rows at dim 128), held as long as the index is.
+builds inverted lists (as in IVF): the stable argsort of ``3 * assignment +
+intensity code``, the offsets at which each (cluster, level) block starts,
+and a read-only copy of the database's unit rows in that order.  Cluster
+``c`` at one level is block ``3c + code``, its members in ascending
+position; cluster ``c`` at every level is the three blocks ``[3c, 3c + 3)``.
+The winner maps back through the order, the lowest position among equal
+maxima.  One index serves every intensity gate: a gate's subset knows which
+database it was cut from, so a gated query probes the level's block of that
+database's index.  The price is one float64 copy of the indexed rows per
+queried index (8 MB for 8,000 rows at dim 128), held as long as the index is.
 
 Clustering is spherical k-means: rows are unit-normalized, at most 100 Lloyd
 iterations minimize squared euclidean distance (monotone in cosine on the
@@ -127,7 +131,8 @@ class ClusterIndex:
 
     ``centroids`` stay float32 in memory so that a save/load round trip is
     bit-exact; routing scores their float64 unit rows, ``unit_centroids``.
-    ``k`` is a Python or numpy integer >= 1 (:class:`InvalidParameterError`).
+    ``k`` is a Python or numpy integer >= 1 and ``assignments`` an integer
+    array, not bool (else :class:`InvalidParameterError`).
     """
 
     k: int
@@ -146,6 +151,8 @@ class ClusterIndex:
         a = np.asarray(self.assignments)
         if a.ndim != 1:
             raise DimensionMismatchError("assignments must be 1-D")
+        if not np.issubdtype(a.dtype, np.integer):  # a float would be truncated; bool is not an integer dtype
+            raise InvalidParameterError(f"assignments must be integers, got dtype {a.dtype}")
         if a.size and not 0 <= int(a.min()) <= int(a.max()) < self.k:
             raise InvalidParameterError(f"assignment refers to a cluster outside [0, {self.k})")
         if not isinstance(self.fingerprint, bytes) or len(self.fingerprint) != FINGERPRINT_BYTES:
@@ -165,29 +172,30 @@ class ClusterIndex:
     def dim(self) -> int:
         return int(self.centroids.shape[1])
 
-    def _inverted_lists(self, unit: np.ndarray) -> tuple:
-        """``(order, offsets, rows)``: the records grouped by cluster, cached.
+    def _inverted_lists(self, db: EmbeddingDatabase) -> tuple:
+        """``(order, offsets, rows)``: the records grouped by cluster, then by level; cached.
 
-        ``order`` is the stable argsort of :attr:`assignments`, so each
-        cluster's members keep their ascending positions; cluster ``c`` owns
-        ``order[offsets[c]:offsets[c + 1]]``, and ``rows`` holds ``unit``'s
-        rows in that order as one read-only C-contiguous copy.  ``unit`` must
-        be the unit matrix of the database this index was checked against;
-        the first call builds the lists from it and later calls return them.
+        ``order`` is the stable argsort of ``3 * assignment + intensity code``,
+        so block ``b = 3c + code`` holds cluster ``c``'s members at that level
+        in ascending position and owns ``order[offsets[b]:offsets[b + 1]]``;
+        ``rows`` holds ``db``'s unit rows in that order as one read-only
+        C-contiguous copy.  ``db`` must be the database this index was checked
+        against; the first call builds the lists from it, later calls return them.
         """
         lists = self._lists
         if lists is None:
-            order = np.argsort(self.assignments, kind="stable")
-            offsets = np.zeros(self.k + 1, dtype=np.int64)
-            np.cumsum(np.bincount(self.assignments, minlength=self.k), out=offsets[1:])
-            rows = unit[order]
+            blocks = 3 * self.assignments.astype(np.int64) + db.intensity_codes
+            order = np.argsort(blocks, kind="stable")
+            offsets = np.zeros(3 * self.k + 1, dtype=np.int64)
+            np.cumsum(np.bincount(blocks, minlength=3 * self.k), out=offsets[1:])
+            rows = db.unit_matrix[order]
             for a in (order, offsets, rows):
                 a.flags.writeable = False
             # one tuple, published at once: a racing thread sees all of it or none
             lists = self._lists = (order, offsets, rows)
             log.debug(
-                "cluster index k=%d: inverted lists over %d rows, largest %d",
-                self.k, order.size, int(np.diff(offsets).max()),
+                "cluster index k=%d: inverted lists over %d rows, largest cluster %d",
+                self.k, order.size, int(np.diff(offsets[::3]).max()),
             )
         return lists
 
@@ -302,45 +310,54 @@ def default_k(db: EmbeddingDatabase) -> int:
 
 
 def _search(db: EmbeddingDatabase, index, query: EmotionEmbedding, method: RetrievalMethod, t0: int):
-    """The one search.  With a :class:`ClusterIndex`, check that it covers ``db``, route
-    the query to its nearest centroid and scan that cluster's slice; with ``index=None``,
-    or when the cluster has no members, scan every row.  ``elapsed_ns`` counts from ``t0``."""
+    """The one search.  With ``index=None``, scan every row of ``db``.
+
+    With a :class:`ClusterIndex`, check that it covers ``db`` or, when ``db`` is an
+    intensity gate's subset whose live parent has the index's fingerprint, that parent
+    (so no subset fingerprint is computed).  Then route the query to its nearest
+    centroid and scan that cluster's rows: the gate's level block, or all three blocks
+    ungated.  A cluster with no rows there falls back to scanning every row of ``db``.
+    ``elapsed_ns`` counts from ``t0``.
+    """
     if index is None and method is RetrievalMethod.CLUSTERING:
         raise MissingIndexError("clustering retrieval requires a cluster index")
     if len(db) == 0:
         raise EmptyDatabaseError("cannot retrieve from an empty database")
+    covered, gate = db, None
     if index is not None:
-        if index.dim != db.dim:
+        if db._gate is not None:
+            parent = db._gate[0]()
+            if parent is not None and parent.fingerprint == index.fingerprint:
+                covered, gate = parent, db._gate[1]
+        if index.dim != covered.dim:
             raise DimensionMismatchError(
-                f"index dim {index.dim} does not match database dim {db.dim}"
+                f"index dim {index.dim} does not match database dim {covered.dim}"
             )
-        if index.fingerprint != db.fingerprint:
+        if index.fingerprint != covered.fingerprint:
             raise StaleIndexError(
                 "index fingerprint does not match this database; rebuild the index"
             )
-        if index.assignments.shape[0] != len(db):
+        if index.assignments.shape[0] != len(covered):
             raise StaleIndexError(
-                f"index covers {index.assignments.shape[0]} records, database has {len(db)}"
+                f"index covers {index.assignments.shape[0]} records, database has {len(covered)}"
             )
     qn = _unit_query(db, query)
-    rows, order = db.unit_matrix, None
     if index is not None:
         cluster, _ = _scan_argmax(index.unit_centroids, qn)
-        members, offsets, grouped = index._inverted_lists(db.unit_matrix)
-        lo, hi = int(offsets[cluster]), int(offsets[cluster + 1])
+        order, offsets, grouped = index._inverted_lists(covered)
+        block = 3 * cluster + (0 if gate is None else gate.wire_code)
+        lo, hi = int(offsets[block]), int(offsets[block + (3 if gate is None else 1)])
+        log.debug("clustered query: gate %s, cluster %d of k=%d holds %d rows", gate or "none", cluster, index.k, hi - lo)
         if lo < hi:
-            # members ascend within the slice, so the lowest member position still wins ties
-            rows, order = grouped[lo:hi], members[lo:hi]
-        else:
-            log.debug("cluster %d has no members; scanning all %d records", cluster, len(db))
-    best, sim = _scan_argmax(rows, qn)
-    return RetrievalResult(
-        record_id=db.ids[best if order is None else int(order[best])],
-        similarity=sim,
-        method=method,
-        candidates_scanned=len(rows),
-        elapsed_ns=time.perf_counter_ns() - t0,
-    )
+            sims, members = np.vecdot(grouped[lo:hi], qn), order[lo:hi]
+            best = int(np.argmax(sims))
+            sim = float(sims[best])
+            # one level block ascends in position; three together need not, so take the lowest among equal maxima
+            best = int(members[best] if gate is not None else members[sims == sims[best]].min())
+            return RetrievalResult(covered.ids[best], sim, method, hi - lo, time.perf_counter_ns() - t0)
+        log.debug("cluster %d has no members; scanning all %d records", cluster, len(db))
+    best, sim = _scan_argmax(db.unit_matrix, qn)
+    return RetrievalResult(db.ids[best], sim, method, len(db), time.perf_counter_ns() - t0)
 
 
 def retrieve_embedding_based(db: EmbeddingDatabase, query: EmotionEmbedding) -> RetrievalResult:
@@ -358,36 +375,26 @@ def retrieve_clustering_based(
 
 @dataclass(eq=False)
 class IndexBundle:
-    """A full-database index plus, per intensity level present, that index restricted to
-    the level: its centroids, the level's assignments and the level subset's fingerprint."""
+    """A database's one cluster index, ``full``, as ``build-index`` writes it.
+
+    It serves every intensity gate, since a gated query probes the level's block of
+    its inverted lists; so :meth:`for_level` returns ``full`` for every level.
+    """
 
     full: ClusterIndex
-    by_level: dict
 
     def for_level(self, level: IntensityLevel | str | None) -> ClusterIndex:
-        """The index of ``level`` (a level or its name, any case), or the full one for None."""
-        if level is None:
-            return self.full
-        level = IntensityLevel.parse(level)
-        try:
-            return self.by_level[level]
-        except KeyError:
-            raise MissingIndexError(f"no cluster index for intensity {level.value!r}") from None
+        """The index that serves ``level`` (a level, its name in any case, or None): ``full``."""
+        if level is not None:
+            IntensityLevel.parse(level)  # an unknown name still raises
+        return self.full
 
 
 def build_index_bundle(
     db: EmbeddingDatabase, k: int | None = None, *, seed: int = 0
 ) -> IndexBundle:
-    """Fit spherical k-means once over ``db`` (``k=None``: :func:`default_k`) and restrict
-    it to each non-empty level; a level index has NaN inertia, as a loaded index has."""
-    full = kmeans_fit(db, k if k is not None else default_k(db), seed=seed)
-    by_level = {}
-    for level in IntensityLevel:
-        rows = db.intensity_codes == level.wire_code
-        if rows.any():
-            fingerprint = filter_by_intensity(db, level).fingerprint
-            by_level[level] = ClusterIndex(full.k, full.centroids, full.assignments[rows], float("nan"), fingerprint)
-    return IndexBundle(full=full, by_level=by_level)
+    """Fit spherical k-means once over ``db`` (``k=None``: :func:`default_k`)."""
+    return IndexBundle(kmeans_fit(db, k if k is not None else default_k(db), seed=seed))
 
 
 def retrieve(
@@ -402,8 +409,8 @@ def retrieve(
 
     Gating searches the level's subset of ``db`` (built by the first gated query,
     then cached on ``db``), so only records at that level compete; an empty gate
-    raises :class:`EmptySubsetError`.  Clustering needs an index covering exactly
-    the records searched: an :class:`IndexBundle` when gating is in play.
+    raises :class:`EmptySubsetError`.  Clustering needs ``db``'s cluster index, as
+    an :class:`IndexBundle` or a bare :class:`ClusterIndex`, gated or not.
     """
     t0 = time.perf_counter_ns()
     method = RetrievalMethod.parse(method)
@@ -415,9 +422,7 @@ def retrieve(
             raise EmptySubsetError(intensity.value)
     chosen = None
     if method is RetrievalMethod.CLUSTERING and index is not None:
-        bundle = index if isinstance(index, IndexBundle) else IndexBundle(index, {})
-        chosen = bundle.for_level(intensity)
-        log.debug("clustered query: %s index, k=%d", intensity or "full", chosen.k)
+        chosen = index.full if isinstance(index, IndexBundle) else index
     return _search(target, chosen, query, method, t0)
 
 
@@ -465,29 +470,11 @@ def load_index(path) -> ClusterIndex:
     return deserialize_index(Path(path).read_bytes())
 
 
-def level_index_path(base_path, level: IntensityLevel) -> Path:
-    """Sibling path for a per-intensity index: ``db.emix`` → ``db.weak.emix``."""
-    base = Path(base_path)
-    return base.with_name(f"{base.stem}.{level.value}{base.suffix}")
+def save_index_bundle(bundle: IndexBundle, path) -> None:
+    """Write the bundle's one index to ``path``."""
+    save_index(bundle.full, path)
 
 
-def save_index_bundle(bundle: IndexBundle, base_path) -> list:
-    """Write the full index at ``base_path`` and levels at sibling paths."""
-    written = [Path(base_path)]
-    save_index(bundle.full, base_path)
-    for level, index in bundle.by_level.items():
-        p = level_index_path(base_path, level)
-        save_index(index, p)
-        written.append(p)
-    return written
-
-
-def load_index_bundle(base_path) -> IndexBundle:
-    """Load the full index plus whichever per-level files exist next to it."""
-    full = load_index(base_path)
-    by_level = {}
-    for level in IntensityLevel:
-        p = level_index_path(base_path, level)
-        if p.exists():
-            by_level[level] = load_index(p)
-    return IndexBundle(full=full, by_level=by_level)
+def load_index_bundle(path) -> IndexBundle:
+    """Load the one index at ``path``; per-level ``<stem>.<level>.emix`` files beside it are not read."""
+    return IndexBundle(load_index(path))

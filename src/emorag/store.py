@@ -10,7 +10,8 @@ labels, transcripts and audio refs.  A database owns a private copy of its
 matrix, so a caller's array never changes the rows behind its fingerprint.
 Row ``i`` of every column is record ``i``; :meth:`EmbeddingDatabase.position`
 maps an id to its row.  An intensity gate's subset is built once per level
-and cached on its parent, with its unit matrix and fingerprint.
+and cached on its parent; the subset holds only a weak reference back, so a
+parent that nobody else holds is freed at once, not by the cyclic collector.
 
 On-disk layout (little-endian throughout)::
 
@@ -39,6 +40,7 @@ import enum
 import hashlib
 import operator
 import struct
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -175,6 +177,7 @@ class EmbeddingDatabase:
         self.matrix, self.intensity_codes = m, codes
         self._unit_matrix = self._fingerprint = None
         self._subsets = {}
+        self._gate = None  # (weak reference to the parent, level) on an intensity gate's subset
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -201,9 +204,9 @@ class EmbeddingDatabase:
             bad = np.nonzero(norms == 0.0)[0]
             if bad.size:
                 raise ZeroNormError(f"record {self.ids[int(bad[0])]!r} has zero-norm embedding")
-            u = m / norms[:, None]
-            u.flags.writeable = False
-            self._unit_matrix = u
+            m /= norms[:, None]  # in place: no second f64 matrix, even for a moment
+            m.flags.writeable = False
+            self._unit_matrix = m
         return self._unit_matrix
 
     @property
@@ -222,7 +225,9 @@ def filter_by_intensity(db: EmbeddingDatabase, level: IntensityLevel) -> Embeddi
 
     The first gate per level slices ``db``'s columns and keeps the subset on
     ``db``; later gates return that same object, so its unit matrix and
-    fingerprint are computed at most once.
+    fingerprint are computed at most once.  The subset records where it was
+    cut from, ``(weak reference to db, level)``, so that ``db``'s cluster index
+    can serve it.
     """
     level = IntensityLevel.parse(level)
     sub = db._subsets.get(level)
@@ -231,6 +236,7 @@ def filter_by_intensity(db: EmbeddingDatabase, level: IntensityLevel) -> Embeddi
         columns = (db.ids, db.labels, db.transcripts, db.audio_refs)
         picked = ([col[i] for i in rows] for col in columns)
         sub = EmbeddingDatabase(db.dim, db.matrix[rows], db.intensity_codes[rows], *picked)
+        sub._gate = (weakref.ref(db), level)
         sub = db._subsets.setdefault(level, sub)  # a racing thread's subset wins if first
         log.debug("intensity gate %s: kept %d of %d records", level.value, len(sub), len(db))
     return sub

@@ -244,27 +244,23 @@ def make_db_file(tmp_path, n=12, dim=5, intensities=None):
     return db, path
 
 
-def test_build_index_writes_full_and_level_files(tmp_path, capsys):
+def test_build_index_writes_one_index_file(tmp_path, capsys):
     db, db_path = make_db_file(tmp_path)
     out = tmp_path / "db.emix"
     assert main(["build-index", "--db", str(db_path), "--out", str(out)]) == 0
     captured = capsys.readouterr()
-    assert "wrote full index (k=3)" in captured.out  # three distinct labels
+    assert f"wrote cluster index (k=3) to {out}" in captured.out  # three distinct labels
     assert captured.err == ""
-    assert out.exists()
-    for level in ("weak", "normal", "strong"):
-        assert (tmp_path / f"db.{level}.emix").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["db.emdb", "db.emix"]
     assert load_index(out).k == 3
 
 
-def test_build_index_warns_and_skips_empty_level(tmp_path, capsys):
+def test_build_index_with_an_empty_level_writes_the_same_one_file(tmp_path, capsys):
     _, db_path = make_db_file(tmp_path, n=8, intensities=["weak", "normal"] * 4)
     out = tmp_path / "db.emix"
     assert main(["build-index", "--db", str(db_path), "--out", str(out)]) == 0
-    captured = capsys.readouterr()
-    assert "no records at intensity strong" in captured.err
-    assert (tmp_path / "db.weak.emix").exists()
-    assert not (tmp_path / "db.strong.emix").exists()
+    assert capsys.readouterr().err == ""  # no level has an index of its own to skip
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["db.emdb", "db.emix"]
 
 
 def test_build_index_rejects_oversized_k(tmp_path, capsys):

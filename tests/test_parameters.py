@@ -9,7 +9,7 @@ truncated, and a numpy integer gives the same result as the plain ``int``.
 import numpy as np
 import pytest
 
-from emorag import DimensionMismatchError, EmbeddingDatabase, InvalidParameterError, RetrievalMethod
+from emorag import ClusterIndex, DimensionMismatchError, EmbeddingDatabase, InvalidParameterError, RetrievalMethod
 from emorag.flow import (
     FlowTrainConfig,
     FrameSequence,
@@ -135,3 +135,13 @@ def test_whole_number_parameters(site):
         with pytest.raises(error):
             call(bad)
     assert repr(call(np.int64(good))) == repr(call(good))
+
+
+def test_cluster_assignments_are_integers():
+    # an array of cluster numbers follows the same rule: a float or bool array used to be cast to u32
+    make = lambda a: ClusterIndex(2, np.eye(2), a, 0.0, bytes(32)).assignments  # noqa: E731
+    for bad in ([0.5, 1.7, 1.0], [0.0, 1.0], np.array([True, False]), ["0", "1"]):
+        with pytest.raises(InvalidParameterError, match="integers"):
+            make(bad)
+    for good in ([0, 1, 1], np.array([0, 1, 1], dtype=np.int8), np.array([0, 1, 1], dtype=np.uint64)):
+        assert make(good).tolist() == [0, 1, 1]

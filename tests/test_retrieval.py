@@ -1,9 +1,11 @@
 """Retrieval layer: cosine scan, spherical k-means, index files, gating."""
 
+import gc
 import logging
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -44,7 +46,6 @@ from emorag import (
 from emorag.retrieval import (
     _scan_argmax,
     deserialize_index,
-    level_index_path,
     serialize_index,
 )
 from emorag import retrieval, store
@@ -353,11 +354,8 @@ def _first_max_by_row(unit, qn):
 
 @pytest.mark.parametrize("dim", [2, 96, 128, 300])
 @pytest.mark.parametrize("extra", [-1, 0, 1, "several"])
-def test_scan_blocks_match_single_product(dim, extra):
-    """The scan gives every row the bits of its own dot product, wherever it sits.
-
-    (The name is that of the blocked scan this test first guarded.)
-    """
+def test_scan_gives_each_row_its_own_dot_product_bits(dim, extra):
+    """The scan gives every row the bits of its own dot product, wherever it sits."""
     n = 3 * SCAN_ROWS + 80 if extra == "several" else SCAN_ROWS + extra
     rng = np.random.default_rng([dim, n])
     unit = _unit_rows(rng, n, dim)
@@ -420,7 +418,8 @@ def _ties_to_first(vectors, query_row):
     """Record id of every retrieval path for the query ``vectors[query_row]``.
 
     Exhaustive and clustered (one cluster) over ``vectors``, then both again
-    gated to the weak records of a database that interleaves them with others.
+    gated to the weak records of a database that interleaves them with others,
+    then clustered over ``vectors`` with the query row at a later level than the rest.
     """
     query = EmotionEmbedding(vectors[query_row])
     db = build_db(vectors)
@@ -433,14 +432,19 @@ def _ties_to_first(vectors, query_row):
     for method in RetrievalMethod:
         rid = retrieve(mixed, query, method, index=bundle, intensity="weak").record_id
         got.append(f"rec{int(rid[3:]) // 2}")  # weak record 2i holds vectors[i]
+    # the query row strong, every other row weak: an ungated cluster slice holds the
+    # weak block first, so a copy precedes the original there
+    leveled = build_db(vectors, intensities=[LEVELS[2 if i == query_row else 0] for i in range(len(vectors))])
+    got.append(retrieve_clustering_based(leveled, kmeans_fit(leveled, 1), query).record_id)
     return got
 
 
 def test_copy_of_best_row_ties_to_lowest_position():
     # a copy of row 0 at every position of n = 2..39: 741 placements, each
-    # through exhaustive, clustered, gated-exhaustive and gated-clustered
-    # retrieval; BLAS scores the last n mod 4 rows through a remainder loop
-    # whose last bit can differ, so the copy used to win some of them
+    # through exhaustive, clustered, gated-exhaustive, gated-clustered and
+    # level-ordered clustered retrieval; BLAS scores the last n mod 4 rows
+    # through a remainder loop whose last bit can differ, so the copy used to
+    # win some of them, and the level-ordered slice puts the copy first
     failed = []
     for n in range(2, 40):
         base = np.random.default_rng(n).standard_normal((n, 128)).astype(np.float32)
@@ -448,7 +452,7 @@ def test_copy_of_best_row_ties_to_lowest_position():
             vectors = base.copy()
             vectors[p] = vectors[0]
             got = _ties_to_first(vectors, 0)
-            if got != ["rec0"] * 4:
+            if got != ["rec0"] * 5:
                 failed.append((n, p, got))
     assert failed == []
 
@@ -460,7 +464,7 @@ def test_copy_of_best_row_far_from_it_ties_to_lowest_position():
         for copy in (SCAN_ROWS, SCAN_ROWS + 1, n - 2, n - 1):
             vectors = base.copy()
             vectors[copy] = vectors[first]
-            assert _ties_to_first(vectors, first) == [f"rec{first}"] * 4, (first, copy)
+            assert _ties_to_first(vectors, first) == [f"rec{first}"] * 5, (first, copy)
 
 
 def test_scan_returns_the_rescored_value_of_several_candidates():
@@ -532,13 +536,11 @@ def test_cluster_index_validation():
 
 
 def test_bundle_for_level_takes_a_level_name():
+    # one index serves every level, the one without records included
     db = build_db(np.eye(2, dtype=np.float32), intensities=["weak", "normal"])
     bundle = build_index_bundle(db, 1)
-    weak = bundle.by_level[IntensityLevel.WEAK]
-    assert bundle.for_level("weak") is bundle.for_level("WEAK") is bundle.for_level(IntensityLevel.WEAK) is weak
-    for missing in ("strong", IntensityLevel.STRONG):
-        with pytest.raises(MissingIndexError, match="strong"):
-            bundle.for_level(missing)
+    for level in ("weak", "WEAK", IntensityLevel.WEAK, "strong", IntensityLevel.STRONG, None):
+        assert bundle.for_level(level) is bundle.full
     with pytest.raises(InvalidIntensityError):
         bundle.for_level("loud")
 
@@ -652,9 +654,11 @@ def test_clustered_slices_with_an_empty_cluster_equal_the_gather_reference():
         inertia=0.0,
         fingerprint=db.fingerprint,
     )
-    order, offsets, rows = index._inverted_lists(db.unit_matrix)
-    assert offsets.tolist() == [0, 15, 15, 30]
-    assert order.tolist() == list(range(0, 30, 2)) + list(range(1, 30, 2))
+    order, offsets, rows = index._inverted_lists(db)
+    # cluster, then level (position mod 3 here), then position
+    assert offsets.tolist() == [0, 5, 10, 15, 15, 15, 15, 20, 25, 30]
+    by_level = lambda rows: sorted(rows, key=lambda i: i % 3)  # noqa: E731 (a stable sort)
+    assert order.tolist() == by_level(range(0, 30, 2)) + by_level(range(1, 30, 2))
     for axis in range(3):
         query = EmotionEmbedding(np.eye(3, dtype=np.float32)[axis])
         got = retrieve_clustering_based(db, index, query)
@@ -680,8 +684,9 @@ def test_inverted_list_rows_are_a_readonly_copy():
     index = kmeans_fit(db, 4, seed=0)
     retrieve_clustering_based(db, index, EmotionEmbedding(db.matrix[3]))
     order, offsets, rows = index._lists
-    assert index._inverted_lists(db.unit_matrix) is index._lists  # built once
-    assert order.tolist() == np.argsort(index.assignments, kind="stable").tolist()
+    assert index._inverted_lists(db) is index._lists  # built once
+    blocks = 3 * index.assignments.astype(np.int64) + db.intensity_codes
+    assert order.tolist() == np.argsort(blocks, kind="stable").tolist()
     assert np.array_equal(rows, db.unit_matrix[order])
     assert rows.flags.c_contiguous
     assert not np.shares_memory(rows, db.unit_matrix)
@@ -789,51 +794,74 @@ def test_retrieve_gated_clustering_uses_level_index():
     q = EmotionEmbedding(np.random.default_rng(9).standard_normal(5).astype(np.float32))
     result = retrieve(db, q, "clustering", index=bundle, intensity="weak")
     assert db.intensity_codes[db.position(result.record_id)] == IntensityLevel.WEAK.wire_code
-    # no strong subset -> no strong index -> gating on strong reports the gate
+    # the one index serves the weak gate; a gate with no records reports the gate
     with pytest.raises(EmptySubsetError):
         retrieve(db, q, "clustering", index=bundle, intensity="strong")
 
 
-def test_retrieve_gated_clustering_needs_bundle():
+def test_retrieve_gated_clustering_accepts_a_bare_index():
     db = _gated_db()
-    full_index = kmeans_fit(db, 2, seed=0)
+    bundle = build_index_bundle(db, 2, seed=0)
+    for row in range(len(db)):
+        q = EmotionEmbedding(db.matrix[row])
+        for level in LEVELS[:2]:
+            got = retrieve(db, q, "clustering", index=bundle.full, intensity=level)
+            _same_result(got, retrieve(db, q, "clustering", index=bundle, intensity=level))
+
+
+def test_gate_of_another_database_raises_stale():
+    db = _gated_db()
+    other = build_db(db.matrix[::-1], intensities=[LEVELS[i % 2] for i in range(12)])
+    index = kmeans_fit(db, 2, seed=0)
     q = EmotionEmbedding(db.matrix[0])
-    with pytest.raises(MissingIndexError):
-        retrieve(db, q, "clustering", index=full_index, intensity="weak")
-
-
-def test_bundle_missing_level_raises():
-    db = _gated_db()
-    bundle = build_index_bundle(db, seed=0)
-    del bundle.by_level[IntensityLevel.WEAK]
-    with pytest.raises(MissingIndexError):
-        retrieve(db, EmotionEmbedding(db.matrix[0]), "clustering", index=bundle, intensity="weak")
-
-
-def test_gated_index_fingerprint_is_subset_fingerprint():
-    db = _gated_db()
-    bundle = build_index_bundle(db, seed=0)
-    weak = filter_by_intensity(db, IntensityLevel.WEAK)
-    assert bundle.by_level[IntensityLevel.WEAK].fingerprint == weak.fingerprint
-    assert bundle.full.fingerprint == db.fingerprint
-    # a full-db index slotted in for a gated subset must be rejected as stale
-    swapped = IndexBundle(full=bundle.full, by_level={IntensityLevel.WEAK: bundle.full})
+    for given in (index, IndexBundle(index)):
+        with pytest.raises(StaleIndexError):
+            retrieve(other, q, "clustering", index=given, intensity="weak")
     with pytest.raises(StaleIndexError):
-        retrieve(db, EmotionEmbedding(db.matrix[0]), "clustering", index=swapped, intensity="weak")
+        retrieve_clustering_based(filter_by_intensity(other, "weak"), index, q)
+    # an index fit on a gate's own subset still serves that subset
+    weak = filter_by_intensity(db, "weak")
+    own = kmeans_fit(weak, 2, seed=0)
+    _same_result(retrieve_clustering_based(weak, own, q), reference_retrieve_clustering_based(weak, own, q))
+
+
+def test_gate_whose_parent_was_dropped_raises_stale():
+    db = _gated_db()
+    index = kmeans_fit(db, 2, seed=0)
+    weak = filter_by_intensity(db, "weak")
+    q = EmotionEmbedding(db.matrix[0])
+    retrieve_clustering_based(weak, index, q)
+    del db  # the gate holds its parent weakly, so this frees it
+    assert weak._gate[0]() is None
+    with pytest.raises(StaleIndexError):
+        retrieve_clustering_based(weak, index, q)
+
+
+def test_dropped_database_is_freed_without_the_cyclic_collector():
+    db = _gated_db()
+    bundle = build_index_bundle(db, 2, seed=0)
+    for level in LEVELS[:2]:
+        retrieve(db, EmotionEmbedding(db.matrix[0]), "clustering", index=bundle, intensity=level)
+    parent = weakref.ref(db)
+    gc.disable()
+    try:
+        del db
+        assert parent() is None
+    finally:
+        gc.enable()
 
 
 def test_build_index_bundle_defaults_and_limits():
     db = _gated_db()
     bundle = build_index_bundle(db, seed=0)
-    assert set(bundle.by_level) == {IntensityLevel.WEAK, IntensityLevel.NORMAL}
     assert bundle.full.k == default_k(db)
-    # k only has to fit the whole database: the 6-record weak level keeps all 7 centroids
-    assert build_index_bundle(db, k=7, seed=0).by_level[IntensityLevel.WEAK].k == 7
+    # k only has to fit the whole database, not the 6-record weak level it also serves
+    assert build_index_bundle(db, k=7, seed=0).full.k == 7
     with pytest.raises(InvalidParameterError):
         build_index_bundle(db, k=13, seed=0)  # the database has 12 records
 
 
-def test_level_indexes_are_the_full_index_restricted_to_their_level(tmp_path, monkeypatch):
+def test_one_fit_serves_every_level(tmp_path, monkeypatch):
     db = random_db(np.random.default_rng(8), n=60, dim=6)
     fits = []
     fit = retrieval.kmeans_fit
@@ -841,29 +869,24 @@ def test_level_indexes_are_the_full_index_restricted_to_their_level(tmp_path, mo
     bundle = build_index_bundle(db, 3, seed=0)
     assert len(fits) == 1
     save_index_bundle(bundle, tmp_path / "db.emix")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["db.emix"]
     for b in (bundle, load_index_bundle(tmp_path / "db.emix")):
-        assert set(b.by_level) == set(LEVELS)
-        for level, index in b.by_level.items():
-            rows = db.intensity_codes == level.wire_code
-            assert index.k == b.full.k
-            assert index.centroids.tobytes() == bundle.full.centroids.tobytes()
-            assert np.array_equal(index.assignments, bundle.full.assignments[rows])
-            assert index.fingerprint == filter_by_intensity(db, level).fingerprint
+        assert {id(b.for_level(level)) for level in (None, *LEVELS)} == {id(b.full)}
+        assert b.full.centroids.tobytes() == bundle.full.centroids.tobytes()
+        assert np.array_equal(b.full.assignments, bundle.full.assignments)
+        assert b.full.fingerprint == db.fingerprint
 
 
 def test_bundle_save_load(tmp_path):
     db = _gated_db()
     bundle = build_index_bundle(db, seed=0)
-    base = tmp_path / "db.emix"
-    written = save_index_bundle(bundle, base)
-    assert base in written
-    assert level_index_path(base, IntensityLevel.WEAK) == tmp_path / "db.weak.emix"
-    assert (tmp_path / "db.weak.emix").exists()
-    assert (tmp_path / "db.normal.emix").exists()
-    assert not (tmp_path / "db.strong.emix").exists()
-    loaded = load_index_bundle(base)
-    assert set(loaded.by_level) == set(bundle.by_level)
-    assert loaded.full.centroids.tobytes() == bundle.full.centroids.tobytes()
+    path = tmp_path / "db.emix"
+    save_index_bundle(bundle, path)
+    assert load_index(path).centroids.tobytes() == bundle.full.centroids.tobytes()
+    # per-level files that older versions wrote beside the index are not read
+    (tmp_path / "db.weak.emix").write_bytes(b"not an index")
+    loaded = load_index_bundle(path)
+    assert serialize_index(loaded.full) == serialize_index(bundle.full)
 
 
 def test_retrieval_is_deterministic():
@@ -901,10 +924,31 @@ def test_gated_retrieve_equals_hand_filtered_database(seed):
             if method is RetrievalMethod.EMBEDDING:
                 direct = retrieve_embedding_based(hand, query)
             else:
-                direct = retrieve_clustering_based(hand, bundle.by_level[lvl], query)
-            assert gated.record_id == direct.record_id
-            assert np.float64(gated.similarity).tobytes() == np.float64(direct.similarity).tobytes()
-            assert gated.candidates_scanned == direct.candidates_scanned
+                # the full index restricted to the level, by hand, against the gather oracle
+                full = bundle.full
+                rows = db.intensity_codes == lvl.wire_code
+                restricted = ClusterIndex(full.k, full.centroids, full.assignments[rows], 0.0, hand.fingerprint)
+                direct = reference_retrieve_clustering_based(hand, restricted, query)
+            _same_result(gated, direct)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_replay_form_equals_retrieve(seed):
+    # the single-strategy functions on a gate's subset, with the bundle's index for its level
+    rng = np.random.default_rng(seed)
+    db = random_db(rng)
+    bundle = build_index_bundle(db, seed=0)
+    query = EmotionEmbedding(rng.standard_normal(db.dim).astype(np.float32))
+    for lvl in (None, *LEVELS):
+        target = db if lvl is None else filter_by_intensity(db, lvl)
+        if len(target) == 0:
+            continue
+        _same_result(retrieve(db, query, "embedding", intensity=lvl), retrieve_embedding_based(target, query))
+        _same_result(
+            retrieve(db, query, "clustering", index=bundle, intensity=lvl),
+            retrieve_clustering_based(target, bundle.for_level(lvl), query),
+        )
 
 
 def test_repeated_gated_clustering_serializes_nothing(tmp_path, monkeypatch):
@@ -916,6 +960,8 @@ def test_repeated_gated_clustering_serializes_nothing(tmp_path, monkeypatch):
     queries = [q for q, _ in make_query_set(config, 12, seed=5)]
     for lvl in LEVELS:
         retrieve(db, queries[0], "clustering", index=bundle, intensity=lvl)
+    # the gates are checked through their parent: no subset is ever fingerprinted
+    assert all(filter_by_intensity(db, lvl)._fingerprint is None for lvl in LEVELS)
     calls = []
     original = store._emdb_pieces
     monkeypatch.setattr(store, "_emdb_pieces", lambda d: calls.append(d) or original(d))
@@ -951,13 +997,12 @@ def test_clustered_query_logs_its_index(caplog):
     assert caplog.records == []
     retrieve(db, q, "clustering", index=bundle)
     retrieve(db, q, "clustering", index=bundle, intensity="normal")
-    retrieve(db, q, "clustering", index=bundle.full)
+    retrieve(db, q, "clustering", index=bundle.full, intensity="weak")
     assert [r.getMessage() for r in caplog.records] == [
-        "clustered query: full index, k=2",
-        "cluster index k=2: inverted lists over 12 rows, largest 8",
-        "clustered query: normal index, k=2",
-        "cluster index k=2: inverted lists over 6 rows, largest 3",
-        "clustered query: full index, k=2",
+        "clustered query: gate none, cluster 1 of k=2 holds 8 rows",
+        "intensity gate normal: kept 6 of 12 records",
+        "clustered query: gate normal, cluster 1 of k=2 holds 3 rows",
+        "clustered query: gate weak, cluster 1 of k=2 holds 5 rows",
     ]
 
 
@@ -978,7 +1023,10 @@ def test_index_logs_its_inverted_lists_once(caplog):
     for q in ([1.0, 0.0], [0.0, 1.0], [1.0, 0.1]):
         retrieve_clustering_based(db, index, EmotionEmbedding(q))
     assert [r.getMessage() for r in caplog.records] == [
-        "cluster index k=2: inverted lists over 3 rows, largest 2"
+        "cluster index k=2: inverted lists over 3 rows, largest cluster 2",
+        "clustered query: gate none, cluster 0 of k=2 holds 2 rows",
+        "clustered query: gate none, cluster 1 of k=2 holds 1 rows",
+        "clustered query: gate none, cluster 0 of k=2 holds 2 rows",
     ]
 
 
@@ -994,12 +1042,14 @@ def test_empty_cluster_fallback_logs(caplog):
     )
     retrieve_clustering_based(db, index, EmotionEmbedding([1.0, 0.0]))
     assert [r.getMessage() for r in caplog.records] == [
-        "cluster index k=2: inverted lists over 2 rows, largest 2"
+        "cluster index k=2: inverted lists over 2 rows, largest cluster 2",
+        "clustered query: gate none, cluster 0 of k=2 holds 2 rows",
     ]
     caplog.clear()
     retrieve_clustering_based(db, index, EmotionEmbedding([0.0, 1.0]))
     assert [r.getMessage() for r in caplog.records] == [
-        "cluster 1 has no members; scanning all 2 records"
+        "clustered query: gate none, cluster 1 of k=2 holds 0 rows",
+        "cluster 1 has no members; scanning all 2 records",
     ]
 
 
