@@ -8,18 +8,27 @@ field with hand-written backprop under an L1 objective, explicit Euler
 integration of the learned field, and length-prefixed binary artifacts for
 checkpoints and frames; a checkpoint's array table is the one its dims fix.
 
-Everything numerical runs in float64.  The vector field consumes the
-concatenation ``[state, conditioning, speaker, t]`` in that order; hidden
-layers are tanh, the output layer is linear.
+Parameters, training, artifacts and the sampler's state are float64.  The
+vector field consumes the concatenation ``[state, conditioning, speaker, t]``
+in that order; hidden layers are tanh, the output layer is linear.
 
-The Euler sampler allocates once per call, not once per step (fresh per-step
-arrays cost copies and page faults): one feature matrix (state and t columns
-rewritten each step) and one buffer per layer.  Its products and adds take
-the same operands in the same order as concatenating the features each step,
-so the output is equal bit for bit.  From 256 rows, parts of 128 rows or more
-run on one thread per usable CPU with OpenBLAS held to one thread, so that
-BLAS threads do not oversubscribe the cores and numpy's one-core elementwise
-work uses them all.
+The Euler sampler keeps the state in float64 but evaluates the field in
+float32, which halves the bytes its products move; its RMS distance to a
+float64 field read 3.6e-8 on the benchmark's 80-dim field at 32 steps.  Once
+per call it rounds the weights to float32, pre-scales the output layer by dt
+and folds layer 0's constant part: ``[cond, spk]·W_cs + b0`` is summed in
+float64 and rounded once per row, so a step multiplies only the state
+columns, adds that base and ``t·w_t``, and the step's result is added to the
+float64 state.  It allocates once per call, not once per step (fresh
+per-step arrays cost copies and page faults): one float32 copy of the state
+and one buffer per layer, plus a row-tiled bias for each layer after 0.  Its products and adds take
+the same operands in the same order as fresh arrays every step would, so the
+output is equal bit for bit.  From 256 rows, parts of 128 rows or more run on
+one thread per usable CPU with OpenBLAS held to one thread, so that BLAS
+threads do not oversubscribe the cores and numpy's one-core elementwise work
+uses them all.  Each part folds its own base inside that hold: a threaded
+product just before the parts start leaves an OpenBLAS thread spinning
+against them.
 
 Training notes, learned the hard way on this loss: the mean-over-everything
 L1 makes each weight's gradient magnitude go as 1/state_dim (the sign
@@ -342,10 +351,11 @@ def vf_train_step(model: VectorFieldModel, batch: FlowBatch, learning_rate: floa
 # integration
 
 
-# Fewest rows in a part.  With OpenBLAS 0.3.31 (numpy 2.4.6's wheel) a product
-# of 18 rows or fewer (15 at 64 -> 80) can differ in the last bit from the same
-# rows of a larger one; parts of 128-750 rows matched one loop bit for bit at
-# the benchmark's shapes (other BLAS builds may differ).  Parts of 84 rows lost time.
+# Fewest rows in a part.  With OpenBLAS 0.3.31 (numpy 2.4.6's wheel), at the
+# benchmark's shapes (the float64 fold 16 -> 64; float32 80 -> 64, 64 -> 64 and
+# 64 -> 80), only a one-row product, numpy's matrix-vector path, differed in the
+# last bit from the same row of a larger one; parts of 128-750 rows matched one
+# loop bit for bit (other BLAS builds may differ).  Parts of 84 rows lost time.
 _PART_MIN_ROWS = 128
 _split_lock = threading.Lock()
 _pool = None
@@ -353,33 +363,63 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's thr
     os.register_at_fork(after_in_child=lambda: globals().update(_pool=None, _split_lock=threading.Lock()))
 
 
-def _euler_rows(model: VectorFieldModel, X: np.ndarray, cond, spk, n_steps: int):
-    """Integrate C-contiguous ``X``'s rows in place; returns the first non-finite step, or None."""
+def _f32(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float32)
+
+
+def _sampler_field(model: VectorFieldModel, dt: float):
+    """The sampler's operands for one call: ``(w_x, w_t, w_cs, b0, layers)``.
+
+    Layer 0's ``[cond, spk]`` columns ``w_cs`` and its bias ``b0`` stay float64:
+    :func:`_euler_rows` folds them into one float32 ``base`` per row.  The
+    output layer comes pre-scaled by ``dt``; ``layers`` pairs each later
+    layer's float32 (fan_in, fan_out) weight with its bias.  Any ``hidden``,
+    ``()`` included, where layer 0 is the output layer.
+    """
+    s = model.state_dim
+    Ws, bs = [W.T for W in model.weights], list(model.biases)
+    Ws[-1], bs[-1] = dt * Ws[-1], dt * bs[-1]
+    layers = [(_f32(W), _f32(b)) for W, b in zip(Ws[1:], bs[1:])]
+    return _f32(Ws[0][:s]), _f32(Ws[0][-1]), Ws[0][s:-1], bs[0], layers
+
+
+def _euler_rows(field, X: np.ndarray, cs: np.ndarray, n_steps: int):
+    """Integrate C-contiguous ``X``'s rows in place, ``cs`` their ``[cond, spk]``
+    rows; returns the first step after which the state is non-finite or beyond
+    float32's range (0: the start), or None."""
+    w_x, w_t, w_cs, b0, layers = field
     rows = X.shape[0]
-    feats = np.concatenate([X, cond, spk, np.empty((rows, 1))], axis=1)
-    state, t_col = feats[:, : model.state_dim], feats[:, -1]
-    bufs = [np.empty((rows, n)) for n in model.layer_sizes[1:]]
+    base = _f32(cs @ w_cs + b0)  # the terms of layer 0 that no step changes
+    x32 = np.empty(X.shape, dtype=np.float32)
+    h0 = np.empty((rows, w_x.shape[1]), dtype=np.float32)
+    outs = [np.empty((rows, W.shape[1]), dtype=np.float32) for W, _ in layers]
+    # same-shape bias adds: numpy runs a broadcast add about twice as slowly
+    tiled = [np.broadcast_to(b, out.shape).copy() for (_, b), out in zip(layers, outs)]
     finite = np.empty(X.shape, dtype=bool)
     dt = 1.0 / n_steps
     for i in range(n_steps):
-        t_col.fill(i * dt)
-        out = _forward(model, feats, bufs)
-        out *= dt
-        X += out
-        if not np.isfinite(X, out=finite).all():
-            return i + 1
-        state[...] = X
-    return None
+        np.copyto(x32, X)
+        if not np.isfinite(x32, out=finite).all():
+            return i
+        h = np.matmul(x32, w_x, out=h0)
+        h += base
+        h += np.float32(i * dt) * w_t
+        for (W, _), b, out in zip(layers, tiled, outs):
+            np.tanh(h, out=h)
+            h = np.matmul(h, W, out=out)
+            h += b
+        X += h
+    return None if np.isfinite(X, out=finite).all() else n_steps
 
 
-def _integrate(model: VectorFieldModel, X: np.ndarray, cond, spk, n_steps: int) -> list:
+def _integrate(field, X: np.ndarray, cs: np.ndarray, n_steps: int) -> list:
     """``_euler_rows`` on contiguous parts of ``X`` at once, OpenBLAS held to one
     thread; a single part runs on the calling thread, OpenBLAS left alone."""
     global _pool
     rows = X.shape[0]
     n = rows // _PART_MIN_ROWS
     if n < 2 or openblas_threads() is None or (n := min(n, len(os.sched_getaffinity(0)))) < 2:
-        return [_euler_rows(model, X, cond, spk, n_steps)]
+        return [_euler_rows(field, X, cs, n_steps)]
     parts = [slice(rows * k // n, rows * (k + 1) // n) for k in range(n)]
     get_threads, set_threads = openblas_threads()
     with _split_lock:
@@ -389,11 +429,11 @@ def _integrate(model: VectorFieldModel, X: np.ndarray, cond, spk, n_steps: int) 
             set_threads(1)
             # a copy of the caller's context carries its np.errstate along
             futures = [
-                _pool.submit(copy_context().run, _euler_rows, model, X[p], cond[p], spk[p], n_steps)
+                _pool.submit(copy_context().run, _euler_rows, field, X[p], cs[p], n_steps)
                 for p in parts[1:]
             ]
             p = parts[0]
-            return [_euler_rows(model, X[p], cond[p], spk[p], n_steps), *(f.result() for f in futures)]
+            return [_euler_rows(field, X[p], cs[p], n_steps), *(f.result() for f in futures)]
         finally:
             wait(futures)
             set_threads(before)
@@ -408,13 +448,15 @@ def ode_integrate_batch(
 ) -> np.ndarray:
     """Explicit Euler from t=0 to t=1, rows integrated independently.
 
-    Steps evaluate the field at the left endpoint t_i = i / n_steps.  A
-    non-finite input raises :class:`NonFiniteValueError` naming it; a state
-    that becomes non-finite aborts with :class:`IntegrationDivergenceError`
-    naming the first step at which any row did.  The inputs are only read;
-    the result is a new C-ordered array.  With OpenBLAS, 256 rows or more run
-    as parts of at least 128 rows on a thread pool while OpenBLAS is held to
-    one thread (see the module docstring; ``_PART_MIN_ROWS`` for the scope).
+    Steps evaluate the field at the left endpoint t_i = i / n_steps.  The state
+    is float64; the field runs in float32 on the state rounded to float32 (see
+    the module docstring).  A non-finite input raises :class:`NonFiniteValueError`
+    naming it; a state the field cannot read, non-finite or beyond float32's
+    range, aborts with :class:`IntegrationDivergenceError` naming the first step
+    after which any row was so (step 0: the start).  The inputs are only read;
+    the result is a new C-ordered float64 array.  With OpenBLAS, 256 rows or
+    more run as parts of at least 128 rows on a thread pool while OpenBLAS is
+    held to one thread (``_PART_MIN_ROWS`` for the scope).
     """
     n_steps = whole(n_steps, 1, "n_steps")
     x_init = np.asarray(x_init, dtype=np.float64)
@@ -436,9 +478,13 @@ def ode_integrate_batch(
             raise NonFiniteValueError(f"{name} contains NaN or infinity")
     # X stays contiguous: numpy's elementwise loops are slower on a column slice.
     X = np.array(x_init, order="C")
-    first = min((s for s in _integrate(model, X, cond, spk, n_steps) if s is not None), default=None)
+    cs = np.concatenate([cond, spk], axis=1)
+    field = _sampler_field(model, 1.0 / n_steps)
+    first = min((s for s in _integrate(field, X, cs, n_steps) if s is not None), default=None)
     if first is not None:
-        raise IntegrationDivergenceError(f"state became non-finite at step {first} of {n_steps}")
+        raise IntegrationDivergenceError(
+            f"state became non-finite or left float32's range at step {first} of {n_steps}"
+        )
     return X
 
 

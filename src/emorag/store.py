@@ -60,6 +60,7 @@ from .util import atomic_write_bytes, frozen_copy, is_whole, log, read_json
 EMDB_MAGIC = b"EMDB"
 EMDB_VERSION = 1
 HEADER = struct.Struct("<4sIII")  # magic, version, two u32 sizes: EMDB dim, count; EMIX k, dim
+_NORM_BLOCK_ROWS = 512  # rows squared at a time by EmbeddingDatabase.unit_matrix
 _U16 = struct.Struct("<H")
 
 
@@ -200,11 +201,16 @@ class EmbeddingDatabase:
         """
         if self._unit_matrix is None:
             m = self.matrix.astype(np.float64)
-            norms = np.linalg.norm(m, axis=1)
+            # np.linalg.norm(m, axis=1)'s arithmetic, squared a block of rows at a
+            # time: no second f64 matrix, even for a moment
+            norms = np.empty(len(m))
+            for lo in range(0, len(m), _NORM_BLOCK_ROWS):
+                block = m[lo : lo + _NORM_BLOCK_ROWS]
+                np.sqrt(np.add.reduce(block * block, axis=1), out=norms[lo : lo + _NORM_BLOCK_ROWS])
             bad = np.nonzero(norms == 0.0)[0]
             if bad.size:
                 raise ZeroNormError(f"record {self.ids[int(bad[0])]!r} has zero-norm embedding")
-            m /= norms[:, None]  # in place: no second f64 matrix, even for a moment
+            m /= norms[:, None]  # in place
             m.flags.writeable = False
             self._unit_matrix = m
         return self._unit_matrix

@@ -77,8 +77,9 @@ def random_db(rng, n=None, dim=None, n_labels=3, with_metadata=True):
 
 
 # ---------------------------------------------------------------------------
-# reference flow sampler: the concatenate-per-step Euler loop the in-place
-# sampler replaced, kept word for word as a bitwise oracle
+# reference flow samplers: the float64 concatenate-per-step Euler loop, kept as
+# an accuracy oracle, and the naive form of the float32-field sampler that
+# replaced it, kept as a bitwise oracle
 
 
 def reference_forward_cached(model, features: np.ndarray):
@@ -99,8 +100,8 @@ def reference_forward_rows(model, X, t, cond, spk) -> np.ndarray:
     return out
 
 
-def reference_ode_integrate_batch(model, x_init, cond, spk, n_steps) -> np.ndarray:
-    """Explicit Euler, one fresh feature matrix and layer output per step."""
+def reference_f64_ode_integrate_batch(model, x_init, cond, spk, n_steps) -> np.ndarray:
+    """Explicit Euler in float64, one fresh feature matrix and layer output per step."""
     X = np.asarray(x_init, dtype=np.float64).copy()
     cond = np.asarray(cond, dtype=np.float64)
     spk = np.asarray(spk, dtype=np.float64)
@@ -112,6 +113,29 @@ def reference_ode_integrate_batch(model, x_init, cond, spk, n_steps) -> np.ndarr
     for i in range(n_steps):
         t_col.fill(i * dt)
         X = X + dt * reference_forward_rows(model, X, t_col, cond, spk)
+    return X
+
+
+def reference_ode_integrate_batch(model, x_init, cond, spk, n_steps) -> np.ndarray:
+    """Explicit Euler with a float64 state and a float32 field, fresh arrays every step.
+
+    Layer 0's constant part ``[cond, spk]·W_cs + b0`` is summed in float64 and
+    rounded once; the output layer is scaled by dt in float64 before rounding.
+    """
+    X = np.asarray(x_init, dtype=np.float64).copy()
+    spk = np.asarray(spk, dtype=np.float64)
+    if spk.ndim == 1:
+        spk = np.broadcast_to(spk, (X.shape[0], spk.shape[0]))
+    s, dt = model.state_dim, 1.0 / n_steps
+    Ws, bs = [W.T for W in model.weights], list(model.biases)
+    Ws[-1], bs[-1] = dt * Ws[-1], dt * bs[-1]
+    f32 = lambda a: np.ascontiguousarray(a, dtype=np.float32)
+    base = f32(np.concatenate([cond, spk], axis=1) @ Ws[0][s:-1] + bs[0])
+    for i in range(n_steps):
+        h = X.astype(np.float32) @ f32(Ws[0][:s]) + base + np.float32(i * dt) * f32(Ws[0][-1])
+        for W, b in zip(Ws[1:], bs[1:]):
+            h = np.tanh(h) @ f32(W) + f32(b)
+        X = X + h
     return X
 
 

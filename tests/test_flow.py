@@ -46,7 +46,7 @@ from emorag import flow
 from emorag.flow import _forward
 from emorag.util import openblas_threads
 
-from helpers import reference_forward_cached, reference_ode_integrate_batch
+from helpers import reference_f64_ode_integrate_batch, reference_forward_cached, reference_ode_integrate_batch
 
 
 def constant_field_model(state_dim, value, cond_dim=1, spk_dim=1):
@@ -60,6 +60,13 @@ def constant_field_model(state_dim, value, cond_dim=1, spk_dim=1):
         weights=[np.zeros((state_dim, in_dim))],
         biases=[np.full(state_dim, float(value))],
     )
+
+
+def linear_field(weight):
+    """v = weight * x on a 1-D state; the sampler's float32 field reads dt * weight."""
+    W = np.zeros((1, 4))
+    W[0, 0] = weight
+    return VectorFieldModel(state_dim=1, cond_dim=1, spk_dim=1, hidden=(), weights=[W], biases=[np.zeros(1)])
 
 
 def layer_buffers(model, rows):
@@ -482,20 +489,18 @@ def test_ode_constant_field_translates():
     # 32 steps of 1/32 each: partial sums are exactly representable
     out = ode_integrate_batch(model, x[None, :], np.zeros((1, 1)), np.zeros(1), 32)
     assert np.array_equal(out, x[None, :] + 1.0)
+    # at 3 steps the float32 field's increment dt = 1/3 is rounded, by at most half
+    # an ulp of 1/3 in float32 (2^-26), so three steps land within 3 * 2^-26
     out3 = ode_integrate_batch(model, x[None, :], np.zeros((1, 1)), np.zeros(1), 3)
-    np.testing.assert_allclose(out3, x[None, :] + 1.0, atol=1e-12)
+    np.testing.assert_allclose(out3, x[None, :] + 1.0, rtol=0, atol=3 * 2.0**-26)
 
 
 def test_ode_linear_field_compounds():
-    # field v = x integrates to (1 + 1/n)^n growth under explicit Euler
-    in_dim = 1 + 1 + 1 + 1
-    W = np.zeros((1, in_dim))
-    W[0, 0] = 1.0
-    model = VectorFieldModel(
-        state_dim=1, cond_dim=1, spk_dim=1, hidden=(), weights=[W], biases=[np.zeros(1)]
-    )
-    out = ode_integrate_batch(model, np.array([[1.0]]), np.zeros((1, 1)), np.zeros(1), 100)
-    assert out[0, 0] == pytest.approx(1.01**100, rel=1e-9)
+    # field v = x integrates to (1 + 1/n)^n growth under explicit Euler; each
+    # increment dt x reads x rounded to float32 and is rounded to float32, so it is
+    # within 2^-23 of exact, and n increments of dt keep the total within 2^-23
+    out = ode_integrate_batch(linear_field(1.0), np.array([[1.0]]), np.zeros((1, 1)), np.zeros(1), 100)
+    assert out[0, 0] == pytest.approx(1.01**100, rel=2.0**-23)
 
 
 def test_ode_validation():
@@ -513,42 +518,67 @@ def test_ode_validation():
 
 
 def test_ode_divergence_detected():
-    in_dim = 4
-    W = np.zeros((1, in_dim))
-    W[0, 0] = 1e12  # explosive growth overflows well before 32 steps
-    model = VectorFieldModel(
-        state_dim=1, cond_dim=1, spk_dim=1, hidden=(), weights=[W], biases=[np.zeros(1)]
-    )
+    model = linear_field(1e12)  # explosive growth overflows well before 32 steps
     with np.errstate(over="ignore"), pytest.raises(IntegrationDivergenceError):
         ode_integrate_batch(model, np.array([[1.0]]), np.zeros((1, 1)), np.zeros(1), 32)
 
 
 def test_ode_divergence_names_the_step():
-    # v = 2^105 x with dt = 1/32: each step multiplies x by 2^100 (the +1 of
-    # 1 + 2^100 rounds away), so the state is 2^1000 after step 10 and the
-    # product 2^105 * 2^1000 overflows at step 11
-    W = np.zeros((1, 4))
-    W[0, 0] = 2.0**105
-    model = VectorFieldModel(
-        state_dim=1, cond_dim=1, spk_dim=1, hidden=(), weights=[W], biases=[np.zeros(1)]
-    )
+    # v = 2^15 x with dt = 1/32: each step multiplies x by 1 + 2^10, so the state
+    # is about 2^120 after step 12; step 13's float32 increment 2^10 * 2^120
+    # overflows, and the state is non-finite after step 13
     x = np.array([[1.0]])
     with np.errstate(over="ignore"), pytest.raises(
-        IntegrationDivergenceError, match=r"at step 11 of 32$"
+        IntegrationDivergenceError, match=r"at step 13 of 32$"
     ):
-        ode_integrate_batch(model, x, np.zeros((1, 1)), np.zeros(1), 32)
+        ode_integrate_batch(linear_field(2.0**15), x, np.zeros((1, 1)), np.zeros(1), 32)
+
+
+@pytest.mark.parametrize(
+    "start, step",
+    [
+        (1e300, 0),  # finite in float64, beyond float32 from the start
+        (3e38, 1),  # x grows by half each step: 4.5e38 after step 1
+        (1e38, 4),  # 1.5e38, 2.25e38, 3.375e38 (float32's max is 3.40e38), then 5.06e38
+    ],
+)
+def test_ode_state_beyond_float32_range_diverges_instead_of_returning(start, step):
+    # v = 16 x with dt = 1/32; the float64 state stays finite, but the float32
+    # field cannot read it, so the sampler names the step after which it left
+    # the range instead of returning inf, NaN or a field evaluated at inf
+    x = np.array([[start], [0.5]])
+    with np.errstate(over="ignore"), pytest.raises(
+        IntegrationDivergenceError, match=rf"at step {step} of 32$"
+    ):
+        ode_integrate_batch(linear_field(16.0), x, np.zeros((2, 1)), np.zeros(1), 32)
+
+
+def test_ode_state_beyond_float32_range_diverges_through_a_tanh_layer():
+    # tanh would saturate on the inf that 1e39 rounds to, so only the sampler's
+    # own range check keeps a finite but wrong result from coming back
+    wide = np.full((3, 5), 1e39)
+    with np.errstate(over="ignore"), pytest.raises(IntegrationDivergenceError, match=r"at step 0 of 8$"):
+        ode_integrate_batch(_biased_field((4,), seed=5), wide, np.zeros((3, 3)), np.zeros(4), 8)
 
 
 def test_ode_batch_rows_independent():
-    model = init_vector_field(2, 2, 2, (8,), seed=1)
+    # The field runs in float32, and a one-row call takes BLAS's matrix-vector
+    # kernel, which may round each layer's products differently from the batch's
+    # matrix-matrix kernel: a few float32 epsilons (eps32 = 1.2e-7) of a field of
+    # order 1.  The increments dt * v add those up over the steps to a few eps32
+    # of a displacement of order 1; 8 eps32 (9.5e-7) bounds them, while mixing
+    # rows would move a row by order 1.  On the 80/8/8 field (64, 64) at 32
+    # steps one row against 24 differed by up to 8.6e-8 with OpenBLAS 0.3.31.
+    cases = [(init_vector_field(2, 2, 2, (8,), seed=1), 4, 8), (_bench_field(), 24, 32)]
     rng = np.random.default_rng(5)
-    X = rng.standard_normal((4, 2))
-    cond = rng.standard_normal((4, 2))
-    spk = rng.standard_normal(2)
-    batch_out = ode_integrate_batch(model, X, cond, spk, 8)
-    for i in range(4):
-        row = ode_integrate_batch(model, X[i : i + 1], cond[i : i + 1], spk, 8)
-        np.testing.assert_allclose(batch_out[i], row[0], atol=1e-12)
+    for model, rows, n_steps in cases:
+        X = rng.standard_normal((rows, model.state_dim))
+        cond = rng.standard_normal((rows, model.cond_dim))
+        spk = rng.standard_normal(model.spk_dim)
+        batch_out = ode_integrate_batch(model, X, cond, spk, n_steps)
+        for i in range(rows):
+            row = ode_integrate_batch(model, X[i : i + 1], cond[i : i + 1], spk, n_steps)
+            np.testing.assert_allclose(batch_out[i], row[0], rtol=0, atol=8 * np.finfo(np.float32).eps)
 
 
 def _biased_field(hidden, seed):
@@ -570,14 +600,15 @@ def _sampler_inputs(rows, spk_2d, seed):
 
 @pytest.mark.parametrize("rows", [0, 1, 2, 3, 5, 64, 199, 770, 1021])
 def test_ode_bytes_equal_the_concatenating_reference(rows):
-    model = _biased_field((16, 8), seed=rows)
-    for n_steps in (1, 2, 32):
-        for spk_2d in (False, True):
-            x, cond, spk = _sampler_inputs(rows, spk_2d, seed=rows + n_steps)
-            got = ode_integrate_batch(model, x, cond, spk, n_steps)
-            want = reference_ode_integrate_batch(model, x, cond, spk, n_steps)
-            assert got.shape == want.shape == (rows, 5)
-            assert got.tobytes() == want.tobytes(), (n_steps, spk_2d)
+    for hidden in ((16, 8), (16,), ()):
+        model = _biased_field(hidden, seed=rows)
+        for n_steps in (1, 2, 32):
+            for spk_2d in (False, True):
+                x, cond, spk = _sampler_inputs(rows, spk_2d, seed=rows + n_steps)
+                got = ode_integrate_batch(model, x, cond, spk, n_steps)
+                want = reference_ode_integrate_batch(model, x, cond, spk, n_steps)
+                assert got.shape == want.shape == (rows, 5)
+                assert got.tobytes() == want.tobytes(), (hidden, n_steps, spk_2d)
 
 
 def test_ode_bytes_equal_the_reference_for_strided_and_readonly_inputs():
@@ -647,6 +678,16 @@ def test_split_ode_bytes_equal_the_concatenating_reference(rows):
     assert got.flags.c_contiguous and got.flags.owndata
 
 
+def test_float32_field_stays_close_to_the_float64_sampler():
+    # the float64 Euler loop the float32 field replaced is the accuracy oracle:
+    # its RMS distance read 3.6e-8 on this field with OpenBLAS 0.3.31
+    model = _bench_field()
+    x, cond, spk = _bench_inputs(770, seed=4)
+    got = ode_integrate_batch(model, x, cond, spk, 32)
+    want = reference_f64_ode_integrate_batch(model, x, cond, spk, 32)
+    assert np.sqrt(np.mean((got - want) ** 2)) <= 1e-6
+
+
 def test_split_ode_runs_in_parts_here(monkeypatch):
     if openblas_threads() is None or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("the sampler splits only with OpenBLAS and two usable CPUs")
@@ -666,22 +707,18 @@ def test_split_ode_restores_blas_threads_and_names_the_first_divergent_step(blas
     before = blas_threads()
     ode_integrate_batch(_bench_field(), *_bench_inputs(770, seed=2), 32)
     assert blas_threads() == before
-    # as in test_ode_divergence_names_the_step, x = 1 overflows at step 11
-    # and x = 2^-200 at step 13; every other row stays 0
-    W = np.zeros((1, 4))
-    W[0, 0] = 2.0**105
-    model = VectorFieldModel(
-        state_dim=1, cond_dim=1, spk_dim=1, hidden=(), weights=[W], biases=[np.zeros(1)]
-    )
+    # as in test_ode_divergence_names_the_step, x = 1 overflows at step 13
+    # and x = 2^-20 at step 15; every other row stays 0
+    model = linear_field(2.0**15)
     only_last = np.zeros((600, 1))
     only_last[-1] = 1.0
     both = only_last.copy()
-    both[0] = 2.0**-200
+    both[0] = 2.0**-20
     for x in (only_last, both):
         # the pool threads keep the caller's errstate: no overflow warning
         with np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IntegrationDivergenceError, match=r"at step 11 of 32$"):
+            with pytest.raises(IntegrationDivergenceError, match=r"at step 13 of 32$"):
                 ode_integrate_batch(model, x, np.zeros((600, 1)), np.zeros(1), 32)
         assert blas_threads() == before
 

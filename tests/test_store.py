@@ -184,6 +184,25 @@ def test_value_types_keep_a_private_frozen_copy(make, field):
         make(np.zeros((2, 0)))
 
 
+def test_unit_matrix_bytes_equal_whole_matrix_norms_without_a_second_matrix():
+    import tracemalloc
+
+    vectors = np.random.default_rng(12).standard_normal((1000, 128)).astype(np.float32)
+    m = vectors.astype(np.float64)
+    want = m / np.linalg.norm(m, axis=1)[:, None]
+    db = build_db(vectors)
+    tracemalloc.start()
+    try:
+        got = db.unit_matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    # the unit matrix itself, one block of squares and the norms; squaring the
+    # whole matrix at once would double the peak
+    assert peak < 1.75 * want.nbytes, peak
+
+
 def test_unit_matrix_zero_norm_record():
     db = build_db(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.float32))
     with pytest.raises(ZeroNormError, match="rec1"):
