@@ -21,14 +21,10 @@ float64 and rounded once per row, so a step multiplies only the state
 columns, adds that base and ``t·w_t``, and the step's result is added to the
 float64 state.  It allocates once per call, not once per step (fresh
 per-step arrays cost copies and page faults): one float32 copy of the state
-and one buffer per layer, plus a row-tiled bias for each layer after 0.  Its products and adds take
-the same operands in the same order as fresh arrays every step would, so the
-output is equal bit for bit.  From 256 rows, parts of 128 rows or more run on
-one thread per usable CPU with OpenBLAS held to one thread, so that BLAS
-threads do not oversubscribe the cores and numpy's one-core elementwise work
-uses them all.  Each part folds its own base inside that hold: a threaded
-product just before the parts start leaves an OpenBLAS thread spinning
-against them.
+and one buffer per layer, plus a row-tiled bias for each layer after 0.  Its
+products and adds take the same operands in the same order as fresh arrays
+every step would, so the output is equal bit for bit.  All rows run in one
+step loop on the calling thread.
 
 Training notes, learned the hard way on this loss: the mean-over-everything
 L1 makes each weight's gradient magnitude go as 1/state_dim (the sign
@@ -44,11 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextvars import copy_context
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,7 +55,7 @@ from .errors import (
     NonFiniteValueError,
     TrainingDivergenceError,
 )
-from .util import atomic_write_bytes, frozen_copy, is_whole, openblas_threads, seeded_rng, whole
+from .util import atomic_write_bytes, frozen_copy, is_whole, seeded_rng, whole
 
 TOKEN_RATE_HZ = 50.0
 MEL_RATE_HZ = 80.0
@@ -351,52 +343,30 @@ def vf_train_step(model: VectorFieldModel, batch: FlowBatch, learning_rate: floa
 # integration
 
 
-# Fewest rows in a part.  With OpenBLAS 0.3.31 (numpy 2.4.6's wheel), at the
-# benchmark's shapes (the float64 fold 16 -> 64; float32 80 -> 64, 64 -> 64 and
-# 64 -> 80), only a one-row product, numpy's matrix-vector path, differed in the
-# last bit from the same row of a larger one; parts of 128-750 rows matched one
-# loop bit for bit (other BLAS builds may differ).  Parts of 84 rows lost time.
-_PART_MIN_ROWS = 128
-_split_lock = threading.Lock()
-_pool = None
-if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
-    os.register_at_fork(after_in_child=lambda: globals().update(_pool=None, _split_lock=threading.Lock()))
-
-
 def _f32(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float32)
 
 
-def _sampler_field(model: VectorFieldModel, dt: float):
-    """The sampler's operands for one call: ``(w_x, w_t, w_cs, b0, layers)``.
-
-    Layer 0's ``[cond, spk]`` columns ``w_cs`` and its bias ``b0`` stay float64:
-    :func:`_euler_rows` folds them into one float32 ``base`` per row.  The
-    output layer comes pre-scaled by ``dt``; ``layers`` pairs each later
-    layer's float32 (fan_in, fan_out) weight with its bias.  Any ``hidden``,
-    ``()`` included, where layer 0 is the output layer.
+def _euler_rows(model: VectorFieldModel, X: np.ndarray, cs: np.ndarray, n_steps: int):
+    """Integrate C-contiguous ``X``'s rows in place with the float32 field of the
+    module docstring, ``cs`` their ``[cond, spk]`` rows; returns the first step
+    after which the state is non-finite or beyond float32's range (0: the
+    start), or None.  Any ``hidden`` works, ``()`` included, where layer 0 is
+    the output layer.
     """
-    s = model.state_dim
+    s, dt = model.state_dim, 1.0 / n_steps
     Ws, bs = [W.T for W in model.weights], list(model.biases)
     Ws[-1], bs[-1] = dt * Ws[-1], dt * bs[-1]
+    w_x, w_t = _f32(Ws[0][:s]), _f32(Ws[0][-1])
+    base = _f32(cs @ Ws[0][s:-1] + bs[0])  # the terms of layer 0 that no step changes
     layers = [(_f32(W), _f32(b)) for W, b in zip(Ws[1:], bs[1:])]
-    return _f32(Ws[0][:s]), _f32(Ws[0][-1]), Ws[0][s:-1], bs[0], layers
-
-
-def _euler_rows(field, X: np.ndarray, cs: np.ndarray, n_steps: int):
-    """Integrate C-contiguous ``X``'s rows in place, ``cs`` their ``[cond, spk]``
-    rows; returns the first step after which the state is non-finite or beyond
-    float32's range (0: the start), or None."""
-    w_x, w_t, w_cs, b0, layers = field
     rows = X.shape[0]
-    base = _f32(cs @ w_cs + b0)  # the terms of layer 0 that no step changes
     x32 = np.empty(X.shape, dtype=np.float32)
     h0 = np.empty((rows, w_x.shape[1]), dtype=np.float32)
     outs = [np.empty((rows, W.shape[1]), dtype=np.float32) for W, _ in layers]
     # same-shape bias adds: numpy runs a broadcast add about twice as slowly
     tiled = [np.broadcast_to(b, out.shape).copy() for (_, b), out in zip(layers, outs)]
     finite = np.empty(X.shape, dtype=bool)
-    dt = 1.0 / n_steps
     for i in range(n_steps):
         np.copyto(x32, X)
         if not np.isfinite(x32, out=finite).all():
@@ -410,33 +380,6 @@ def _euler_rows(field, X: np.ndarray, cs: np.ndarray, n_steps: int):
             h += b
         X += h
     return None if np.isfinite(X, out=finite).all() else n_steps
-
-
-def _integrate(field, X: np.ndarray, cs: np.ndarray, n_steps: int) -> list:
-    """``_euler_rows`` on contiguous parts of ``X`` at once, OpenBLAS held to one
-    thread; a single part runs on the calling thread, OpenBLAS left alone."""
-    global _pool
-    rows = X.shape[0]
-    n = rows // _PART_MIN_ROWS
-    if n < 2 or openblas_threads() is None or (n := min(n, len(os.sched_getaffinity(0)))) < 2:
-        return [_euler_rows(field, X, cs, n_steps)]
-    parts = [slice(rows * k // n, rows * (k + 1) // n) for k in range(n)]
-    get_threads, set_threads = openblas_threads()
-    with _split_lock:
-        _pool = _pool or ThreadPoolExecutor(len(os.sched_getaffinity(0)) - 1, "emorag-euler")
-        before, futures = get_threads(), []
-        try:
-            set_threads(1)
-            # a copy of the caller's context carries its np.errstate along
-            futures = [
-                _pool.submit(copy_context().run, _euler_rows, field, X[p], cs[p], n_steps)
-                for p in parts[1:]
-            ]
-            p = parts[0]
-            return [_euler_rows(field, X[p], cs[p], n_steps), *(f.result() for f in futures)]
-        finally:
-            wait(futures)
-            set_threads(before)
 
 
 def ode_integrate_batch(
@@ -454,9 +397,8 @@ def ode_integrate_batch(
     naming it; a state the field cannot read, non-finite or beyond float32's
     range, aborts with :class:`IntegrationDivergenceError` naming the first step
     after which any row was so (step 0: the start).  The inputs are only read;
-    the result is a new C-ordered float64 array.  With OpenBLAS, 256 rows or
-    more run as parts of at least 128 rows on a thread pool while OpenBLAS is
-    held to one thread (``_PART_MIN_ROWS`` for the scope).
+    the result is a new C-ordered float64 array.  All rows run in one step loop
+    on the calling thread; BLAS's own threading is left as it is.
     """
     n_steps = whole(n_steps, 1, "n_steps")
     x_init = np.asarray(x_init, dtype=np.float64)
@@ -479,8 +421,7 @@ def ode_integrate_batch(
     # X stays contiguous: numpy's elementwise loops are slower on a column slice.
     X = np.array(x_init, order="C")
     cs = np.concatenate([cond, spk], axis=1)
-    field = _sampler_field(model, 1.0 / n_steps)
-    first = min((s for s in _integrate(field, X, cs, n_steps) if s is not None), default=None)
+    first = _euler_rows(model, X, cs, n_steps)
     if first is not None:
         raise IntegrationDivergenceError(
             f"state became non-finite or left float32's range at step {first} of {n_steps}"

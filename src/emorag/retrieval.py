@@ -476,5 +476,5 @@ def save_index_bundle(bundle: IndexBundle, path) -> None:
 
 
 def load_index_bundle(path) -> IndexBundle:
-    """Load the one index at ``path``; per-level ``<stem>.<level>.emix`` files beside it are not read."""
+    """Load the one index at ``path``."""
     return IndexBundle(load_index(path))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import json
 import logging
 import os
@@ -15,23 +13,6 @@ import numpy as np
 from .errors import DimensionMismatchError, FormatError, InvalidParameterError, NonFiniteValueError
 
 log = logging.getLogger("emorag")
-
-
-@functools.cache
-def openblas_threads():
-    """``(get_num_threads, set_num_threads)`` of the loaded OpenBLAS, or None; looked
-    up on first call, not at import (numpy's wheel bundles ``libscipy_openblas64_``)."""
-    maps = Path("/proc/self/maps")
-    lines = maps.read_text().splitlines() if maps.exists() else []
-    path = next((ln.split()[-1] for ln in lines if "blas" in ln.lower() and ".so" in ln), None)
-    lib = path and ctypes.CDLL(path)
-    for name in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"):
-        get, put = (getattr(lib, name.format(f), None) for f in ("get_num_threads", "set_num_threads"))
-        if get and put:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
 
 
 def frozen_copy(values, dtype, ndim: int, what: str) -> np.ndarray:

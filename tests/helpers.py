@@ -1,6 +1,8 @@
 """Shared builders for the test suite."""
 
+import ctypes
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -80,6 +82,21 @@ def random_db(rng, n=None, dim=None, n_labels=3, with_metadata=True):
 # reference flow samplers: the float64 concatenate-per-step Euler loop, kept as
 # an accuracy oracle, and the naive form of the float32-field sampler that
 # replaced it, kept as a bitwise oracle
+
+
+def openblas_thread_count():
+    """The loaded OpenBLAS's current thread count, or None where none is found."""
+    maps = Path("/proc/self/maps")
+    lines = maps.read_text().splitlines() if maps.exists() else []
+    path = next((ln.split()[-1] for ln in lines if "blas" in ln.lower() and ".so" in ln), None)
+    lib = path and ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        get = getattr(lib, name, None)
+        if get:
+            get.argtypes, get.restype = [], ctypes.c_int
+            return get()
+    return None
 
 
 def reference_forward_cached(model, features: np.ndarray):

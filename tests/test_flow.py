@@ -1,8 +1,6 @@
 """Flow stack: upsampling, path, field, backprop, integration, artifacts."""
 
 import math
-import multiprocessing
-import os
 import sys
 import threading
 import warnings
@@ -44,9 +42,13 @@ from emorag import (
 )
 from emorag import flow
 from emorag.flow import _forward
-from emorag.util import openblas_threads
 
-from helpers import reference_f64_ode_integrate_batch, reference_forward_cached, reference_ode_integrate_batch
+from helpers import (
+    openblas_thread_count,
+    reference_f64_ode_integrate_batch,
+    reference_forward_cached,
+    reference_ode_integrate_batch,
+)
 
 
 def constant_field_model(state_dim, value, cond_dim=1, spk_dim=1):
@@ -654,19 +656,6 @@ def _bench_inputs(rows, seed):
     return rng.standard_normal((rows, 80)), rng.standard_normal((rows, 8)), rng.standard_normal(8)
 
 
-@pytest.fixture
-def blas_threads():
-    """OpenBLAS's thread-count getter, the count set to 2 (not the parts' 1) until teardown."""
-    handle = openblas_threads()
-    if handle is None:
-        pytest.skip("needs OpenBLAS")
-    get, put = handle
-    saved = get()
-    put(2)
-    yield get
-    put(saved)
-
-
 @pytest.mark.parametrize("rows", [255, 256, 257, 511, 770, 1400, 1401])
 def test_split_ode_bytes_equal_the_concatenating_reference(rows):
     model = _bench_field()
@@ -688,46 +677,32 @@ def test_float32_field_stays_close_to_the_float64_sampler():
     assert np.sqrt(np.mean((got - want) ** 2)) <= 1e-6
 
 
-def test_split_ode_runs_in_parts_here(monkeypatch):
-    if openblas_threads() is None or len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("the sampler splits only with OpenBLAS and two usable CPUs")
-    parts = []
-    euler_rows = flow._euler_rows
-
-    def counted(model, X, *rest):
-        parts.append(len(X))
-        return euler_rows(model, X, *rest)
-
-    monkeypatch.setattr(flow, "_euler_rows", counted)
-    ode_integrate_batch(_bench_field(), *_bench_inputs(770, seed=1), 32)
-    assert len(parts) > 1 and sum(parts) == 770 and min(parts) >= 128
-
-
-def test_split_ode_restores_blas_threads_and_names_the_first_divergent_step(blas_threads):
-    before = blas_threads()
+def test_split_ode_restores_blas_threads_and_names_the_first_divergent_step():
+    # the sampler sets no OpenBLAS thread count, so the caller's count holds
+    before = openblas_thread_count()
     ode_integrate_batch(_bench_field(), *_bench_inputs(770, seed=2), 32)
-    assert blas_threads() == before
+    assert openblas_thread_count() == before
     # as in test_ode_divergence_names_the_step, x = 1 overflows at step 13
-    # and x = 2^-20 at step 15; every other row stays 0
+    # and x = 2^-20 at step 15: the error names the first step over all rows,
+    # wherever the diverging row sits; every other row stays 0
     model = linear_field(2.0**15)
     only_last = np.zeros((600, 1))
     only_last[-1] = 1.0
     both = only_last.copy()
     both[0] = 2.0**-20
     for x in (only_last, both):
-        # the pool threads keep the caller's errstate: no overflow warning
+        # the caller's errstate holds: no overflow warning
         with np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationDivergenceError, match=r"at step 13 of 32$"):
                 ode_integrate_batch(model, x, np.zeros((600, 1)), np.zeros(1), 32)
-        assert blas_threads() == before
+        assert openblas_thread_count() == before
 
 
-def test_split_ode_concurrent_callers_get_their_sequential_bytes(blas_threads):
+def test_ode_concurrent_callers_get_their_sequential_bytes():
     model = _bench_field()
     inputs = [_bench_inputs(rows, seed=rows) for rows in (200, 513, 770, 1024)]
     want = [ode_integrate_batch(model, *args, 32).tobytes() for args in inputs]
-    before = blas_threads()
     got = [[] for _ in inputs]
     start = threading.Barrier(len(inputs))
 
@@ -748,24 +723,6 @@ def test_split_ode_concurrent_callers_get_their_sequential_bytes(blas_threads):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [[w] * 3 for w in want]
-    assert blas_threads() == before
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_split_ode_runs_in_a_forked_child():
-    model = _bench_field()
-    args = _bench_inputs(770, seed=3)
-    want = ode_integrate_batch(model, *args, 32).tobytes()  # the pool exists from here on
-    ctx = multiprocessing.get_context("fork")
-    queue = ctx.Queue()
-    child = ctx.Process(target=lambda: queue.put(ode_integrate_batch(model, *args, 32).tobytes()))
-    child.start()
-    try:
-        assert queue.get(timeout=30) == want
-    finally:
-        child.join(timeout=30)
-        if child.is_alive():
-            child.kill()
 
 
 @pytest.mark.parametrize("hidden", [(), (16,), (16, 8)])
