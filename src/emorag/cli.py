@@ -10,16 +10,16 @@ Exit codes, used consistently by every subcommand:
 * 5 — validation or format error in inputs or configuration
 
 The ``EMORAG_LOG`` environment variable (DEBUG/INFO/...) sets the level of
-the ``emorag`` logger, which writes to stderr.  At DEBUG it reports each
-intensity-gate subset when it is built, each clustered query's gate, the
-cluster it probes and that cluster's rows at the gate, a clustered probe that
-falls back to a full scan because those rows are none, and k-means reseeding
-an empty cluster.  ``synth`` adds the nanoseconds each of its file loads took
-to its report as ``load_timings_ns``.  All stochastic commands take
-``--seed`` (a non-negative integer, default 0) so documented invocations
-reproduce byte-for-byte.  A flag that several subcommands take is declared
-once, and ``retrieve`` and ``synth`` load the inputs their shared flags name
-alike.
+the ``emorag`` logger, which writes to stderr.  At DEBUG it reports a
+database's records per level when its gate rows are built, each clustered
+query's gate, the cluster it probes and that cluster's rows at the gate, a
+clustered probe that falls back to scanning the gate's rows because those
+rows are none, and k-means reseeding an empty cluster.  ``synth`` adds the
+nanoseconds each of its file loads took to its report as ``load_timings_ns``.
+All stochastic commands take ``--seed`` (a non-negative integer, default 0)
+so documented invocations reproduce byte-for-byte.  A flag that several
+subcommands take is declared once, and ``retrieve`` and ``synth`` load the
+inputs their shared flags name alike.
 """
 
 from __future__ import annotations

@@ -7,17 +7,15 @@ probe), then scores only that cluster's members, trading a little recall at
 cluster boundaries for a scan that touches n/k records on average; a routed
 cluster with no members falls back to the full scan.
 
-The probe scans one contiguous slice.  On its first clustered query an index
-builds inverted lists (as in IVF): the stable argsort of ``3 * assignment +
-intensity code``, the offsets at which each (cluster, level) block starts,
-and a read-only copy of the database's unit rows in that order.  Cluster
-``c`` at one level is block ``3c + code``, its members in ascending
-position; cluster ``c`` at every level is the three blocks ``[3c, 3c + 3)``.
-The winner maps back through the order, the lowest position among equal
-maxima.  One index serves every intensity gate: a gate's subset knows which
-database it was cut from, so a gated query probes the level's block of that
-database's index.  The price is one float64 copy of the indexed rows per
-queried index (8 MB for 8,000 rows at dim 128), held as long as the index is.
+Every scan is one contiguous slice of rows grouped by
+:func:`~emorag.store.grouped_rows`.  An intensity gate is a pair ``(database,
+level)``, and a gated exhaustive query scans the level's slice of the
+database's :attr:`~emorag.store.EmbeddingDatabase.level_rows`.  On its first
+clustered query an index groups the rows by ``3 * assignment + intensity
+code`` into inverted lists (as in IVF): cluster ``c`` at one level is block
+``3c + code``, at every level the blocks ``[3c, 3c + 3)``, so one index
+serves every gate.  Each grouped copy is one float64 copy of the rows (8 MB
+for 8,000 rows at dim 128), held as long as its database or index is.
 
 Clustering is spherical k-means: rows are unit-normalized, at most 100 Lloyd
 iterations minimize squared euclidean distance (monotone in cosine on the
@@ -67,7 +65,7 @@ from .store import (
     HeaderedFile,
     IntensityLevel,
     NamedEnum,
-    filter_by_intensity,
+    grouped_rows,
 )
 from .util import atomic_write_bytes, frozen_copy, log, seeded_rng, whole
 
@@ -110,15 +108,19 @@ def _unit_query(db: EmbeddingDatabase, query: EmotionEmbedding) -> np.ndarray:
     return q / norm
 
 
-def _scan_argmax(unit: np.ndarray, qn: np.ndarray) -> tuple:
-    """``(position, similarity)`` of the row of ``unit`` most similar to ``qn``.
+def _scan_argmax(rows: np.ndarray, qn: np.ndarray, members) -> tuple:
+    """``(position, similarity)`` of the row of ``rows`` most similar to ``qn``.
 
-    Each row is scored by its own dot product, so ties go to the lowest
-    position.  ``unit`` must have at least one row.
+    Each row is scored by its own dot product.  Row ``i`` sits at position
+    ``members[i]`` (``members=None``: at ``i``), and ties go to the lowest
+    position.  ``rows`` must have at least one row.
     """
-    sims = np.vecdot(unit, qn)
-    pos = int(np.argmax(sims))
-    return pos, float(sims[pos])
+    sims = np.vecdot(rows, qn)
+    best = int(np.argmax(sims))
+    sim = sims[best]
+    if members is not None:
+        best = int(members[sims == sim].min())
+    return best, float(sim)
 
 
 # ---------------------------------------------------------------------------
@@ -173,29 +175,19 @@ class ClusterIndex:
         return int(self.centroids.shape[1])
 
     def _inverted_lists(self, db: EmbeddingDatabase) -> tuple:
-        """``(order, offsets, rows)``: the records grouped by cluster, then by level; cached.
+        """:func:`~emorag.store.grouped_rows` of ``db``'s unit rows by ``3 * assignment + intensity code``.
 
-        ``order`` is the stable argsort of ``3 * assignment + intensity code``,
-        so block ``b = 3c + code`` holds cluster ``c``'s members at that level
-        in ascending position and owns ``order[offsets[b]:offsets[b + 1]]``;
-        ``rows`` holds ``db``'s unit rows in that order as one read-only
-        C-contiguous copy.  ``db`` must be the database this index was checked
-        against; the first call builds the lists from it, later calls return them.
+        ``db`` must be the database this index was checked against; the first call
+        builds the lists from it, later calls return them.
         """
         lists = self._lists
         if lists is None:
             blocks = 3 * self.assignments.astype(np.int64) + db.intensity_codes
-            order = np.argsort(blocks, kind="stable")
-            offsets = np.zeros(3 * self.k + 1, dtype=np.int64)
-            np.cumsum(np.bincount(blocks, minlength=3 * self.k), out=offsets[1:])
-            rows = db.unit_matrix[order]
-            for a in (order, offsets, rows):
-                a.flags.writeable = False
             # one tuple, published at once: a racing thread sees all of it or none
-            lists = self._lists = (order, offsets, rows)
+            lists = self._lists = grouped_rows(blocks, 3 * self.k, db.unit_matrix)
             log.debug(
                 "cluster index k=%d: inverted lists over %d rows, largest cluster %d",
-                self.k, order.size, int(np.diff(offsets[::3]).max()),
+                self.k, blocks.size, int(np.diff(lists[1][::3]).max()),
             )
         return lists
 
@@ -309,60 +301,52 @@ def default_k(db: EmbeddingDatabase) -> int:
 # retrieval
 
 
-def _search(db: EmbeddingDatabase, index, query: EmotionEmbedding, method: RetrievalMethod, t0: int):
-    """The one search.  With ``index=None``, scan every row of ``db``.
+def _search(db: EmbeddingDatabase, level, index, query: EmotionEmbedding, method: RetrievalMethod, t0: int):
+    """The one search: ``db`` gated at ``level`` (None: every row).
 
-    With a :class:`ClusterIndex`, check that it covers ``db`` or, when ``db`` is an
-    intensity gate's subset whose live parent has the index's fingerprint, that parent
-    (so no subset fingerprint is computed).  Then route the query to its nearest
-    centroid and scan that cluster's rows: the gate's level block, or all three blocks
-    ungated.  A cluster with no rows there falls back to scanning every row of ``db``.
+    An intensity gate's subset is answered as its parent at its level, unless
+    ``index`` was fit on the subset itself.  With a :class:`ClusterIndex`, check
+    that it covers the database, route the query to its nearest centroid and scan
+    that cluster's rows: the gate's level block, or all three blocks ungated.
+    Without one, or when the cluster has no rows there, scan the gate's rows.
     ``elapsed_ns`` counts from ``t0``.
     """
     if index is None and method is RetrievalMethod.CLUSTERING:
         raise MissingIndexError("clustering retrieval requires a cluster index")
     if len(db) == 0:
         raise EmptyDatabaseError("cannot retrieve from an empty database")
-    covered, gate = db, None
+    if db._gate is not None and (index is None or index.fingerprint == db._gate[0].fingerprint):
+        db, level = db._gate  # ``level`` was None or this level: retrieve() checked the gate
     if index is not None:
-        if db._gate is not None:
-            parent = db._gate[0]()
-            if parent is not None and parent.fingerprint == index.fingerprint:
-                covered, gate = parent, db._gate[1]
-        if index.dim != covered.dim:
-            raise DimensionMismatchError(
-                f"index dim {index.dim} does not match database dim {covered.dim}"
-            )
-        if index.fingerprint != covered.fingerprint:
-            raise StaleIndexError(
-                "index fingerprint does not match this database; rebuild the index"
-            )
-        if index.assignments.shape[0] != len(covered):
-            raise StaleIndexError(
-                f"index covers {index.assignments.shape[0]} records, database has {len(covered)}"
-            )
+        if index.dim != db.dim:
+            raise DimensionMismatchError(f"index dim {index.dim} does not match database dim {db.dim}")
+        if index.fingerprint != db.fingerprint:
+            raise StaleIndexError("index fingerprint does not match this database; rebuild the index")
+        if index.assignments.shape[0] != len(db):
+            raise StaleIndexError(f"index covers {index.assignments.shape[0]} records, database has {len(db)}")
     qn = _unit_query(db, query)
+    lo = hi = 0
     if index is not None:
-        cluster, _ = _scan_argmax(index.unit_centroids, qn)
-        order, offsets, grouped = index._inverted_lists(covered)
-        block = 3 * cluster + (0 if gate is None else gate.wire_code)
-        lo, hi = int(offsets[block]), int(offsets[block + (3 if gate is None else 1)])
-        log.debug("clustered query: gate %s, cluster %d of k=%d holds %d rows", gate or "none", cluster, index.k, hi - lo)
-        if lo < hi:
-            sims, members = np.vecdot(grouped[lo:hi], qn), order[lo:hi]
-            best = int(np.argmax(sims))
-            sim = float(sims[best])
-            # one level block ascends in position; three together need not, so take the lowest among equal maxima
-            best = int(members[best] if gate is not None else members[sims == sims[best]].min())
-            return RetrievalResult(covered.ids[best], sim, method, hi - lo, time.perf_counter_ns() - t0)
-        log.debug("cluster %d has no members; scanning all %d records", cluster, len(db))
-    best, sim = _scan_argmax(db.unit_matrix, qn)
-    return RetrievalResult(db.ids[best], sim, method, len(db), time.perf_counter_ns() - t0)
+        cluster, _ = _scan_argmax(index.unit_centroids, qn, None)
+        order, offsets, rows = index._inverted_lists(db)
+        block = 3 * cluster + (0 if level is None else level.wire_code)
+        lo, hi = int(offsets[block]), int(offsets[block + (3 if level is None else 1)])
+        log.debug("clustered query: gate %s, cluster %d of k=%d holds %d rows", level or "none", cluster, index.k, hi - lo)
+    if lo == hi:
+        if level is None:
+            order, rows, lo, hi = None, db.unit_matrix, 0, len(db)
+        else:
+            order, offsets, rows = db.level_rows
+            lo, hi = int(offsets[level.wire_code]), int(offsets[level.wire_code + 1])
+        if index is not None:
+            log.debug("cluster %d has no members; scanning all %d records", cluster, hi - lo)
+    best, sim = _scan_argmax(rows[lo:hi], qn, None if order is None else order[lo:hi])
+    return RetrievalResult(db.ids[best], sim, method, hi - lo, time.perf_counter_ns() - t0)
 
 
 def retrieve_embedding_based(db: EmbeddingDatabase, query: EmotionEmbedding) -> RetrievalResult:
     """Exhaustive cosine scan; highest similarity wins, ties to lowest position."""
-    return _search(db, None, query, RetrievalMethod.EMBEDDING, time.perf_counter_ns())
+    return _search(db, None, None, query, RetrievalMethod.EMBEDDING, time.perf_counter_ns())
 
 
 def retrieve_clustering_based(
@@ -370,7 +354,7 @@ def retrieve_clustering_based(
 ) -> RetrievalResult:
     """Single-probe clustered scan: nearest centroid, then argmax inside it
     (over all rows if that cluster is empty)."""
-    return _search(db, index, query, RetrievalMethod.CLUSTERING, time.perf_counter_ns())
+    return _search(db, None, index, query, RetrievalMethod.CLUSTERING, time.perf_counter_ns())
 
 
 @dataclass(eq=False)
@@ -407,23 +391,21 @@ def retrieve(
 ) -> RetrievalResult:
     """Front door: optional intensity gate, then the chosen strategy (``elapsed_ns`` covers both).
 
-    Gating searches the level's subset of ``db`` (built by the first gated query,
-    then cached on ``db``), so only records at that level compete; an empty gate
-    raises :class:`EmptySubsetError`.  Clustering needs ``db``'s cluster index, as
-    an :class:`IndexBundle` or a bare :class:`ClusterIndex`, gated or not.
+    Gating searches ``db``'s rows at that level and builds no database, so only
+    records at that level compete; an empty gate raises :class:`EmptySubsetError`.
+    Clustering needs ``db``'s cluster index, as an :class:`IndexBundle` or a bare
+    :class:`ClusterIndex`, gated or not.
     """
     t0 = time.perf_counter_ns()
     method = RetrievalMethod.parse(method)
-    target = db
     if intensity is not None:
         intensity = IntensityLevel.parse(intensity)
-        target = filter_by_intensity(db, intensity)
-        if len(target) == 0:
+        if not db._level_counts[intensity.wire_code]:
             raise EmptySubsetError(intensity.value)
     chosen = None
     if method is RetrievalMethod.CLUSTERING and index is not None:
         chosen = index.full if isinstance(index, IndexBundle) else index
-    return _search(target, chosen, query, method, t0)
+    return _search(db, intensity, chosen, query, method, t0)
 
 
 # ---------------------------------------------------------------------------

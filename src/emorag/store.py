@@ -9,9 +9,9 @@ a read-only float32 embedding matrix, u8 intensity codes, and tuples of ids,
 labels, transcripts and audio refs.  A database owns a private copy of its
 matrix, so a caller's array never changes the rows behind its fingerprint.
 Row ``i`` of every column is record ``i``; :meth:`EmbeddingDatabase.position`
-maps an id to its row.  An intensity gate's subset is built once per level
-and cached on its parent; the subset holds only a weak reference back, so a
-parent that nobody else holds is freed at once, not by the cyclic collector.
+maps an id to its row.  An intensity gate scans one level's slice of
+:attr:`EmbeddingDatabase.level_rows`, a copy of the unit rows grouped by level
+by :func:`grouped_rows`, which also builds a cluster index's inverted lists.
 
 On-disk layout (little-endian throughout)::
 
@@ -40,7 +40,6 @@ import enum
 import hashlib
 import operator
 import struct
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,8 +127,8 @@ class EmbeddingDatabase:
 
     Row ``i`` of every column belongs to record ``i``; the columns are the only
     way to build and read rows, and ``__post_init__`` is the store's one
-    validator.  Derived views (unit-normalized matrix, fingerprint, per-level
-    subsets) are computed lazily and cached; sharing a database across threads
+    validator.  Derived views (unit-normalized matrix, fingerprint, level-grouped
+    unit rows) are computed lazily and cached; sharing a database across threads
     for reads is fine.  ``dim`` is a Python or numpy integer >= 1; anything else,
     a bool or float included, raises :class:`DimensionMismatchError`.
     """
@@ -176,9 +175,9 @@ class EmbeddingDatabase:
         m.flags.writeable = False
         codes.flags.writeable = False
         self.matrix, self.intensity_codes = m, codes
-        self._unit_matrix = self._fingerprint = None
-        self._subsets = {}
-        self._gate = None  # (weak reference to the parent, level) on an intensity gate's subset
+        self._level_counts = np.bincount(codes, minlength=3).tolist()  # records per level, weak first
+        self._unit_matrix = self._fingerprint = self._level_rows = None
+        self._gate = None  # (parent, level) on a subset that filter_by_intensity cut
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -216,6 +215,16 @@ class EmbeddingDatabase:
         return self._unit_matrix
 
     @property
+    def level_rows(self) -> tuple:
+        """:func:`grouped_rows` of :attr:`unit_matrix` by intensity code, cached: level
+        ``code`` is rows ``offsets[code]:offsets[code + 1]``, in ascending position."""
+        if self._level_rows is None:
+            # one tuple, published at once: a racing thread sees all of it or none
+            self._level_rows = grouped_rows(self.intensity_codes, 3, self.unit_matrix)
+            log.debug("intensity gate: %d weak, %d normal, %d strong of %d records", *self._level_counts, len(self))
+        return self._level_rows
+
+    @property
     def fingerprint(self) -> bytes:
         """sha256 digest of the canonical serialized bytes (32 bytes), cached."""
         if self._fingerprint is None:
@@ -226,25 +235,32 @@ class EmbeddingDatabase:
         return self._fingerprint
 
 
-def filter_by_intensity(db: EmbeddingDatabase, level: IntensityLevel) -> EmbeddingDatabase:
-    """Database of the records at ``level``, order preserved.
+def grouped_rows(keys: np.ndarray, n_blocks: int, unit: np.ndarray) -> tuple:
+    """``(order, offsets, rows)``, read-only: ``order`` is the stable argsort of ``keys`` (each in
+    ``[0, n_blocks)``), so block ``b`` is ``order[offsets[b]:offsets[b + 1]]`` in ascending
+    position, and ``rows`` is ``unit[order]``, one C-contiguous copy."""
+    order = np.argsort(keys, kind="stable")
+    offsets = np.zeros(n_blocks + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_blocks), out=offsets[1:])
+    rows = unit[order]
+    for a in (order, offsets, rows):
+        a.flags.writeable = False
+    return order, offsets, rows
 
-    The first gate per level slices ``db``'s columns and keeps the subset on
-    ``db``; later gates return that same object, so its unit matrix and
-    fingerprint are computed at most once.  The subset records where it was
-    cut from, ``(weak reference to db, level)``, so that ``db``'s cluster index
-    can serve it.
+
+def filter_by_intensity(db: EmbeddingDatabase, level: IntensityLevel) -> EmbeddingDatabase:
+    """Database of the records at ``level``, order preserved, built anew by every call.
+
+    The subset records where it was cut from, ``(db, level)``, and retrieval
+    answers it as ``db`` gated at ``level``: it scans ``db``'s level rows, and
+    ``db``'s cluster index serves it.
     """
     level = IntensityLevel.parse(level)
-    sub = db._subsets.get(level)
-    if sub is None:
-        rows = np.flatnonzero(db.intensity_codes == level.wire_code).tolist()
-        columns = (db.ids, db.labels, db.transcripts, db.audio_refs)
-        picked = ([col[i] for i in rows] for col in columns)
-        sub = EmbeddingDatabase(db.dim, db.matrix[rows], db.intensity_codes[rows], *picked)
-        sub._gate = (weakref.ref(db), level)
-        sub = db._subsets.setdefault(level, sub)  # a racing thread's subset wins if first
-        log.debug("intensity gate %s: kept %d of %d records", level.value, len(sub), len(db))
+    rows = np.flatnonzero(db.intensity_codes == level.wire_code).tolist()
+    columns = (db.ids, db.labels, db.transcripts, db.audio_refs)
+    picked = ([col[i] for i in rows] for col in columns)
+    sub = EmbeddingDatabase(db.dim, db.matrix[rows], db.intensity_codes[rows], *picked)
+    sub._gate = (db, level)
     return sub
 
 

@@ -182,11 +182,11 @@ def reference_retrieve_clustering_based(db, index, query):
     members = np.nonzero(index.assignments == cluster)[0]
     if members.size == 0:
         log.debug("cluster %d has no members; scanning all %d records", cluster, len(db))
-        pos, sim = _scan_argmax(db.unit_matrix, qn)
+        pos, sim = _scan_argmax(db.unit_matrix, qn, None)
         scanned = len(db)
     else:
         # members ascend, so the lowest member position still wins ties
-        best, sim = _scan_argmax(db.unit_matrix[members], qn)
+        best, sim = _scan_argmax(db.unit_matrix[members], qn, None)
         pos = int(members[best])
         scanned = int(members.size)
     return RetrievalResult(

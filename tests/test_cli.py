@@ -312,7 +312,7 @@ def test_emorag_log_debug_prints_the_gate_line(tmp_path):
     env = {**os.environ, "EMORAG_LOG": "DEBUG"}
     loud = subprocess.run(gated, capture_output=True, text=True, env=env)
     assert loud.returncode == 0
-    assert loud.stderr == "DEBUG emorag: intensity gate strong: kept 3 of 6 records\n"
+    assert loud.stderr == "DEBUG emorag: intensity gate: 3 weak, 0 normal, 3 strong of 6 records\n"
     ungated = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert ungated.returncode == 0 and ungated.stderr == ""
 

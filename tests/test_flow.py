@@ -657,7 +657,7 @@ def _bench_inputs(rows, seed):
 
 
 @pytest.mark.parametrize("rows", [255, 256, 257, 511, 770, 1400, 1401])
-def test_split_ode_bytes_equal_the_concatenating_reference(rows):
+def test_bench_field_ode_bytes_equal_the_concatenating_reference(rows):
     model = _bench_field()
     x, cond, spk = _bench_inputs(rows, seed=rows)
     before = [a.tobytes() for a in (x, cond, spk)]
@@ -677,7 +677,7 @@ def test_float32_field_stays_close_to_the_float64_sampler():
     assert np.sqrt(np.mean((got - want) ** 2)) <= 1e-6
 
 
-def test_split_ode_restores_blas_threads_and_names_the_first_divergent_step():
+def test_ode_keeps_blas_threads_and_names_the_first_divergent_step():
     # the sampler sets no OpenBLAS thread count, so the caller's count holds
     before = openblas_thread_count()
     ode_integrate_batch(_bench_field(), *_bench_inputs(770, seed=2), 32)

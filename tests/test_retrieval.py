@@ -49,7 +49,7 @@ from emorag.retrieval import (
     serialize_index,
 )
 from emorag import retrieval, store
-from emorag.store import load_db, save_db
+from emorag.store import deserialize_db, load_db, save_db, serialize_db
 from emorag.synthbench import SyntheticDatasetConfig, generate_synthetic_db, make_query_set
 
 from helpers import (
@@ -366,7 +366,7 @@ def test_scan_gives_each_row_its_own_dot_product_bits(dim, extra):
     planted = [unit[k] for k in aimed if 0 <= k < n]
     for qn in [_unit_rows(rng, 1, dim)[0] for _ in range(3)] + planted:
         pos, sim = _first_max_by_row(unit, qn)
-        got_pos, got_sim = _scan_argmax(unit, qn)
+        got_pos, got_sim = _scan_argmax(unit, qn, None)
         assert got_pos == pos
         assert got_sim == sim  # bit for bit
 
@@ -470,7 +470,7 @@ def test_copy_of_best_row_far_from_it_ties_to_lowest_position():
 def test_scan_returns_the_rescored_value_of_several_candidates():
     unit = _unit_rows(np.random.default_rng(17), 300, 64)
     unit[[40, 200]] = unit[7]
-    pos, sim = _scan_argmax(unit, unit[7])
+    pos, sim = _scan_argmax(unit, unit[7], None)
     assert pos == 7
     assert sim == float(np.dot(unit[7], unit[7]))
 
@@ -771,13 +771,14 @@ def test_retrieve_gate_restricts_candidates():
 def test_retrieve_elapsed_includes_the_gate(monkeypatch, method):
     db = _gated_db()
     bundle = build_index_bundle(db, 2, seed=0)
-    gate = retrieval.filter_by_intensity
+    parse = IntensityLevel.parse
 
-    def slow_gate(d, level):
+    def slow_gate(cls, level):
         time.sleep(0.05)
-        return gate(d, level)
+        return parse(level)
 
-    monkeypatch.setattr(retrieval, "filter_by_intensity", slow_gate)
+    # the gate's first step parses its level; the rest is the level slice's scan
+    monkeypatch.setattr(IntensityLevel, "parse", classmethod(slow_gate))
     result = retrieve(db, EmotionEmbedding(db.matrix[0]), method, index=bundle, intensity="weak")
     assert result.elapsed_ns >= 50_000_000
 
@@ -823,18 +824,6 @@ def test_gate_of_another_database_raises_stale():
     weak = filter_by_intensity(db, "weak")
     own = kmeans_fit(weak, 2, seed=0)
     _same_result(retrieve_clustering_based(weak, own, q), reference_retrieve_clustering_based(weak, own, q))
-
-
-def test_gate_whose_parent_was_dropped_raises_stale():
-    db = _gated_db()
-    index = kmeans_fit(db, 2, seed=0)
-    weak = filter_by_intensity(db, "weak")
-    q = EmotionEmbedding(db.matrix[0])
-    retrieve_clustering_based(weak, index, q)
-    del db  # the gate holds its parent weakly, so this frees it
-    assert weak._gate[0]() is None
-    with pytest.raises(StaleIndexError):
-        retrieve_clustering_based(weak, index, q)
 
 
 def test_dropped_database_is_freed_without_the_cyclic_collector():
@@ -905,7 +894,7 @@ def test_retrieval_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# the gate is built once per level
+# the gate is a level slice of its database
 
 
 @settings(max_examples=40, deadline=None)
@@ -958,16 +947,146 @@ def test_repeated_gated_clustering_serializes_nothing(tmp_path, monkeypatch):
     db = load_db(tmp_path / "db.emdb")
     bundle = load_index_bundle(tmp_path / "db.emix")
     queries = [q for q, _ in make_query_set(config, 12, seed=5)]
-    for lvl in LEVELS:
-        retrieve(db, queries[0], "clustering", index=bundle, intensity=lvl)
-    # the gates are checked through their parent: no subset is ever fingerprinted
-    assert all(filter_by_intensity(db, lvl)._fingerprint is None for lvl in LEVELS)
     calls = []
     original = store._emdb_pieces
     monkeypatch.setattr(store, "_emdb_pieces", lambda d: calls.append(d) or original(d))
     for i, q in enumerate(queries):
-        retrieve(db, q, "clustering", index=bundle, intensity=LEVELS[i % 3])
-    assert calls == []
+        lvl = LEVELS[i % 3]
+        retrieve(db, q, "clustering", index=bundle, intensity=lvl)
+        retrieve_clustering_based(filter_by_intensity(db, lvl), bundle.for_level(lvl), q)
+    # every gate, and every subset cut for the replay form, is checked through
+    # its database: only that database is serialized, once, for its fingerprint
+    assert calls == [db]
+
+
+def test_gated_retrieve_builds_no_database(monkeypatch):
+    db = random_db(np.random.default_rng(6), n=60, dim=6)
+    bundle = build_index_bundle(db, 3, seed=0)
+    queries = [EmotionEmbedding(db.matrix[i]) for i in range(0, 60, 7)]
+    built = []
+    init = EmbeddingDatabase.__post_init__
+    monkeypatch.setattr(EmbeddingDatabase, "__post_init__", lambda d: built.append(d) or init(d))
+    for lvl in LEVELS:
+        for method, index in (("embedding", None), ("embedding", bundle), ("clustering", bundle)):
+            for q in queries:
+                retrieve(db, q, method, index=index, intensity=lvl)
+    assert built == []
+
+
+def test_first_gated_scans_copy_the_unit_rows_once():
+    import tracemalloc
+
+    db = random_db(np.random.default_rng(13), n=8000, dim=128, with_metadata=False)
+    one_copy = db.unit_matrix.nbytes
+    q = EmotionEmbedding(db.matrix[0])
+    tracemalloc.start()
+    try:
+        ratios = []
+        for lvl in LEVELS:
+            retrieve(db, q, "embedding", intensity=lvl)
+            ratios.append(tracemalloc.get_traced_memory()[1] / one_copy)
+    finally:
+        tracemalloc.stop()
+    # one level-grouped f64 copy of the rows serves all three levels; a subset
+    # database per level would hold an f32 and an f64 copy of its rows (1.5x)
+    assert max(ratios) <= 1.25, ratios
+
+
+def test_level_rows_are_a_readonly_grouped_copy():
+    db = random_db(np.random.default_rng(4), n=50, dim=6)
+    order, offsets, rows = db.level_rows
+    assert db.level_rows is db._level_rows  # built once
+    assert order.tolist() == np.argsort(db.intensity_codes, kind="stable").tolist()
+    assert offsets.tolist() == [0, *np.cumsum(np.bincount(db.intensity_codes, minlength=3)).tolist()]
+    assert np.array_equal(rows, db.unit_matrix[order])
+    assert rows.flags.c_contiguous
+    assert not np.shares_memory(rows, db.unit_matrix)
+    for a in (order, offsets, rows):
+        assert not a.flags.writeable
+
+
+def test_retrieve_on_a_gates_subset():
+    db = _gated_db()
+    bundle = build_index_bundle(db, 2, seed=0)
+    weak = filter_by_intensity(db, "weak")
+    hand = hand_filtered(db, IntensityLevel.WEAK)
+    for row in range(len(db)):
+        q = EmotionEmbedding(db.matrix[row])
+        for lvl in (None, "weak"):
+            _same_result(retrieve(weak, q, "embedding", intensity=lvl), retrieve_embedding_based(hand, q))
+            got = retrieve(weak, q, "clustering", index=bundle, intensity=lvl)
+            _same_result(got, retrieve(db, q, "clustering", index=bundle, intensity="weak"))
+        for method in RetrievalMethod:
+            with pytest.raises(EmptySubsetError):
+                retrieve(weak, q, method, index=bundle, intensity="normal")
+
+
+def test_gate_error_precedence():
+    empty = build_db(np.zeros((0, 3), dtype=np.float32))
+    q = EmotionEmbedding(np.ones(3, dtype=np.float32))
+    # an empty gate is reported first, even on an empty database or without an index
+    for method in RetrievalMethod:
+        with pytest.raises(EmptySubsetError):
+            retrieve(empty, q, method, intensity="weak")
+    with pytest.raises(MissingIndexError):
+        retrieve(empty, q, "clustering")
+    db = _gated_db()
+    q = EmotionEmbedding(db.matrix[0])
+    with pytest.raises(EmptySubsetError):
+        retrieve(db, q, "clustering", intensity="strong")
+    with pytest.raises(MissingIndexError):
+        retrieve(db, q, "clustering", intensity="weak")
+    with pytest.raises(EmptyDatabaseError):
+        retrieve_embedding_based(filter_by_intensity(db, "strong"), q)
+
+
+def test_zero_norm_record_at_another_level_fails_a_gated_query():
+    vectors = np.eye(4, dtype=np.float32)
+    vectors[3] = 0.0
+    db = build_db(vectors, intensities=["weak", "weak", "normal", "strong"])
+    index = ClusterIndex(1, np.ones((1, 4), dtype=np.float32), np.zeros(4, dtype=np.uint32), 0.0, db.fingerprint)
+    q = EmotionEmbedding(vectors[0])
+    # every scan reads the database's unit rows, and rec3 has none
+    for method, given in (("embedding", None), ("clustering", index)):
+        with pytest.raises(ZeroNormError, match="rec3"):
+            retrieve(db, q, method, index=given, intensity="weak")
+    with pytest.raises(ZeroNormError, match="rec3"):
+        retrieve_embedding_based(filter_by_intensity(db, "weak"), q)
+    # the hand-cut database holds no such record
+    assert retrieve_embedding_based(hand_filtered(db, IntensityLevel.WEAK), q).record_id == "rec0"
+
+
+def test_first_gated_query_from_several_threads():
+    # more threads than cores race to group one database's level rows; every
+    # thread must see a whole layout and return the hand-filtered answers
+    rng = np.random.default_rng(5)
+    fresh = random_db(rng, n=600, dim=16, with_metadata=False)
+    queries = [EmotionEmbedding(rng.standard_normal(16).astype(np.float32)) for _ in range(12)]
+    want = [[retrieve_embedding_based(hand_filtered(fresh, lvl), q) for lvl in LEVELS] for q in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            db = deserialize_db(serialize_db(fresh))  # no level rows yet
+            start = threading.Barrier(4)
+            got = [None] * 4
+
+            def run(slot):
+                start.wait(timeout=30)
+                got[slot] = [[retrieve(db, q, "embedding", intensity=lvl) for lvl in LEVELS] for q in queries]
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            for results in got:
+                for row, want_row in zip(results, want, strict=True):
+                    for a, b in zip(row, want_row, strict=True):
+                        _same_result(a, b)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
@@ -975,13 +1094,14 @@ def test_repeated_gated_clustering_serializes_nothing(tmp_path, monkeypatch):
 
 
 def test_gate_logs_once_per_level(caplog):
+    # once per database: the first gated scan groups every level's rows at once
     caplog.set_level(logging.DEBUG, logger="emorag")
     db = _gated_db()
-    for _ in range(3):
-        retrieve(db, EmotionEmbedding(db.matrix[0]), "embedding", intensity="weak")
+    for lvl in ("weak", "normal", "weak"):
+        retrieve(db, EmotionEmbedding(db.matrix[0]), "embedding", intensity=lvl)
     retrieve(db, EmotionEmbedding(db.matrix[0]), "embedding")
     lines = [r.getMessage() for r in caplog.records if r.name == "emorag"]
-    assert lines == ["intensity gate weak: kept 6 of 12 records"]
+    assert lines == ["intensity gate: 6 weak, 6 normal, 0 strong of 12 records"]
 
 
 def test_clustered_query_logs_its_index(caplog):
@@ -990,6 +1110,7 @@ def test_clustered_query_logs_its_index(caplog):
     q = EmotionEmbedding(db.matrix[0])
     caplog.set_level(logging.INFO, logger="emorag")
     retrieve(db, q, "clustering", index=bundle, intensity="weak")
+    retrieve(db, q, "embedding", intensity="weak")  # groups the level rows, unlogged
     assert caplog.records == []
     caplog.set_level(logging.DEBUG, logger="emorag")
     retrieve(db, q, "embedding")
@@ -1000,7 +1121,6 @@ def test_clustered_query_logs_its_index(caplog):
     retrieve(db, q, "clustering", index=bundle.full, intensity="weak")
     assert [r.getMessage() for r in caplog.records] == [
         "clustered query: gate none, cluster 1 of k=2 holds 8 rows",
-        "intensity gate normal: kept 6 of 12 records",
         "clustered query: gate normal, cluster 1 of k=2 holds 3 rows",
         "clustered query: gate weak, cluster 1 of k=2 holds 5 rows",
     ]

@@ -421,8 +421,8 @@ def test_gate_is_built_once_per_level(seed):
     db = random_db(np.random.default_rng(seed))
     for lvl in LEVELS:
         sub = filter_by_intensity(db, lvl)
-        assert filter_by_intensity(db, lvl) is sub
-        assert filter_by_intensity(db, lvl.value) is sub
+        assert filter_by_intensity(db, lvl.value).ids == sub.ids
+        assert sub._gate[0] is db and sub._gate[1] is lvl
         hand = hand_filtered(db, lvl)
         assert sub.fingerprint == hashlib.sha256(serialize_db(hand)).digest()
         assert sub.matrix.tobytes() == hand.matrix.tobytes()
@@ -439,7 +439,7 @@ def test_gate_from_many_threads_returns_one_subset_per_level():
 
     def worker():
         barrier.wait()
-        seen.append(tuple(id(filter_by_intensity(db, lvl)) for lvl in LEVELS * 20))
+        seen.append(tuple(filter_by_intensity(db, lvl).ids for lvl in LEVELS * 20))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -453,7 +453,7 @@ def test_gate_from_many_threads_returns_one_subset_per_level():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(seen) == 8
-    assert set(seen) == {tuple(id(filter_by_intensity(db, lvl)) for lvl in LEVELS * 20)}
+    assert set(seen) == {tuple(hand_filtered(db, lvl).ids for lvl in LEVELS * 20)}
 
 
 def test_loaded_columns_are_readonly_and_records_are_views():
