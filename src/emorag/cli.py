@@ -11,10 +11,11 @@ Exit codes, used consistently by every subcommand:
 
 The ``EMORAG_LOG`` environment variable (DEBUG/INFO/...) sets the level of
 the ``emorag`` logger, which writes to stderr.  At DEBUG it reports a
-database's records per level when its gate rows are built, each clustered
+database's records per level when its level rows are built (by the first
+exhaustive scan, gated or not, or empty-cluster fallback), each clustered
 query's gate, the cluster it probes and that cluster's rows at the gate, a
-clustered probe that falls back to scanning the gate's rows because those
-rows are none, and k-means reseeding an empty cluster.  ``synth`` adds the
+clustered probe that falls back to scanning the gate's rows (and how many)
+because the cluster has none there, and k-means reseeding an empty cluster.  ``synth`` adds the
 nanoseconds each of its file loads took to its report as ``load_timings_ns``.
 All stochastic commands take ``--seed`` (a non-negative integer, default 0)
 so documented invocations reproduce byte-for-byte.  A flag that several

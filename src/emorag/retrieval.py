@@ -7,15 +7,17 @@ probe), then scores only that cluster's members, trading a little recall at
 cluster boundaries for a scan that touches n/k records on average; a routed
 cluster with no members falls back to the full scan.
 
-Every scan is one contiguous slice of rows grouped by
-:func:`~emorag.store.grouped_rows`.  An intensity gate is a pair ``(database,
-level)``, and a gated exhaustive query scans the level's slice of the
-database's :attr:`~emorag.store.EmbeddingDatabase.level_rows`.  On its first
-clustered query an index groups the rows by ``3 * assignment + intensity
-code`` into inverted lists (as in IVF): cluster ``c`` at one level is block
-``3c + code``, at every level the blocks ``[3c, 3c + 3)``, so one index
-serves every gate.  Each grouped copy is one float64 copy of the rows (8 MB
-for 8,000 rows at dim 128), held as long as its database or index is.
+Every scan is a run of consecutive blocks of one copy of the unit rows
+grouped by :func:`~emorag.store.grouped_rows`, and each block ascends in
+position.  An intensity gate is a pair ``(database, level)``.  An exhaustive
+query scans the database's :attr:`~emorag.store.EmbeddingDatabase.level_rows`:
+block ``code`` when gated, all three blocks when not.  On its first clustered
+query an index groups the rows by ``3 * assignment + intensity code`` into
+inverted lists (as in IVF): cluster ``c`` at one level is block ``3c + code``,
+at every level the blocks ``[3c, 3c + 3)``, so one index serves every gate.
+Each grouped copy is one float64 copy of the rows (8 MB for 8,000 rows at dim
+128), held as long as its database or index is; with the f32 matrix, a job
+that runs both methods holds its rows three times, two of them in float64.
 
 Clustering is spherical k-means: rows are unit-normalized, at most 100 Lloyd
 iterations minimize squared euclidean distance (monotone in cosine on the
@@ -27,8 +29,9 @@ which keeps every run bit-reproducible under a fixed seed.
 Every cosine score, of a record or of a centroid, is one dot product of
 ``dim`` values per row (``np.vecdot``).  A row therefore gets the same bits
 wherever it sits in the scanned matrix, so an exact copy of the best row ties
-with it and ``argmax`` alone keeps the lower position; and the scan stays on
-one core at any database size, so its latency scales with the row count.
+with it and ``argmax`` over an ascending block keeps the lower position; blocks
+combine by the highest similarity, then the lowest position.  The scan stays
+on one core at any database size, so its latency scales with the row count.
 
 An EMIX index file is the EMDB header (:data:`~emorag.store.HEADER`, with k
 and dim for sizes), f32 centroids, a u32 count and u32 assignments, and the
@@ -112,15 +115,12 @@ def _scan_argmax(rows: np.ndarray, qn: np.ndarray, members) -> tuple:
     """``(position, similarity)`` of the row of ``rows`` most similar to ``qn``.
 
     Each row is scored by its own dot product.  Row ``i`` sits at position
-    ``members[i]`` (``members=None``: at ``i``), and ties go to the lowest
-    position.  ``rows`` must have at least one row.
+    ``members[i]`` (``members=None``: at ``i``); positions ascend, so ``argmax``
+    alone breaks ties to the lowest.  ``rows`` must have at least one row.
     """
     sims = np.vecdot(rows, qn)
     best = int(np.argmax(sims))
-    sim = sims[best]
-    if members is not None:
-        best = int(members[sims == sim].min())
-    return best, float(sim)
+    return (best if members is None else int(members[best])), float(sims[best])
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +175,7 @@ class ClusterIndex:
         return int(self.centroids.shape[1])
 
     def _inverted_lists(self, db: EmbeddingDatabase) -> tuple:
-        """:func:`~emorag.store.grouped_rows` of ``db``'s unit rows by ``3 * assignment + intensity code``.
+        """:func:`~emorag.store.grouped_rows` of ``db`` by ``3 * assignment + intensity code``.
 
         ``db`` must be the database this index was checked against; the first call
         builds the lists from it, later calls return them.
@@ -184,7 +184,7 @@ class ClusterIndex:
         if lists is None:
             blocks = 3 * self.assignments.astype(np.int64) + db.intensity_codes
             # one tuple, published at once: a racing thread sees all of it or none
-            lists = self._lists = grouped_rows(blocks, 3 * self.k, db.unit_matrix)
+            lists = self._lists = grouped_rows(db, blocks, 3 * self.k)
             log.debug(
                 "cluster index k=%d: inverted lists over %d rows, largest cluster %d",
                 self.k, blocks.size, int(np.diff(lists[1][::3]).max()),
@@ -307,9 +307,9 @@ def _search(db: EmbeddingDatabase, level, index, query: EmotionEmbedding, method
     An intensity gate's subset is answered as its parent at its level, unless
     ``index`` was fit on the subset itself.  With a :class:`ClusterIndex`, check
     that it covers the database, route the query to its nearest centroid and scan
-    that cluster's rows: the gate's level block, or all three blocks ungated.
-    Without one, or when the cluster has no rows there, scan the gate's rows.
-    ``elapsed_ns`` counts from ``t0``.
+    that cluster's blocks of the inverted lists: the gate's level block, or all
+    three ungated.  Without one, or when the cluster has no rows there, scan the
+    gate's blocks of the level rows.  ``elapsed_ns`` counts from ``t0``.
     """
     if index is None and method is RetrievalMethod.CLUSTERING:
         raise MissingIndexError("clustering retrieval requires a cluster index")
@@ -325,23 +325,27 @@ def _search(db: EmbeddingDatabase, level, index, query: EmotionEmbedding, method
         if index.assignments.shape[0] != len(db):
             raise StaleIndexError(f"index covers {index.assignments.shape[0]} records, database has {len(db)}")
     qn = _unit_query(db, query)
-    lo = hi = 0
+    gate = first, last = (0, 3) if level is None else (level.wire_code, level.wire_code + 1)
     if index is not None:
         cluster, _ = _scan_argmax(index.unit_centroids, qn, None)
         order, offsets, rows = index._inverted_lists(db)
-        block = 3 * cluster + (0 if level is None else level.wire_code)
-        lo, hi = int(offsets[block]), int(offsets[block + (3 if level is None else 1)])
-        log.debug("clustered query: gate %s, cluster %d of k=%d holds %d rows", level or "none", cluster, index.k, hi - lo)
-    if lo == hi:
-        if level is None:
-            order, rows, lo, hi = None, db.unit_matrix, 0, len(db)
-        else:
-            order, offsets, rows = db.level_rows
-            lo, hi = int(offsets[level.wire_code]), int(offsets[level.wire_code + 1])
+        first, last = 3 * cluster + first, 3 * cluster + last
+        log.debug(
+            "clustered query: gate %s, cluster %d of k=%d holds %d rows",
+            level or "none", cluster, index.k, offsets[last] - offsets[first],
+        )
+    if index is None or offsets[first] == offsets[last]:
+        (order, offsets, rows), (first, last) = db.level_rows, gate
         if index is not None:
-            log.debug("cluster %d has no members; scanning all %d records", cluster, hi - lo)
-    best, sim = _scan_argmax(rows[lo:hi], qn, None if order is None else order[lo:hi])
-    return RetrievalResult(db.ids[best], sim, method, hi - lo, time.perf_counter_ns() - t0)
+            log.debug(
+                "cluster %d has no members at gate %s; scanning the %d rows at that gate",
+                cluster, level or "none", offsets[last] - offsets[first],
+            )
+    # each block ascends in position; the best over blocks is the highest similarity, then the lowest position
+    bounds = offsets[first : last + 1].tolist()
+    hits = [_scan_argmax(rows[lo:hi], qn, order[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    best, sim = max(hits, key=lambda hit: (hit[1], -hit[0]))
+    return RetrievalResult(db.ids[best], sim, method, bounds[-1] - bounds[0], time.perf_counter_ns() - t0)
 
 
 def retrieve_embedding_based(db: EmbeddingDatabase, query: EmotionEmbedding) -> RetrievalResult:

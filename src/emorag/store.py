@@ -9,9 +9,12 @@ a read-only float32 embedding matrix, u8 intensity codes, and tuples of ids,
 labels, transcripts and audio refs.  A database owns a private copy of its
 matrix, so a caller's array never changes the rows behind its fingerprint.
 Row ``i`` of every column is record ``i``; :meth:`EmbeddingDatabase.position`
-maps an id to its row.  An intensity gate scans one level's slice of
-:attr:`EmbeddingDatabase.level_rows`, a copy of the unit rows grouped by level
-by :func:`grouped_rows`, which also builds a cluster index's inverted lists.
+maps an id to its row.  Unit rows are float64 and built by one routine,
+:func:`unit_rows`, which gathers them from the f32 matrix in any row order.
+:func:`grouped_rows` builds the two grouped copies a job holds beside the f32
+matrix: :attr:`EmbeddingDatabase.level_rows`, the unit rows grouped by level,
+whose level slice an intensity gate scans, and a cluster index's inverted
+lists.  No position-order unit matrix is kept.
 
 On-disk layout (little-endian throughout)::
 
@@ -59,7 +62,7 @@ from .util import atomic_write_bytes, frozen_copy, is_whole, log, read_json
 EMDB_MAGIC = b"EMDB"
 EMDB_VERSION = 1
 HEADER = struct.Struct("<4sIII")  # magic, version, two u32 sizes: EMDB dim, count; EMIX k, dim
-_NORM_BLOCK_ROWS = 512  # rows squared at a time by EmbeddingDatabase.unit_matrix
+_NORM_BLOCK_ROWS = 512  # rows gathered and squared at a time by unit_rows
 _U16 = struct.Struct("<H")
 
 
@@ -127,10 +130,11 @@ class EmbeddingDatabase:
 
     Row ``i`` of every column belongs to record ``i``; the columns are the only
     way to build and read rows, and ``__post_init__`` is the store's one
-    validator.  Derived views (unit-normalized matrix, fingerprint, level-grouped
-    unit rows) are computed lazily and cached; sharing a database across threads
-    for reads is fine.  ``dim`` is a Python or numpy integer >= 1; anything else,
-    a bool or float included, raises :class:`DimensionMismatchError`.
+    validator.  The fingerprint and the level-grouped unit rows are computed
+    lazily and cached; :attr:`unit_matrix` is computed anew by each access.
+    Sharing a database across threads for reads is fine.  ``dim`` is a Python
+    or numpy integer >= 1; anything else, a bool or float included, raises
+    :class:`DimensionMismatchError`.
     """
 
     dim: int
@@ -176,7 +180,7 @@ class EmbeddingDatabase:
         codes.flags.writeable = False
         self.matrix, self.intensity_codes = m, codes
         self._level_counts = np.bincount(codes, minlength=3).tolist()  # records per level, weak first
-        self._unit_matrix = self._fingerprint = self._level_rows = None
+        self._fingerprint = self._level_rows = None
         self._gate = None  # (parent, level) on a subset that filter_by_intensity cut
 
     def __len__(self) -> int:
@@ -191,37 +195,23 @@ class EmbeddingDatabase:
 
     @property
     def unit_matrix(self) -> np.ndarray:
-        """Row-normalized float64 view of :attr:`matrix`, cached.
+        """Row-normalized float64 copy of :attr:`matrix`, :func:`unit_rows` in position order.
 
-        Raises :class:`ZeroNormError` naming the first offending record if any
-        stored embedding has zero norm; the check happens on first access, not
-        at load time, because a database is allowed to *hold* such records as
-        long as nobody asks for directions.
+        Computed anew by every access and not held: retrieval scans the grouped
+        copies instead.  Raises :class:`ZeroNormError` naming the first offending
+        record if any stored embedding has zero norm; a database is allowed to
+        *hold* such records as long as nobody asks for directions.
         """
-        if self._unit_matrix is None:
-            m = self.matrix.astype(np.float64)
-            # np.linalg.norm(m, axis=1)'s arithmetic, squared a block of rows at a
-            # time: no second f64 matrix, even for a moment
-            norms = np.empty(len(m))
-            for lo in range(0, len(m), _NORM_BLOCK_ROWS):
-                block = m[lo : lo + _NORM_BLOCK_ROWS]
-                np.sqrt(np.add.reduce(block * block, axis=1), out=norms[lo : lo + _NORM_BLOCK_ROWS])
-            bad = np.nonzero(norms == 0.0)[0]
-            if bad.size:
-                raise ZeroNormError(f"record {self.ids[int(bad[0])]!r} has zero-norm embedding")
-            m /= norms[:, None]  # in place
-            m.flags.writeable = False
-            self._unit_matrix = m
-        return self._unit_matrix
+        return unit_rows(self, np.arange(len(self)))
 
     @property
     def level_rows(self) -> tuple:
-        """:func:`grouped_rows` of :attr:`unit_matrix` by intensity code, cached: level
-        ``code`` is rows ``offsets[code]:offsets[code + 1]``, in ascending position."""
+        """:func:`grouped_rows` by intensity code, cached: level ``code`` is rows
+        ``offsets[code]:offsets[code + 1]``, in ascending position."""
         if self._level_rows is None:
             # one tuple, published at once: a racing thread sees all of it or none
-            self._level_rows = grouped_rows(self.intensity_codes, 3, self.unit_matrix)
-            log.debug("intensity gate: %d weak, %d normal, %d strong of %d records", *self._level_counts, len(self))
+            self._level_rows = grouped_rows(self, self.intensity_codes, 3)
+            log.debug("level rows: %d weak, %d normal, %d strong of %d records", *self._level_counts, len(self))
         return self._level_rows
 
     @property
@@ -235,15 +225,39 @@ class EmbeddingDatabase:
         return self._fingerprint
 
 
-def grouped_rows(keys: np.ndarray, n_blocks: int, unit: np.ndarray) -> tuple:
+def unit_rows(db: EmbeddingDatabase, order: np.ndarray) -> np.ndarray:
+    """``db.matrix[order]`` as read-only float64 rows of unit norm, one C-contiguous array.
+
+    The rows are gathered from the f32 matrix and squared a block of rows at a
+    time, then divided in place: no second f64 matrix, even for a moment.  A
+    row's bits are ``np.linalg.norm``'s and do not depend on its neighbours.  A
+    zero-norm row raises :class:`ZeroNormError` naming the record at the lowest
+    position among them, whatever ``order`` is.
+    """
+    rows = np.empty((len(order), db.dim))
+    norms = np.empty(len(order))
+    for lo in range(0, len(order), _NORM_BLOCK_ROWS):
+        hi = lo + _NORM_BLOCK_ROWS
+        block = rows[lo:hi]
+        block[...] = db.matrix[order[lo:hi]]
+        np.sqrt(np.add.reduce(block * block, axis=1), out=norms[lo:hi])
+    bad = order[norms == 0.0]
+    if bad.size:
+        raise ZeroNormError(f"record {db.ids[int(bad.min())]!r} has zero-norm embedding")
+    rows /= norms[:, None]  # in place
+    rows.flags.writeable = False
+    return rows
+
+
+def grouped_rows(db: EmbeddingDatabase, keys: np.ndarray, n_blocks: int) -> tuple:
     """``(order, offsets, rows)``, read-only: ``order`` is the stable argsort of ``keys`` (each in
     ``[0, n_blocks)``), so block ``b`` is ``order[offsets[b]:offsets[b + 1]]`` in ascending
-    position, and ``rows`` is ``unit[order]``, one C-contiguous copy."""
+    position, and ``rows`` is :func:`unit_rows` of ``db`` in that order."""
     order = np.argsort(keys, kind="stable")
     offsets = np.zeros(n_blocks + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n_blocks), out=offsets[1:])
-    rows = unit[order]
-    for a in (order, offsets, rows):
+    rows = unit_rows(db, order)
+    for a in (order, offsets):
         a.flags.writeable = False
     return order, offsets, rows
 

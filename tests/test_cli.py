@@ -312,9 +312,11 @@ def test_emorag_log_debug_prints_the_gate_line(tmp_path):
     env = {**os.environ, "EMORAG_LOG": "DEBUG"}
     loud = subprocess.run(gated, capture_output=True, text=True, env=env)
     assert loud.returncode == 0
-    assert loud.stderr == "DEBUG emorag: intensity gate: 3 weak, 0 normal, 3 strong of 6 records\n"
+    line = "DEBUG emorag: level rows: 3 weak, 0 normal, 3 strong of 6 records\n"
+    assert loud.stderr == line
+    # an ungated exhaustive scan reads the same level rows, all three levels of them
     ungated = subprocess.run(argv, capture_output=True, text=True, env=env)
-    assert ungated.returncode == 0 and ungated.stderr == ""
+    assert ungated.returncode == 0 and ungated.stderr == line
 
 
 def test_retrieve_clustering_without_index_is_usage_error(tmp_path, capsys):

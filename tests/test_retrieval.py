@@ -1056,6 +1056,45 @@ def test_zero_norm_record_at_another_level_fails_a_gated_query():
     assert retrieve_embedding_based(hand_filtered(db, IntensityLevel.WEAK), q).record_id == "rec0"
 
 
+def test_zero_norm_error_names_the_lowest_position_in_any_row_order():
+    vectors = np.eye(6, dtype=np.float32)
+    vectors[[1, 4]] = 0.0
+    # the grouped copies visit weak (rec3, rec4) before strong (rec1, rec5)
+    db = build_db(vectors, intensities=["normal", "strong", "normal", "weak", "weak", "strong"])
+    index = ClusterIndex(1, np.ones((1, 6), dtype=np.float32), np.zeros(6, dtype=np.uint32), 0.0, db.fingerprint)
+    q = EmotionEmbedding(vectors[0])
+    with pytest.raises(ZeroNormError, match="rec1"):
+        db.unit_matrix
+    for method, given, lvl in (("embedding", None, None), ("embedding", None, "normal"), ("clustering", index, None)):
+        with pytest.raises(ZeroNormError, match="rec1"):
+            retrieve(db, q, method, index=given, intensity=lvl)
+
+
+def test_every_kind_of_query_holds_two_f64_copies_of_the_rows():
+    import tracemalloc
+
+    fresh = random_db(np.random.default_rng(14), n=8000, dim=128, with_metadata=False)
+    centroids = fresh.matrix[:8]
+    index = ClusterIndex(8, centroids, np.argmax(fresh.matrix @ centroids.T, axis=1), 0.0, fresh.fingerprint)
+    db = deserialize_db(serialize_db(fresh))  # no unit rows, grouped copies or fingerprint yet
+    one_copy = len(db) * db.dim * 8
+    q = EmotionEmbedding(db.matrix[0])
+    tracemalloc.start()
+    try:
+        for method, given, lvl in (
+            ("embedding", None, None),
+            ("clustering", index, None),
+            ("embedding", None, "weak"),
+            ("clustering", index, "strong"),
+        ):
+            retrieve(db, q, method, index=given, intensity=lvl)
+        held, peak = (b / one_copy for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    # the level rows and the index's inverted lists; a cached position-order unit matrix would be a third
+    assert held <= 2.05 and peak <= 2.25, (held, peak)
+
+
 def test_first_gated_query_from_several_threads():
     # more threads than cores race to group one database's level rows; every
     # thread must see a whole layout and return the hand-filtered answers
@@ -1094,14 +1133,15 @@ def test_first_gated_query_from_several_threads():
 
 
 def test_gate_logs_once_per_level(caplog):
-    # once per database: the first gated scan groups every level's rows at once
+    # once per database: the first exhaustive scan, gated or not, groups every level's rows at once
     caplog.set_level(logging.DEBUG, logger="emorag")
-    db = _gated_db()
-    for lvl in ("weak", "normal", "weak"):
-        retrieve(db, EmotionEmbedding(db.matrix[0]), "embedding", intensity=lvl)
-    retrieve(db, EmotionEmbedding(db.matrix[0]), "embedding")
-    lines = [r.getMessage() for r in caplog.records if r.name == "emorag"]
-    assert lines == ["intensity gate: 6 weak, 6 normal, 0 strong of 12 records"]
+    for gates in (("weak", "normal", None, "weak"), (None, "normal", "weak")):
+        caplog.clear()
+        db = _gated_db()
+        for lvl in gates:
+            retrieve(db, EmotionEmbedding(db.matrix[0]), "embedding", intensity=lvl)
+        lines = [r.getMessage() for r in caplog.records if r.name == "emorag"]
+        assert lines == ["level rows: 6 weak, 6 normal, 0 strong of 12 records"]
 
 
 def test_clustered_query_logs_its_index(caplog):
@@ -1167,9 +1207,14 @@ def test_empty_cluster_fallback_logs(caplog):
     ]
     caplog.clear()
     retrieve_clustering_based(db, index, EmotionEmbedding([0.0, 1.0]))
+    retrieve(db, EmotionEmbedding([0.0, 1.0]), "clustering", index=index, intensity="weak")
+    # the fallback scans the gate's rows of the level rows, which the first fallback builds
     assert [r.getMessage() for r in caplog.records] == [
         "clustered query: gate none, cluster 1 of k=2 holds 0 rows",
-        "cluster 1 has no members; scanning all 2 records",
+        "level rows: 1 weak, 1 normal, 0 strong of 2 records",
+        "cluster 1 has no members at gate none; scanning the 2 rows at that gate",
+        "clustered query: gate weak, cluster 1 of k=2 holds 0 rows",
+        "cluster 1 has no members at gate weak; scanning the 1 rows at that gate",
     ]
 
 

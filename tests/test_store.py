@@ -191,16 +191,25 @@ def test_unit_matrix_bytes_equal_whole_matrix_norms_without_a_second_matrix():
     m = vectors.astype(np.float64)
     want = m / np.linalg.norm(m, axis=1)[:, None]
     db = build_db(vectors)
+    index = ClusterIndex(2, np.ones((2, 128), dtype=np.float32), np.arange(1000) % 2, 0.0, db.fingerprint)
     tracemalloc.start()
     try:
         got = db.unit_matrix
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        order, _, rows = db.level_rows
+        grouped_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert got.tobytes() == want.tobytes()
-    # the unit matrix itself, one block of squares and the norms; squaring the
-    # whole matrix at once would double the peak
+    assert rows.tobytes() == want[order].tobytes()
+    lists_order, _, lists_rows = index._inverted_lists(db)
+    assert lists_rows.tobytes() == want[lists_order].tobytes()
+    # the unit rows themselves, one block of squares and the norms; squaring the
+    # whole matrix at once, or gathering a grouped copy from a unit matrix, would double the peak
     assert peak < 1.75 * want.nbytes, peak
+    assert grouped_peak < 1.75 * want.nbytes, grouped_peak
 
 
 def test_unit_matrix_zero_norm_record():
