@@ -134,10 +134,13 @@ def reference_f64_ode_integrate_batch(model, x_init, cond, spk, n_steps) -> np.n
 
 
 def reference_ode_integrate_batch(model, x_init, cond, spk, n_steps) -> np.ndarray:
-    """Explicit Euler with a float64 state and a float32 field, fresh arrays every step.
+    """The sampler's carried float32 field on fresh arrays every step.
 
-    Layer 0's constant part ``[cond, spk]·W_cs + b0`` is summed in float64 and
-    rounded once; the output layer is scaled by dt in float64 before rounding.
+    Layer 0's pre-activation ``a`` and the sum ``G`` of the output layer's
+    inputs are carried; the state is formed once, after the last step.  With
+    the dt-scaled output layer ``Wo, bo`` (``I, 0`` when layer 0 is the output
+    layer), ``M = Wo·w_x`` and ``c = bo·w_x + dt·w_t`` are summed in float64 and
+    rounded once, as is layer 0's constant part ``[cond, spk]·W_cs + b0``.
     """
     X = np.asarray(x_init, dtype=np.float64).copy()
     spk = np.asarray(spk, dtype=np.float64)
@@ -146,14 +149,20 @@ def reference_ode_integrate_batch(model, x_init, cond, spk, n_steps) -> np.ndarr
     s, dt = model.state_dim, 1.0 / n_steps
     Ws, bs = [W.T for W in model.weights], list(model.biases)
     Ws[-1], bs[-1] = dt * Ws[-1], dt * bs[-1]
+    deep = len(Ws) > 1
+    Wo, bo = (Ws[-1], bs[-1]) if deep else (np.eye(s), np.zeros(s))
     f32 = lambda a: np.ascontiguousarray(a, dtype=np.float32)
-    base = f32(np.concatenate([cond, spk], axis=1) @ Ws[0][s:-1] + bs[0])
-    for i in range(n_steps):
-        h = X.astype(np.float32) @ f32(Ws[0][:s]) + base + np.float32(i * dt) * f32(Ws[0][-1])
-        for W, b in zip(Ws[1:], bs[1:]):
-            h = np.tanh(h) @ f32(W) + f32(b)
-        X = X + h
-    return X
+    w_x = Ws[0][:s]
+    M, c = f32(Wo @ w_x), f32(bo @ w_x + dt * Ws[0][-1])
+    a = X.astype(np.float32) @ f32(w_x) + f32(np.concatenate([cond, spk], axis=1) @ Ws[0][s:-1] + bs[0])
+    G = np.zeros((X.shape[0], Wo.shape[0]), dtype=np.float32)
+    for _ in range(n_steps):
+        h = np.tanh(a) if deep else a
+        for W, b in zip(Ws[1:-1], bs[1:-1]):
+            h = np.tanh(h @ f32(W) + f32(b))
+        G = G + h
+        a = a + h @ M + c
+    return X + G.astype(np.float64) @ Wo + n_steps * bo
 
 
 # ---------------------------------------------------------------------------

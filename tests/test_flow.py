@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -498,9 +499,12 @@ def test_ode_constant_field_translates():
 
 
 def test_ode_linear_field_compounds():
-    # field v = x integrates to (1 + 1/n)^n growth under explicit Euler; each
-    # increment dt x reads x rounded to float32 and is rounded to float32, so it is
-    # within 2^-23 of exact, and n increments of dt keep the total within 2^-23
+    # field v = x integrates to (1 + 1/n)^n growth under explicit Euler.  The
+    # sampler carries the increment a = dt x in float32, a <- a + a M with
+    # M = f32(dt), sums the increments into G in float32 and returns 1 + G in
+    # float64.  Each of the 3n roundings (a M, the sum into a, the sum into G) is
+    # within 2^-24 of its value and their signs mix; on 1 x 1 products every
+    # rounding is fixed by IEEE float32, and the total reads 3.2e-9 relative
     out = ode_integrate_batch(linear_field(1.0), np.array([[1.0]]), np.zeros((1, 1)), np.zeros(1), 100)
     assert out[0, 0] == pytest.approx(1.01**100, rel=2.0**-23)
 
@@ -526,12 +530,13 @@ def test_ode_divergence_detected():
 
 
 def test_ode_divergence_names_the_step():
-    # v = 2^15 x with dt = 1/32: each step multiplies x by 1 + 2^10, so the state
-    # is about 2^120 after step 12; step 13's float32 increment 2^10 * 2^120
-    # overflows, and the state is non-finite after step 13
+    # v = 2^15 x with dt = 1/32: the field input is the increment a = 2^10 x, and
+    # each step multiplies it by 1 + 2^10, so a_i = 2^10 (1 + 2^10)^i: a_11 is
+    # about 2^120.02, a_12 about 2^130 overflows float32 (max about 2^128), and
+    # step 12 is the first whose input is non-finite
     x = np.array([[1.0]])
     with np.errstate(over="ignore"), pytest.raises(
-        IntegrationDivergenceError, match=r"at step 13 of 32$"
+        IntegrationDivergenceError, match=r"field's float32 input became non-finite at step 12 of 32$"
     ):
         ode_integrate_batch(linear_field(2.0**15), x, np.zeros((1, 1)), np.zeros(1), 32)
 
@@ -540,14 +545,15 @@ def test_ode_divergence_names_the_step():
     "start, step",
     [
         (1e300, 0),  # finite in float64, beyond float32 from the start
-        (3e38, 1),  # x grows by half each step: 4.5e38 after step 1
-        (1e38, 4),  # 1.5e38, 2.25e38, 3.375e38 (float32's max is 3.40e38), then 5.06e38
+        (3e38, 3),  # a = 1.5e38, 2.25e38, 3.375e38 (float32's max is 3.40e38), then 5.06e38
+        (1e38, 5),  # a = 5e37, 7.5e37, 1.125e38, 1.69e38, 2.53e38, then 3.80e38
     ],
 )
 def test_ode_state_beyond_float32_range_diverges_instead_of_returning(start, step):
-    # v = 16 x with dt = 1/32; the float64 state stays finite, but the float32
-    # field cannot read it, so the sampler names the step after which it left
-    # the range instead of returning inf, NaN or a field evaluated at inf
+    # v = 16 x with dt = 1/32: the float32 field input is the increment a = x / 2,
+    # which grows by half each step; the float64 result would stay finite, but the
+    # sampler names the first step whose input left float32's range instead of
+    # returning inf, NaN or a field evaluated at inf
     x = np.array([[start], [0.5]])
     with np.errstate(over="ignore"), pytest.raises(
         IntegrationDivergenceError, match=rf"at step {step} of 32$"
@@ -561,6 +567,31 @@ def test_ode_state_beyond_float32_range_diverges_through_a_tanh_layer():
     wide = np.full((3, 5), 1e39)
     with np.errstate(over="ignore"), pytest.raises(IntegrationDivergenceError, match=r"at step 0 of 8$"):
         ode_integrate_batch(_biased_field((4,), seed=5), wide, np.zeros((3, 3)), np.zeros(4), 8)
+
+
+def test_ode_sum_beyond_float32_range_names_the_result():
+    # a constant field of 1e40: every field input a = dt 1e40 = 3.1e38 is finite,
+    # but G, their float32 sum, overflows at step 1, so the result is non-finite
+    # and the error names n_steps; only overflow may warn
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationDivergenceError, match=r"the result became non-finite at step 32 of 32$"):
+            ode_integrate_batch(constant_field_model(2, 1e40), np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(1), 32)
+
+
+def test_ode_composed_layer_beyond_float32_range_diverges_instead_of_returning():
+    # layer 0's state weights and the output weights scaled by 1e21 stay inside
+    # float32, but M = dt Wo w_x (|entries| up to about 1e41) does not, so every
+    # row's a_1 = a_0 + tanh(a_0) M + c is non-finite; tanh would saturate on it
+    # and return a finite result.  Only overflow may warn, inside the caller's errstate
+    model = _biased_field((4,), seed=5)
+    model.weights[0][:, :5] *= 1e21
+    model.weights[1] *= 1e21
+    x, cond, spk = _sampler_inputs(6, False, seed=5)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationDivergenceError, match=r"field's float32 input became non-finite at step 1 of 8$"):
+            ode_integrate_batch(model, x, cond, spk, 8)
 
 
 def test_ode_batch_rows_independent():
@@ -667,14 +698,39 @@ def test_bench_field_ode_bytes_equal_the_concatenating_reference(rows):
     assert got.flags.c_contiguous and got.flags.owndata
 
 
-def test_float32_field_stays_close_to_the_float64_sampler():
-    # the float64 Euler loop the float32 field replaced is the accuracy oracle:
-    # its RMS distance read 3.6e-8 on this field with OpenBLAS 0.3.31
-    model = _bench_field()
-    x, cond, spk = _bench_inputs(770, seed=4)
-    got = ode_integrate_batch(model, x, cond, spk, 32)
-    want = reference_f64_ode_integrate_batch(model, x, cond, spk, 32)
+@pytest.mark.parametrize("n_steps", [1, 2, 32])
+@pytest.mark.parametrize("hidden", ["bench", (16, 8), (16,), ()], ids=["bench", "16-8", "16", "linear"])
+def test_float32_field_stays_close_to_the_float64_sampler(hidden, n_steps):
+    # the float64 Euler loop is the accuracy oracle.  With OpenBLAS 0.3.31 the
+    # RMS distance read 1.2e-7 on the bench field at 32 steps and at most 1.5e-7
+    # on the tanh fields; with hidden () it read 5.1e-7 at 32 steps, where G sums
+    # the increments of a state of order 1 in float32 (32 roundings of up to
+    # 2^-24 relative)
+    if hidden == "bench":
+        model, (x, cond, spk) = _bench_field(), _bench_inputs(770, seed=4)
+    else:
+        model, (x, cond, spk) = _biased_field(hidden, seed=4), _sampler_inputs(770, False, seed=4)
+    got = ode_integrate_batch(model, x, cond, spk, n_steps)
+    want = reference_f64_ode_integrate_batch(model, x, cond, spk, n_steps)
     assert np.sqrt(np.mean((got - want) ** 2)) <= 1e-6
+
+
+@pytest.mark.parametrize("rows", [770, 1440])
+def test_ode_peak_memory_stays_within_five_results(rows):
+    # a call holds the float64 result, the [cond, spk] rows (0.2 results) and seven
+    # float32 loop buffers of 64 columns (a, G, tanh(a), h M, layer 1's output and
+    # the tiled layer-1 bias and c, 0.4 results each), and frees all but G before
+    # the float64 G Wo, which needs 1.8 results more: the peak read 4.36 and 4.28
+    # results, and keeping the loop's buffers would pass 5
+    model = _bench_field()
+    args = _bench_inputs(rows, seed=rows)
+    tracemalloc.start()
+    try:
+        out = ode_integrate_batch(model, *args, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * out.nbytes
 
 
 def test_ode_keeps_blas_threads_and_names_the_first_divergent_step():
@@ -682,9 +738,9 @@ def test_ode_keeps_blas_threads_and_names_the_first_divergent_step():
     before = openblas_thread_count()
     ode_integrate_batch(_bench_field(), *_bench_inputs(770, seed=2), 32)
     assert openblas_thread_count() == before
-    # as in test_ode_divergence_names_the_step, x = 1 overflows at step 13
-    # and x = 2^-20 at step 15: the error names the first step over all rows,
-    # wherever the diverging row sits; every other row stays 0
+    # as in test_ode_divergence_names_the_step, x = 1 overflows at step 12 and
+    # x = 2^-20 (a_i = 2^-10 (1 + 2^10)^i) at step 14: the error names the first
+    # step over all rows, wherever the diverging row sits; every other row stays 0
     model = linear_field(2.0**15)
     only_last = np.zeros((600, 1))
     only_last[-1] = 1.0
@@ -694,7 +750,7 @@ def test_ode_keeps_blas_threads_and_names_the_first_divergent_step():
         # the caller's errstate holds: no overflow warning
         with np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IntegrationDivergenceError, match=r"at step 13 of 32$"):
+            with pytest.raises(IntegrationDivergenceError, match=r"at step 12 of 32$"):
                 ode_integrate_batch(model, x, np.zeros((600, 1)), np.zeros(1), 32)
         assert openblas_thread_count() == before
 
