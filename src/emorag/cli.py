@@ -11,12 +11,14 @@ Exit codes, used consistently by every subcommand:
 
 The ``EMORAG_LOG`` environment variable (DEBUG/INFO/...) sets the level of
 the ``emorag`` logger, which writes to stderr.  At DEBUG it reports a
-database's records per level when its level rows are built (by the first
-exhaustive scan, gated or not, or empty-cluster fallback), each clustered
-query's gate, the cluster it probes and that cluster's rows at the gate, a
-clustered probe that falls back to scanning the gate's rows (and how many)
-because the cluster has none there, and k-means reseeding an empty cluster.  ``synth`` adds the
-nanoseconds each of its file loads took to its report as ``load_timings_ns``.
+database's records per level when its level rows are built (by its first
+query without ``--index``), an index's k, rows and largest cluster (counted
+from its assignments) when its inverted lists are built (by the first query
+with it), each clustered query's gate, the cluster it probes and that
+cluster's rows at the gate, a clustered probe that falls back to scanning the
+gate's rows (and how many) because the cluster has none there, and k-means
+reseeding an empty cluster.  ``synth`` adds the nanoseconds each of its file
+loads took to its report as ``load_timings_ns``.
 All stochastic commands take ``--seed`` (a non-negative integer, default 0)
 so documented invocations reproduce byte-for-byte.  A flag that several
 subcommands take is declared once, and ``retrieve`` and ``synth`` load the
@@ -125,16 +127,14 @@ def _timed_load(load_ns: dict, name: str, path, what: str, load):
 
 def _retrieval_inputs(args, load_ns: dict) -> tuple:
     """``(db, query, index)`` named by the flags ``retrieve`` and ``synth`` share;
-    ``index`` is the bundle at ``--index`` for clustering, else None."""
+    ``index`` is the bundle at ``--index`` whenever it is given, for either method, else None."""
     if args.method == "clustering" and not args.index:
         raise argparse.ArgumentError(None, "--index is required with --method clustering")
     db = _timed_load(load_ns, "database", args.db, "database", load_db)
     query = _timed_load(
         load_ns, "query", args.query, "query embedding", lambda p: load_embedding_file(p, dim=db.dim)
     )
-    index = None
-    if args.method == "clustering":
-        index = _timed_load(load_ns, "index", args.index, "cluster index", load_index_bundle)
+    index = _timed_load(load_ns, "index", args.index, "cluster index", load_index_bundle) if args.index else None
     return db, query, index
 
 

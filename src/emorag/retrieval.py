@@ -7,17 +7,17 @@ probe), then scores only that cluster's members, trading a little recall at
 cluster boundaries for a scan that touches n/k records on average; a routed
 cluster with no members falls back to the full scan.
 
-Every scan is a run of consecutive blocks of one copy of the unit rows
-grouped by :func:`~emorag.store.grouped_rows`, and each block ascends in
-position.  An intensity gate is a pair ``(database, level)``.  An exhaustive
-query scans the database's :attr:`~emorag.store.EmbeddingDatabase.level_rows`:
-block ``code`` when gated, all three blocks when not.  On its first clustered
-query an index groups the rows by ``3 * assignment + intensity code`` into
-inverted lists (as in IVF): cluster ``c`` at one level is block ``3c + code``,
-at every level the blocks ``[3c, 3c + 3)``, so one index serves every gate.
-Each grouped copy is one float64 copy of the rows (8 MB for 8,000 rows at dim
-128), held as long as its database or index is; with the f32 matrix, a job
-that runs both methods holds its rows three times, two of them in float64.
+A query reads one copy of the unit rows grouped by ``k * intensity code +
+cluster`` (:func:`~emorag.store.grouped_rows`): a given index's inverted lists
+(as in IVF), built on its first query, else the database's
+:attr:`~emorag.store.EmbeddingDatabase.level_rows` (``k = 1``).  An intensity
+gate is a pair ``(database, level)`` and is one range of that copy, blocks
+``[k * code, k * code + k)`` (every row, ungated).  An exhaustive query, and a
+clustered one whose cluster has no rows at the gate, scans that range; a
+clustered query scans its cluster ``c``'s block ``k * code + c`` at each gated
+level, so one index serves both methods and every gate.  A grouped copy is
+one float64 copy of the rows (8 MB for 8,000 rows at dim 128), held as long
+as its database or index is: only the lists, if every query has the index.
 
 Clustering is spherical k-means: rows are unit-normalized, at most 100 Lloyd
 iterations minimize squared euclidean distance (monotone in cosine on the
@@ -29,9 +29,9 @@ which keeps every run bit-reproducible under a fixed seed.
 Every cosine score, of a record or of a centroid, is one dot product of
 ``dim`` values per row (``np.vecdot``).  A row therefore gets the same bits
 wherever it sits in the scanned matrix, so an exact copy of the best row ties
-with it and ``argmax`` over an ascending block keeps the lower position; blocks
-combine by the highest similarity, then the lowest position.  The scan stays
-on one core at any database size, so its latency scales with the row count.
+with it; a scan keeps the lower position in any row order (a range spans
+cluster blocks), and scans combine by the highest similarity, then the lowest
+position.  It stays on one core, so its latency scales with the row count.
 
 An EMIX index file is the EMDB header (:data:`~emorag.store.HEADER`, with k
 and dim for sizes), f32 centroids, a u32 count and u32 assignments, and the
@@ -112,15 +112,18 @@ def _unit_query(db: EmbeddingDatabase, query: EmotionEmbedding) -> np.ndarray:
 
 
 def _scan_argmax(rows: np.ndarray, qn: np.ndarray, members) -> tuple:
-    """``(position, similarity)`` of the row of ``rows`` most similar to ``qn``.
+    """``(position, similarity)`` of the row of ``rows`` most similar to ``qn``, ties to the lowest position.
 
-    Each row is scored by its own dot product.  Row ``i`` sits at position
-    ``members[i]`` (``members=None``: at ``i``); positions ascend, so ``argmax``
-    alone breaks ties to the lowest.  ``rows`` must have at least one row.
+    Each row is scored by its own dot product.  Row ``i`` sits at position ``members[i]``, in
+    any order (``members=None``: at ``i``).  ``rows`` must have at least one row.
     """
     sims = np.vecdot(rows, qn)
     best = int(np.argmax(sims))
-    return (best if members is None else int(members[best])), float(sims[best])
+    top = sims[best]
+    if members is not None:
+        ties = sims == top
+        best = int(members[best] if np.count_nonzero(ties) == 1 else members[ties].min())
+    return best, float(top)
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +178,18 @@ class ClusterIndex:
         return int(self.centroids.shape[1])
 
     def _inverted_lists(self, db: EmbeddingDatabase) -> tuple:
-        """:func:`~emorag.store.grouped_rows` of ``db`` by ``3 * assignment + intensity code``.
+        """:func:`~emorag.store.grouped_rows` of ``db`` by ``k * intensity code + assignment``.
 
         ``db`` must be the database this index was checked against; the first call
         builds the lists from it, later calls return them.
         """
         lists = self._lists
         if lists is None:
-            blocks = 3 * self.assignments.astype(np.int64) + db.intensity_codes
             # one tuple, published at once: a racing thread sees all of it or none
-            lists = self._lists = grouped_rows(db, blocks, 3 * self.k)
+            lists = self._lists = grouped_rows(db, self.assignments, self.k)
             log.debug(
                 "cluster index k=%d: inverted lists over %d rows, largest cluster %d",
-                self.k, blocks.size, int(np.diff(lists[1][::3]).max()),
+                self.k, len(db), int(np.bincount(self.assignments, minlength=self.k).max()),
             )
         return lists
 
@@ -304,12 +306,11 @@ def default_k(db: EmbeddingDatabase) -> int:
 def _search(db: EmbeddingDatabase, level, index, query: EmotionEmbedding, method: RetrievalMethod, t0: int):
     """The one search: ``db`` gated at ``level`` (None: every row).
 
-    An intensity gate's subset is answered as its parent at its level, unless
-    ``index`` was fit on the subset itself.  With a :class:`ClusterIndex`, check
-    that it covers the database, route the query to its nearest centroid and scan
-    that cluster's blocks of the inverted lists: the gate's level block, or all
-    three ungated.  Without one, or when the cluster has no rows there, scan the
-    gate's blocks of the level rows.  ``elapsed_ns`` counts from ``t0``.
+    An intensity gate's subset is answered as its parent at its level, unless ``index`` was fit
+    on the subset itself.  A given :class:`ClusterIndex`, checked to cover the database whatever
+    the method, is read through its inverted lists, else the level rows are.  An exhaustive query
+    scans the gate's range; a clustered one scans its nearest centroid's block at each gated
+    level, or that range if they are empty.  ``elapsed_ns`` counts from ``t0``.
     """
     if index is None and method is RetrievalMethod.CLUSTERING:
         raise MissingIndexError("clustering retrieval requires a cluster index")
@@ -325,27 +326,26 @@ def _search(db: EmbeddingDatabase, level, index, query: EmotionEmbedding, method
         if index.assignments.shape[0] != len(db):
             raise StaleIndexError(f"index covers {index.assignments.shape[0]} records, database has {len(db)}")
     qn = _unit_query(db, query)
-    gate = first, last = (0, 3) if level is None else (level.wire_code, level.wire_code + 1)
-    if index is not None:
+    first, last = (0, 3) if level is None else (level.wire_code, level.wire_code + 1)
+    (order, offsets, rows), k = (db.level_rows, 1) if index is None else (index._inverted_lists(db), index.k)
+    bounds = offsets.tolist()
+    lo, hi = bounds[k * first], bounds[k * last]  # the gate's range
+    spans = [(lo, hi)]
+    if method is RetrievalMethod.CLUSTERING:
         cluster, _ = _scan_argmax(index.unit_centroids, qn, None)
-        order, offsets, rows = index._inverted_lists(db)
-        first, last = 3 * cluster + first, 3 * cluster + last
-        log.debug(
-            "clustered query: gate %s, cluster %d of k=%d holds %d rows",
-            level or "none", cluster, index.k, offsets[last] - offsets[first],
-        )
-    if index is None or offsets[first] == offsets[last]:
-        (order, offsets, rows), (first, last) = db.level_rows, gate
-        if index is not None:
+        blocks = [(bounds[b], bounds[b + 1]) for b in range(k * first + cluster, k * last, k)]
+        gate, held = level or "none", sum(b - a for a, b in blocks)
+        log.debug("clustered query: gate %s, cluster %d of k=%d holds %d rows", gate, cluster, k, held)
+        if held:
+            spans = blocks
+        else:
             log.debug(
-                "cluster %d has no members at gate %s; scanning the %d rows at that gate",
-                cluster, level or "none", offsets[last] - offsets[first],
+                "cluster %d has no members at gate %s; scanning the %d rows at that gate", cluster, gate, hi - lo
             )
-    # each block ascends in position; the best over blocks is the highest similarity, then the lowest position
-    bounds = offsets[first : last + 1].tolist()
-    hits = [_scan_argmax(rows[lo:hi], qn, order[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    # the best over spans is the highest similarity, then the lowest position
+    hits = [_scan_argmax(rows[a:b], qn, order[a:b]) for a, b in spans if a < b]
     best, sim = max(hits, key=lambda hit: (hit[1], -hit[0]))
-    return RetrievalResult(db.ids[best], sim, method, bounds[-1] - bounds[0], time.perf_counter_ns() - t0)
+    return RetrievalResult(db.ids[best], sim, method, sum(b - a for a, b in spans), time.perf_counter_ns() - t0)
 
 
 def retrieve_embedding_based(db: EmbeddingDatabase, query: EmotionEmbedding) -> RetrievalResult:
@@ -365,7 +365,7 @@ def retrieve_clustering_based(
 class IndexBundle:
     """A database's one cluster index, ``full``, as ``build-index`` writes it.
 
-    It serves every intensity gate, since a gated query probes the level's block of
+    It serves both methods and every intensity gate, since a query that has it reads
     its inverted lists; so :meth:`for_level` returns ``full`` for every level.
     """
 
@@ -397,8 +397,8 @@ def retrieve(
 
     Gating searches ``db``'s rows at that level and builds no database, so only
     records at that level compete; an empty gate raises :class:`EmptySubsetError`.
-    Clustering needs ``db``'s cluster index, as an :class:`IndexBundle` or a bare
-    :class:`ClusterIndex`, gated or not.
+    ``db``'s cluster index, as an :class:`IndexBundle` or a bare :class:`ClusterIndex`,
+    serves both methods, gated or not, and is checked whenever given; clustering needs it.
     """
     t0 = time.perf_counter_ns()
     method = RetrievalMethod.parse(method)
@@ -406,10 +406,8 @@ def retrieve(
         intensity = IntensityLevel.parse(intensity)
         if not db._level_counts[intensity.wire_code]:
             raise EmptySubsetError(intensity.value)
-    chosen = None
-    if method is RetrievalMethod.CLUSTERING and index is not None:
-        chosen = index.full if isinstance(index, IndexBundle) else index
-    return _search(db, intensity, chosen, query, method, t0)
+    index = index.full if isinstance(index, IndexBundle) else index
+    return _search(db, intensity, index, query, method, t0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ matrix, so a caller's array never changes the rows behind its fingerprint.
 Row ``i`` of every column is record ``i``; :meth:`EmbeddingDatabase.position`
 maps an id to its row.  Unit rows are float64 and built by one routine,
 :func:`unit_rows`, which gathers them from the f32 matrix in any row order.
-:func:`grouped_rows` builds the two grouped copies a job holds beside the f32
-matrix: :attr:`EmbeddingDatabase.level_rows`, the unit rows grouped by level,
-whose level slice an intensity gate scans, and a cluster index's inverted
-lists.  No position-order unit matrix is kept.
+:func:`grouped_rows` groups them by ``k * intensity code + cluster``, so a run
+of levels is one range; a cluster index's inverted lists are such a copy, and
+:attr:`EmbeddingDatabase.level_rows` its ``k = 1`` case.  A query reads one of
+them, and no position-order unit matrix is kept.
 
 On-disk layout (little-endian throughout)::
 
@@ -206,11 +206,11 @@ class EmbeddingDatabase:
 
     @property
     def level_rows(self) -> tuple:
-        """:func:`grouped_rows` by intensity code, cached: level ``code`` is rows
-        ``offsets[code]:offsets[code + 1]``, in ascending position."""
+        """:func:`grouped_rows` with ``k = 1``, cached, read by queries without a cluster index:
+        level ``code`` is rows ``offsets[code]:offsets[code + 1]``, in ascending position."""
         if self._level_rows is None:
             # one tuple, published at once: a racing thread sees all of it or none
-            self._level_rows = grouped_rows(self, self.intensity_codes, 3)
+            self._level_rows = grouped_rows(self, 0, 1)
             log.debug("level rows: %d weak, %d normal, %d strong of %d records", *self._level_counts, len(self))
         return self._level_rows
 
@@ -249,13 +249,15 @@ def unit_rows(db: EmbeddingDatabase, order: np.ndarray) -> np.ndarray:
     return rows
 
 
-def grouped_rows(db: EmbeddingDatabase, keys: np.ndarray, n_blocks: int) -> tuple:
-    """``(order, offsets, rows)``, read-only: ``order`` is the stable argsort of ``keys`` (each in
-    ``[0, n_blocks)``), so block ``b`` is ``order[offsets[b]:offsets[b + 1]]`` in ascending
-    position, and ``rows`` is :func:`unit_rows` of ``db`` in that order."""
+def grouped_rows(db: EmbeddingDatabase, clusters, k: int) -> tuple:
+    """``(order, offsets, rows)``, read-only: ``order`` is the stable argsort of the key
+    ``k * intensity code + clusters`` (each in ``[0, k)``; an array, or 0), so block ``b`` is
+    ``order[offsets[b]:offsets[b + 1]]`` in ascending position and levels ``[first, last)`` are
+    rows ``offsets[k * first]:offsets[k * last]``; ``rows`` is :func:`unit_rows` of ``db`` in that order."""
+    keys = k * db.intensity_codes.astype(np.int64) + clusters
     order = np.argsort(keys, kind="stable")
-    offsets = np.zeros(n_blocks + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=n_blocks), out=offsets[1:])
+    offsets = np.zeros(3 * k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=3 * k), out=offsets[1:])
     rows = unit_rows(db, order)
     for a in (order, offsets):
         a.flags.writeable = False
@@ -266,8 +268,8 @@ def filter_by_intensity(db: EmbeddingDatabase, level: IntensityLevel) -> Embeddi
     """Database of the records at ``level``, order preserved, built anew by every call.
 
     The subset records where it was cut from, ``(db, level)``, and retrieval
-    answers it as ``db`` gated at ``level``: it scans ``db``'s level rows, and
-    ``db``'s cluster index serves it.
+    answers it as ``db`` gated at ``level``: ``db``'s cluster index serves it, and
+    without one it scans ``db``'s level rows.
     """
     level = IntensityLevel.parse(level)
     rows = np.flatnonzero(db.intensity_codes == level.wire_code).tolist()

@@ -349,6 +349,19 @@ def test_retrieve_clustering_agrees_with_embedding_on_exact_match(tmp_path, caps
     assert payload["method"] == "clustering"
 
 
+def test_retrieve_checks_a_given_index_whatever_the_method(tmp_path, capsys):
+    db, db_path = make_db_file(tmp_path)
+    stale = tmp_path / "stale.emix"
+    assert main(["build-index", "--db", str(db_path), "--out", str(stale)]) == 0
+    _, db_path = make_db_file(tmp_path, n=10)  # another database in the same file
+    capsys.readouterr()
+    query = write_query(tmp_path / "q.json", db.matrix[3])
+    for method in ("embedding", "clustering"):
+        argv = ["retrieve", "--db", str(db_path), "--query", str(query), "--method", method]
+        assert main([*argv, "--index", str(stale)]) == 5
+        assert "index fingerprint does not match this database" in capsys.readouterr().err
+
+
 def test_retrieve_corrupt_db_is_invalid(tmp_path, capsys):
     db_path = tmp_path / "bad.emdb"
     db_path.write_bytes(b"this is not a database")
@@ -541,12 +554,13 @@ def test_synth_reports_each_load(synth_space, tmp_path, capsys):
     assert main(["build-index", "--db", str(synth_space["db_path"]), "--out", str(index_path)]) == 0
     capsys.readouterr()
     loads = ["database", "query", "checkpoint", "token_map"]
-    for method, want in (("embedding", loads), ("clustering", [*loads[:2], "index", *loads[2:]])):
-        report_path = tmp_path / f"{method}.json"
+    indexed = [*loads[:2], "index", *loads[2:]]
+    for method, given, want in (("embedding", False, loads), ("embedding", True, indexed), ("clustering", True, indexed)):
+        report_path = tmp_path / f"{method}-{given}.json"
         argv = synth_argv(
-            synth_space, tmp_path / f"{method}.frames", method=method, report=report_path
+            synth_space, tmp_path / f"{method}-{given}.frames", method=method, report=report_path
         )
-        if method == "clustering":
+        if given:  # --index is loaded whenever it is given
             argv += ["--index", str(index_path)]
         assert main(argv) == 0
         report = json.loads(capsys.readouterr().out)

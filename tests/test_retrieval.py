@@ -655,15 +655,34 @@ def test_clustered_slices_with_an_empty_cluster_equal_the_gather_reference():
         fingerprint=db.fingerprint,
     )
     order, offsets, rows = index._inverted_lists(db)
-    # cluster, then level (position mod 3 here), then position
-    assert offsets.tolist() == [0, 5, 10, 15, 15, 15, 15, 20, 25, 30]
-    by_level = lambda rows: sorted(rows, key=lambda i: i % 3)  # noqa: E731 (a stable sort)
-    assert order.tolist() == by_level(range(0, 30, 2)) + by_level(range(1, 30, 2))
+    # level (position mod 3 here), then cluster (0 even, 2 odd), then position
+    assert offsets.tolist() == [0, 5, 5, 10, 15, 15, 20, 25, 25, 30]
+    assert order.tolist() == [p for lvl in range(3) for c in (0, 1) for p in range(lvl, 30, 3) if p % 2 == c]
     for axis in range(3):
         query = EmotionEmbedding(np.eye(3, dtype=np.float32)[axis])
         got = retrieve_clustering_based(db, index, query)
         _same_result(got, reference_retrieve_clustering_based(db, index, query))
         assert got.candidates_scanned == (30 if axis == 1 else 15)
+
+
+def test_a_tie_across_cluster_blocks_goes_to_the_lower_position():
+    best = np.array([0.2, 1.0, 0.3], dtype=np.float32)
+    vectors = np.array([[1.0, 0.0, 0.0], best, [0.0, 0.0, 1.0], [1.0, 0.2, 0.0], best, [0.1, 0.0, 1.0]])
+    db = build_db(vectors.astype(np.float32), intensities=["normal", "weak", "strong"] * 2)
+    # rec1 (cluster 2) and its exact copy rec4 (cluster 0), both weak; cluster 1 owns nothing
+    index = ClusterIndex(3, np.eye(3, dtype=np.float32), np.array([0, 2, 0, 2, 0, 2]), 0.0, db.fingerprint)
+    order = index._inverted_lists(db)[0].tolist()
+    assert order.index(4) < order.index(1)  # the higher position comes first in every range holding both
+    q = EmotionEmbedding(best)  # routes to the empty cluster 1
+    for method, lvl, scanned in (
+        ("embedding", "weak", 2),
+        ("embedding", None, 6),
+        ("clustering", "weak", 2),  # the fallback scans the gate's range
+        ("clustering", None, 6),
+    ):
+        got = retrieve(db, q, method, index=index, intensity=lvl)
+        assert (got.record_id, got.candidates_scanned) == ("rec1", scanned)
+    assert retrieve(db, q, "embedding").record_id == "rec1"
 
 
 def test_stale_or_mismatched_index_raises_before_building_lists():
@@ -673,10 +692,13 @@ def test_stale_or_mismatched_index_raises_before_building_lists():
     stale = kmeans_fit(other, 2, seed=0)
     short = ClusterIndex(2, stale.centroids, stale.assignments[:-1], 0.0, db.fingerprint)
     wide = kmeans_fit(random_db(np.random.default_rng(10), n=12, dim=5), 2, seed=0)
-    for index, error in ((stale, StaleIndexError), (short, StaleIndexError), (wide, DimensionMismatchError)):
-        with pytest.raises(error):
-            retrieve_clustering_based(db, index, query)
-        assert index._lists is None
+    # a given index is checked whatever the method
+    for method in RetrievalMethod:
+        for index, error in ((stale, StaleIndexError), (short, StaleIndexError), (wide, DimensionMismatchError)):
+            with pytest.raises(error):
+                retrieve(db, query, method, index=index)
+            assert index._lists is None
+    assert db._level_rows is None
 
 
 def test_inverted_list_rows_are_a_readonly_copy():
@@ -685,8 +707,9 @@ def test_inverted_list_rows_are_a_readonly_copy():
     retrieve_clustering_based(db, index, EmotionEmbedding(db.matrix[3]))
     order, offsets, rows = index._lists
     assert index._inverted_lists(db) is index._lists  # built once
-    blocks = 3 * index.assignments.astype(np.int64) + db.intensity_codes
-    assert order.tolist() == np.argsort(blocks, kind="stable").tolist()
+    keys = index.k * db.intensity_codes.astype(np.int64) + index.assignments  # level, then cluster
+    assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+    assert offsets.tolist() == [0, *np.cumsum(np.bincount(keys, minlength=3 * index.k)).tolist()]
     assert np.array_equal(rows, db.unit_matrix[order])
     assert rows.flags.c_contiguous
     assert not np.shares_memory(rows, db.unit_matrix)
@@ -933,7 +956,10 @@ def test_replay_form_equals_retrieve(seed):
         target = db if lvl is None else filter_by_intensity(db, lvl)
         if len(target) == 0:
             continue
-        _same_result(retrieve(db, query, "embedding", intensity=lvl), retrieve_embedding_based(target, query))
+        for given in (None, bundle):  # the index's lists answer an exhaustive query as the level rows do
+            _same_result(
+                retrieve(db, query, "embedding", index=given, intensity=lvl), retrieve_embedding_based(target, query)
+            )
         _same_result(
             retrieve(db, query, "clustering", index=bundle, intensity=lvl),
             retrieve_clustering_based(target, bundle.for_level(lvl), query),
@@ -1075,24 +1101,30 @@ def test_every_kind_of_query_holds_two_f64_copies_of_the_rows():
 
     fresh = random_db(np.random.default_rng(14), n=8000, dim=128, with_metadata=False)
     centroids = fresh.matrix[:8]
-    index = ClusterIndex(8, centroids, np.argmax(fresh.matrix @ centroids.T, axis=1), 0.0, fresh.fingerprint)
-    db = deserialize_db(serialize_db(fresh))  # no unit rows, grouped copies or fingerprint yet
-    one_copy = len(db) * db.dim * 8
-    q = EmotionEmbedding(db.matrix[0])
-    tracemalloc.start()
-    try:
-        for method, given, lvl in (
-            ("embedding", None, None),
-            ("clustering", index, None),
-            ("embedding", None, "weak"),
-            ("clustering", index, "strong"),
-        ):
-            retrieve(db, q, method, index=given, intensity=lvl)
-        held, peak = (b / one_copy for b in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
-    # the level rows and the index's inverted lists; a cached position-order unit matrix would be a third
-    assert held <= 2.05 and peak <= 2.25, (held, peak)
+    assignments = np.argmax(fresh.matrix @ centroids.T, axis=1)
+    one_copy = len(fresh) * fresh.dim * 8
+    q = EmotionEmbedding(fresh.matrix[0])
+    # without an index an exhaustive query reads the level rows, so a job that runs both
+    # methods holds them and the index's inverted lists (a cached position-order unit matrix
+    # would be a third copy); with the index on every query the lists are the only copy
+    for every_query_has_the_index, most_held, highest_peak in ((False, 2.05, 2.25), (True, 1.05, 1.25)):
+        index = ClusterIndex(8, centroids, assignments, 0.0, fresh.fingerprint)
+        exhaustive = index if every_query_has_the_index else None
+        db = deserialize_db(serialize_db(fresh))  # no unit rows, grouped copies or fingerprint yet
+        tracemalloc.start()
+        try:
+            for method, given, lvl in (
+                ("embedding", exhaustive, None),
+                ("clustering", index, None),
+                ("embedding", exhaustive, "weak"),
+                ("clustering", index, "strong"),
+            ):
+                retrieve(db, q, method, index=given, intensity=lvl)
+            held, peak = (b / one_copy for b in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert held <= most_held and peak <= highest_peak, (every_query_has_the_index, held, peak)
+        assert (db._level_rows is None) == every_query_has_the_index
 
 
 def test_first_gated_query_from_several_threads():
@@ -1208,10 +1240,10 @@ def test_empty_cluster_fallback_logs(caplog):
     caplog.clear()
     retrieve_clustering_based(db, index, EmotionEmbedding([0.0, 1.0]))
     retrieve(db, EmotionEmbedding([0.0, 1.0]), "clustering", index=index, intensity="weak")
-    # the fallback scans the gate's rows of the level rows, which the first fallback builds
+    # the fallback scans the gate's range of the inverted lists, so the level rows are never built
+    assert db._level_rows is None
     assert [r.getMessage() for r in caplog.records] == [
         "clustered query: gate none, cluster 1 of k=2 holds 0 rows",
-        "level rows: 1 weak, 1 normal, 0 strong of 2 records",
         "cluster 1 has no members at gate none; scanning the 2 rows at that gate",
         "clustered query: gate weak, cluster 1 of k=2 holds 0 rows",
         "cluster 1 has no members at gate weak; scanning the 1 rows at that gate",
