@@ -28,6 +28,7 @@ from emorag import (
     save_index_bundle,
     train_vector_field,
 )
+from emorag.pipeline import SPEAKER_DIM
 
 TOKEN_DIM = 8
 STATE_DIM = 80
@@ -73,11 +74,11 @@ def main() -> int:
     map_path.write_text(json.dumps(mapping, indent=2) + "\n")
     print(f"tokens:   {map_path} ({len(mapping)} files)")
 
-    model = init_vector_field(STATE_DIM, TOKEN_DIM, 8, (64, 64), seed=args.seed)
+    model = init_vector_field(STATE_DIM, TOKEN_DIM, SPEAKER_DIM, (64, 64), seed=args.seed)
     train_config = FlowTrainConfig(
         learning_rate=0.5, total_steps=args.train_steps, seed=args.seed
     )
-    sampler = linear_map_task(STATE_DIM, TOKEN_DIM, 8, seed=args.seed)
+    sampler = linear_map_task(STATE_DIM, TOKEN_DIM, SPEAKER_DIM, seed=args.seed)
     losses = train_vector_field(model, sampler, train_config)
     ckpt_path = root / "model.ckpt"
     save_checkpoint(model, ckpt_path)

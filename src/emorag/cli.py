@@ -9,8 +9,8 @@ Exit codes, used consistently by every subcommand:
 * 4 — a referenced file or index is missing
 * 5 — validation or format error in inputs or configuration
 
-The ``EMORAG_LOG`` environment variable (DEBUG/INFO/...) sets the level of
-the ``emorag`` logger, which writes to stderr.  At DEBUG it reports a
+The ``EMORAG_LOG`` environment variable (DEBUG/INFO/..., or a whole number)
+sets the level of the ``emorag`` logger, which writes to stderr.  At DEBUG it reports a
 database's records per level when its level rows are built (by its first
 query without ``--index``), an index's k, rows and largest cluster (counted
 from its assignments) when its inverted lists are built (by the first query
@@ -52,6 +52,7 @@ from .flow import (
     train_vector_field,
 )
 from .pipeline import (
+    SPEAKER_DIM,
     SynthesisRequest,
     load_embedding_file,
     load_token_map,
@@ -67,6 +68,12 @@ from .retrieval import (
 )
 from .store import load_db, load_manifest, save_db
 from .synthbench import (
+    DEFAULT_DIM,
+    DEFAULT_MIX,
+    DEFAULT_NUM_EMOTIONS,
+    DEFAULT_SIGMA,
+    DEFAULT_SIZES,
+    DEFAULT_SPREAD,
     SyntheticDatasetConfig,
     emit_report,
     generate_synthetic_db,
@@ -296,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emotions", type=int, default=4)
     p.add_argument("--per-emotion", type=int, default=750)
     p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--spread", type=float, default=10.0)
-    p.add_argument("--mix", type=_mix, default=(0.25, 0.5, 0.25))
+    p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
+    p.add_argument("--spread", type=float, default=DEFAULT_SPREAD)
+    p.add_argument("--mix", type=_mix, default=DEFAULT_MIX)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("import-db", parents=[out], help="build a database file from a JSON manifest")
@@ -318,13 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("bench", parents=[seeded, out], help="run the method x size retrieval benchmark")
-    p.add_argument("--sizes", type=_int_list, default=[3000, 8000])
+    p.add_argument("--sizes", type=_int_list, default=list(DEFAULT_SIZES))
     p.add_argument("--methods", type=_str_list, default=["embedding", "clustering"])
     p.add_argument("--queries", type=int, default=1000)
-    p.add_argument("--emotions", type=int, default=8)
-    p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--spread", type=float, default=10.0)
+    p.add_argument("--emotions", type=int, default=DEFAULT_NUM_EMOTIONS)
+    p.add_argument("--dim", type=int, default=DEFAULT_DIM)
+    p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
+    p.add_argument("--spread", type=float, default=DEFAULT_SPREAD)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_bench)
 
@@ -336,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--state-dim", type=int, default=80, help="output (mel) dimension")
     p.add_argument("--token-dim", type=int, default=8)
-    p.add_argument("--spk-dim", type=int, default=8)
+    p.add_argument("--spk-dim", type=int, default=SPEAKER_DIM, help="synth takes only the default")
     p.add_argument("--hidden", type=_int_list, default=[64, 64])
     p.add_argument("--loss-log", default=None, help="CSV path; default <out>.loss.csv")
     p.set_defaults(func=cmd_train_fm)

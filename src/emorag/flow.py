@@ -22,7 +22,8 @@ pre-activation ``a`` and the running sum ``G`` of the output layer's inputs:
   dt·w_t`` and layer 0's constant part ``[cond, spk]·W_cs + b0``, to which the
   float32 product of the state and ``w_x`` is added to give ``a``;
 - each step: ``h = tanh(a)``, the middle layers, ``G += h``, ``a += h·M + c``;
-- after the loop: ``X = X0 + G·Wo + n·bo`` in float64.
+- after the loop: ``X = G·Wo + X0 + n·bo`` in float64, a new array; IEEE
+  addition commutes, so this is ``X0 + G·Wo + n·bo`` bit for bit.
 
 With ``hidden=()`` layer 0 is the output layer: ``Wo = I``, ``bo = 0`` and no
 tanh.  On the benchmark's 80/8/8 (64, 64) field a step is two 64-wide
@@ -30,8 +31,8 @@ products and seven 64-wide float32 passes, and its RMS distance to a float64
 field read 1.2e-7 at 32 steps.  The loop's buffers are allocated once per
 call, with a row-tiled copy of each bias it adds, and freed before the final
 product; its products and adds take the same operands in the same order as
-fresh arrays every step would, so the output is equal bit for bit.  All rows
-run in one step loop on the calling thread.
+fresh arrays every step would, so the output is equal bit for bit.  Training
+runs the float64 field, one fresh array per layer.
 
 Training notes, learned the hard way on this loss: the mean-over-everything
 L1 makes each weight's gradient magnitude go as 1/state_dim (the sign
@@ -238,21 +239,16 @@ def init_vector_field(
     )
 
 
-def _forward(model: VectorFieldModel, feats: np.ndarray, bufs: list) -> np.ndarray:
-    """Forward pass writing layer l's output into ``bufs[l]`` in place.
-
-    Returns ``bufs[-1]``; ``[feats, *bufs[:-1]]`` are the layer inputs that
-    backprop reads.
-    """
-    h = feats
-    last = len(model.weights) - 1
-    for l, (W, b, out) in enumerate(zip(model.weights, model.biases, bufs)):
-        np.matmul(h, W.T, out=out)
-        out += b
-        if l < last:
-            np.tanh(out, out=out)
-        h = out
-    return h
+def _forward(model: VectorFieldModel, feats: np.ndarray):
+    """Forward pass: the layer inputs ``[feats, h1, ...]`` that backprop reads, and the output."""
+    hs = [feats]
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = hs[-1] @ W.T
+        h += b
+        hs.append(np.tanh(h, out=h))
+    out = hs[-1] @ model.weights[-1].T
+    out += model.biases[-1]
+    return hs, out
 
 
 @dataclass(eq=False)
@@ -300,9 +296,8 @@ def _batch_forward(model: VectorFieldModel, batch: FlowBatch):
             raise DimensionMismatchError(f"batch {name} dim {arr.shape[1]} != model's {want}")
     xt, u = cfm_sample_path(batch.x0, batch.x1, batch.t)
     feats = np.concatenate([xt, batch.cond, batch.spk, batch.t[:, None]], axis=1)
-    bufs = [np.empty((len(feats), n)) for n in model.layer_sizes[1:]]
-    out = _forward(model, feats, bufs)
-    return [feats, *bufs[:-1]], out - u
+    hs, out = _forward(model, feats)
+    return hs, out - u
 
 
 def vf_loss(model: VectorFieldModel, batch: FlowBatch) -> float:
@@ -327,22 +322,16 @@ def vf_train_step(model: VectorFieldModel, batch: FlowBatch, learning_rate: floa
         raise TrainingDivergenceError(f"loss is not finite: {loss}")
 
     delta = np.sign(res) / res.size
-    last = len(model.weights) - 1
-    grads_W = [None] * (last + 1)
-    grads_b = [None] * (last + 1)
-    grads_W[last] = delta.T @ hs[last]
-    grads_b[last] = delta.sum(axis=0)
-    for l in range(last - 1, -1, -1):
-        delta = (delta @ model.weights[l + 1]) * (1.0 - hs[l + 1] ** 2)
-        grads_W[l] = delta.T @ hs[l]
-        grads_b[l] = delta.sum(axis=0)
-
-    for gW, gb in zip(grads_W, grads_b):
-        if not (np.all(np.isfinite(gW)) and np.all(np.isfinite(gb))):
-            raise TrainingDivergenceError("gradient is not finite")
-    for l in range(last + 1):
-        model.weights[l] -= lr * grads_W[l]
-        model.biases[l] -= lr * grads_b[l]
+    grads = []  # (dW, db) per layer, filled from the output layer down
+    for l in range(len(hs) - 1, -1, -1):
+        grads.insert(0, (delta.T @ hs[l], delta.sum(axis=0)))
+        if l:
+            delta = (delta @ model.weights[l]) * (1.0 - hs[l] ** 2)
+    if not all(np.all(np.isfinite(g)) for pair in grads for g in pair):
+        raise TrainingDivergenceError("gradient is not finite")
+    for W, b, (gW, gb) in zip(model.weights, model.biases, grads):
+        W -= lr * gW
+        b -= lr * gb
     return loss
 
 
@@ -352,60 +341,6 @@ def vf_train_step(model: VectorFieldModel, batch: FlowBatch, learning_rate: floa
 
 def _f32(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float32)
-
-
-def _euler_rows(model: VectorFieldModel, X: np.ndarray, cs: np.ndarray, n_steps: int):
-    """Integrate C-contiguous ``X``'s rows in place with the carried float32
-    field of the module docstring, ``cs`` their ``[cond, spk]`` rows; returns
-    the first step whose field input ``a`` is non-finite (0: the start),
-    ``n_steps`` if only the result is, or None.  Any ``hidden`` works, ``()``
-    included, where layer 0 is the output layer: ``Wo = I``, ``bo = 0``, no tanh.
-    """
-    s, dt = model.state_dim, 1.0 / n_steps
-    Ws, bs = [W.T for W in model.weights], list(model.biases)
-    Ws[-1], bs[-1] = dt * Ws[-1], dt * bs[-1]
-    deep = len(Ws) > 1
-    Wo, bo = (Ws[-1], bs[-1]) if deep else (np.eye(s), np.zeros(s))
-    w_x = Ws[0][:s]
-    M, c = _f32(Wo @ w_x), _f32(bo @ w_x + dt * Ws[0][-1])
-    # a non-finite M or c makes every row's a non-finite from step 1 on
-    steppable = np.isfinite(M).all() and np.isfinite(c).all()
-    x32 = _f32(X)
-    if not np.isfinite(x32).all():
-        return 0
-    a = np.matmul(x32, _f32(w_x))
-    del x32
-    a += _f32(cs @ Ws[0][s:-1] + bs[0])  # the terms of layer 0 that no step changes
-    middle = [(_f32(W), _f32(b)) for W, b in zip(Ws[1:-1], bs[1:-1])]
-    rows = a.shape[0]
-    G = np.zeros((rows, Wo.shape[0]), dtype=np.float32)
-    h0, prod = np.empty_like(a), np.empty_like(a)
-    outs = [np.empty((rows, W.shape[1]), dtype=np.float32) for W, _ in middle]
-    # same-shape adds: numpy runs a broadcast add about twice as slowly
-    tiled = [np.broadcast_to(b, out.shape).copy() for (_, b), out in zip(middle, outs)]
-    c = np.broadcast_to(c, a.shape).copy()
-    finite = np.empty(a.shape, dtype=bool)
-    for i in range(n_steps):
-        if not np.isfinite(a, out=finite).all():
-            return i
-        h = np.tanh(a, out=h0) if deep else a
-        for (W, _), b, out in zip(middle, tiled, outs):
-            h = np.matmul(h, W, out=out)
-            h += b
-            np.tanh(h, out=h)
-        G += h
-        if i + 1 == n_steps:
-            break
-        if not steppable:
-            return i + 1
-        a += np.matmul(h, M, out=prod)
-        a += c
-    del a, c, h, h0, prod, outs, tiled, finite  # the loop's buffers go before the float64 product
-    if not np.isfinite(G).all():  # only with hidden=(), where G·I would make NaN of an inf
-        return n_steps
-    X += G.astype(np.float64) @ Wo
-    X += n_steps * bo
-    return None if np.isfinite(X).all() else n_steps
 
 
 def ode_integrate_batch(
@@ -419,13 +354,13 @@ def ode_integrate_batch(
 
     Steps evaluate the field at the left endpoint t_i = i / n_steps.  The field
     runs in float32 on layer 0's carried pre-activation ``a`` and the state is
-    formed in float64 once, after the last step (see the module docstring).  A
-    non-finite input raises :class:`NonFiniteValueError` naming it.  A field
-    input ``a`` that is non-finite in any row (at step 0 also when the state
-    overflows float32) aborts with :class:`IntegrationDivergenceError` naming
-    the first such step; a non-finite result names ``n_steps``.  The inputs are
-    only read; the result is a new C-ordered float64 array.  All rows run in one
-    step loop on the calling thread; BLAS's own threading and the caller's
+    formed in float64 once, after the last step (see the module docstring);
+    any ``hidden`` works, ``()`` included.  A non-finite input raises
+    :class:`NonFiniteValueError` naming it.  A field input ``a`` that is
+    non-finite in any row (at step 0 also when the state overflows float32)
+    aborts with :class:`IntegrationDivergenceError` naming the first such step;
+    a non-finite result names ``n_steps``.  The inputs are only read; the result
+    is a new C-ordered float64 array.  BLAS's own threading and the caller's
     ``np.errstate`` are left as they are.
     """
     n_steps = whole(n_steps, 1, "n_steps")
@@ -433,9 +368,7 @@ def ode_integrate_batch(
     cond = np.asarray(cond, dtype=np.float64)
     spk = np.asarray(spk, dtype=np.float64)
     if x_init.ndim != 2 or x_init.shape[1] != model.state_dim:
-        raise DimensionMismatchError(
-            f"x_init must be (rows, {model.state_dim}), got {x_init.shape}"
-        )
+        raise DimensionMismatchError(f"x_init must be (rows, {model.state_dim}), got {x_init.shape}")
     B = x_init.shape[0]
     if spk.ndim == 1:
         spk = np.broadcast_to(spk, (B, spk.shape[0]))
@@ -446,14 +379,55 @@ def ode_integrate_batch(
     for name, arr in (("x_init", x_init), ("cond", cond), ("spk", spk)):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValueError(f"{name} contains NaN or infinity")
-    # X stays contiguous: numpy's elementwise loops are slower on a column slice.
-    X = np.array(x_init, order="C")
-    cs = np.concatenate([cond, spk], axis=1)
-    first = _euler_rows(model, X, cs, n_steps)
-    if first is not None:
-        what = "the result" if first == n_steps else "the field's float32 input"
-        raise IntegrationDivergenceError(f"{what} became non-finite at step {first} of {n_steps}")
-    return X
+    diverged = f"the field's float32 input became non-finite at step {{}} of {n_steps}"
+    s, dt = model.state_dim, 1.0 / n_steps
+    Ws, bs = [W.T for W in model.weights], list(model.biases)
+    Ws[-1], bs[-1] = dt * Ws[-1], dt * bs[-1]
+    deep = len(Ws) > 1
+    Wo, bo = (Ws[-1], bs[-1]) if deep else (np.eye(s), np.zeros(s))
+    w_x = Ws[0][:s]
+    M, c = _f32(Wo @ w_x), _f32(bo @ w_x + dt * Ws[0][-1])
+    # a non-finite M or c makes every row's a non-finite from step 1 on
+    steppable = np.isfinite(M).all() and np.isfinite(c).all()
+    x32 = _f32(x_init)
+    if not np.isfinite(x32).all():
+        raise IntegrationDivergenceError(diverged.format(0))
+    a = np.matmul(x32, _f32(w_x))
+    del x32
+    # the terms of layer 0 that no step changes
+    a += _f32(np.concatenate([cond, spk], axis=1) @ Ws[0][s:-1] + bs[0])
+    middle = [(_f32(W), _f32(b)) for W, b in zip(Ws[1:-1], bs[1:-1])]
+    G = np.zeros((B, Wo.shape[0]), dtype=np.float32)
+    h0, prod = np.empty_like(a), np.empty_like(a)
+    outs = [np.empty((B, W.shape[1]), dtype=np.float32) for W, _ in middle]
+    # same-shape adds: numpy runs a broadcast add about twice as slowly
+    tiled = [np.broadcast_to(b, out.shape).copy() for (_, b), out in zip(middle, outs)]
+    c = np.broadcast_to(c, a.shape).copy()
+    finite = np.empty(a.shape, dtype=bool)
+    for i in range(n_steps):
+        if not np.isfinite(a, out=finite).all():
+            raise IntegrationDivergenceError(diverged.format(i))
+        h = np.tanh(a, out=h0) if deep else a
+        for (W, _), b, out in zip(middle, tiled, outs):
+            h = np.matmul(h, W, out=out)
+            h += b
+            np.tanh(h, out=h)
+        G += h
+        if i + 1 == n_steps:
+            break
+        if not steppable:
+            raise IntegrationDivergenceError(diverged.format(i + 1))
+        a += np.matmul(h, M, out=prod)
+        a += c
+    del a, c, h, h0, prod, outs, tiled, finite  # the loop's buffers go before the float64 product
+    # G is finite unless hidden=(), where G·I would make NaN of an inf
+    if np.isfinite(G).all():
+        X = G.astype(np.float64) @ Wo
+        X += x_init
+        X += n_steps * bo
+        if np.isfinite(X).all():
+            return X
+    raise IntegrationDivergenceError(f"the result became non-finite at step {n_steps} of {n_steps}")
 
 
 def generate_mel(

@@ -303,54 +303,9 @@ def default_k(db: EmbeddingDatabase) -> int:
 # retrieval
 
 
-def _search(db: EmbeddingDatabase, level, index, query: EmotionEmbedding, method: RetrievalMethod, t0: int):
-    """The one search: ``db`` gated at ``level`` (None: every row).
-
-    An intensity gate's subset is answered as its parent at its level, unless ``index`` was fit
-    on the subset itself.  A given :class:`ClusterIndex`, checked to cover the database whatever
-    the method, is read through its inverted lists, else the level rows are.  An exhaustive query
-    scans the gate's range; a clustered one scans its nearest centroid's block at each gated
-    level, or that range if they are empty.  ``elapsed_ns`` counts from ``t0``.
-    """
-    if index is None and method is RetrievalMethod.CLUSTERING:
-        raise MissingIndexError("clustering retrieval requires a cluster index")
-    if len(db) == 0:
-        raise EmptyDatabaseError("cannot retrieve from an empty database")
-    if db._gate is not None and (index is None or index.fingerprint == db._gate[0].fingerprint):
-        db, level = db._gate  # ``level`` was None or this level: retrieve() checked the gate
-    if index is not None:
-        if index.dim != db.dim:
-            raise DimensionMismatchError(f"index dim {index.dim} does not match database dim {db.dim}")
-        if index.fingerprint != db.fingerprint:
-            raise StaleIndexError("index fingerprint does not match this database; rebuild the index")
-        if index.assignments.shape[0] != len(db):
-            raise StaleIndexError(f"index covers {index.assignments.shape[0]} records, database has {len(db)}")
-    qn = _unit_query(db, query)
-    first, last = (0, 3) if level is None else (level.wire_code, level.wire_code + 1)
-    (order, offsets, rows), k = (db.level_rows, 1) if index is None else (index._inverted_lists(db), index.k)
-    bounds = offsets.tolist()
-    lo, hi = bounds[k * first], bounds[k * last]  # the gate's range
-    spans = [(lo, hi)]
-    if method is RetrievalMethod.CLUSTERING:
-        cluster, _ = _scan_argmax(index.unit_centroids, qn, None)
-        blocks = [(bounds[b], bounds[b + 1]) for b in range(k * first + cluster, k * last, k)]
-        gate, held = level or "none", sum(b - a for a, b in blocks)
-        log.debug("clustered query: gate %s, cluster %d of k=%d holds %d rows", gate, cluster, k, held)
-        if held:
-            spans = blocks
-        else:
-            log.debug(
-                "cluster %d has no members at gate %s; scanning the %d rows at that gate", cluster, gate, hi - lo
-            )
-    # the best over spans is the highest similarity, then the lowest position
-    hits = [_scan_argmax(rows[a:b], qn, order[a:b]) for a, b in spans if a < b]
-    best, sim = max(hits, key=lambda hit: (hit[1], -hit[0]))
-    return RetrievalResult(db.ids[best], sim, method, sum(b - a for a, b in spans), time.perf_counter_ns() - t0)
-
-
 def retrieve_embedding_based(db: EmbeddingDatabase, query: EmotionEmbedding) -> RetrievalResult:
     """Exhaustive cosine scan; highest similarity wins, ties to lowest position."""
-    return _search(db, None, None, query, RetrievalMethod.EMBEDDING, time.perf_counter_ns())
+    return retrieve(db, query, RetrievalMethod.EMBEDDING)
 
 
 def retrieve_clustering_based(
@@ -358,7 +313,7 @@ def retrieve_clustering_based(
 ) -> RetrievalResult:
     """Single-probe clustered scan: nearest centroid, then argmax inside it
     (over all rows if that cluster is empty)."""
-    return _search(db, None, index, query, RetrievalMethod.CLUSTERING, time.perf_counter_ns())
+    return retrieve(db, query, RetrievalMethod.CLUSTERING, index=index)
 
 
 @dataclass(eq=False)
@@ -393,21 +348,57 @@ def retrieve(
     index: "IndexBundle | ClusterIndex | None" = None,
     intensity: IntensityLevel | None = None,
 ) -> RetrievalResult:
-    """Front door: optional intensity gate, then the chosen strategy (``elapsed_ns`` covers both).
+    """The one search: optional intensity gate, then the chosen strategy (``elapsed_ns`` covers both).
 
-    Gating searches ``db``'s rows at that level and builds no database, so only
-    records at that level compete; an empty gate raises :class:`EmptySubsetError`.
-    ``db``'s cluster index, as an :class:`IndexBundle` or a bare :class:`ClusterIndex`,
-    serves both methods, gated or not, and is checked whenever given; clustering needs it.
+    Gating searches ``db``'s rows at that level and builds no database, so only records at that
+    level compete; an empty gate raises :class:`EmptySubsetError`.  An intensity gate's subset is
+    answered as its parent at its level, unless ``index`` was fit on the subset itself.  ``db``'s
+    cluster index, as an :class:`IndexBundle` or a bare :class:`ClusterIndex`, serves both methods,
+    gated or not, and is checked to cover the database whenever given; clustering needs it.  A
+    query with the index reads its inverted lists, else the level rows.  An exhaustive query scans
+    the gate's range; a clustered one scans its nearest centroid's block at each gated level, or
+    that range if they are empty.
     """
     t0 = time.perf_counter_ns()
     method = RetrievalMethod.parse(method)
-    if intensity is not None:
-        intensity = IntensityLevel.parse(intensity)
-        if not db._level_counts[intensity.wire_code]:
-            raise EmptySubsetError(intensity.value)
+    level = None if intensity is None else IntensityLevel.parse(intensity)
+    if level is not None and not db._level_counts[level.wire_code]:
+        raise EmptySubsetError(level.value)
     index = index.full if isinstance(index, IndexBundle) else index
-    return _search(db, intensity, index, query, method, t0)
+    if index is None and method is RetrievalMethod.CLUSTERING:
+        raise MissingIndexError("clustering retrieval requires a cluster index")
+    if len(db) == 0:
+        raise EmptyDatabaseError("cannot retrieve from an empty database")
+    if db._gate is not None and (index is None or index.fingerprint == db._gate[0].fingerprint):
+        db, level = db._gate  # ``level`` was None or this level: checked above
+    if index is not None:
+        if index.dim != db.dim:
+            raise DimensionMismatchError(f"index dim {index.dim} does not match database dim {db.dim}")
+        if index.fingerprint != db.fingerprint:
+            raise StaleIndexError("index fingerprint does not match this database; rebuild the index")
+        if index.assignments.shape[0] != len(db):
+            raise StaleIndexError(f"index covers {index.assignments.shape[0]} records, database has {len(db)}")
+    qn = _unit_query(db, query)
+    first, last = (0, 3) if level is None else (level.wire_code, level.wire_code + 1)
+    (order, offsets, rows), k = (db.level_rows, 1) if index is None else (index._inverted_lists(db), index.k)
+    bounds = offsets.tolist()
+    lo, hi = bounds[k * first], bounds[k * last]  # the gate's range
+    spans = [(lo, hi)]
+    if method is RetrievalMethod.CLUSTERING:
+        cluster, _ = _scan_argmax(index.unit_centroids, qn, None)
+        blocks = [(bounds[b], bounds[b + 1]) for b in range(k * first + cluster, k * last, k)]
+        gate, held = level or "none", sum(b - a for a, b in blocks)
+        log.debug("clustered query: gate %s, cluster %d of k=%d holds %d rows", gate, cluster, k, held)
+        if held:
+            spans = blocks
+        else:
+            log.debug(
+                "cluster %d has no members at gate %s; scanning the %d rows at that gate", cluster, gate, hi - lo
+            )
+    # the best over spans is the highest similarity, then the lowest position
+    hits = [_scan_argmax(rows[a:b], qn, order[a:b]) for a, b in spans if a < b]
+    best, sim = max(hits, key=lambda hit: (hit[1], -hit[0]))
+    return RetrievalResult(db.ids[best], sim, method, sum(b - a for a, b in spans), time.perf_counter_ns() - t0)
 
 
 # ---------------------------------------------------------------------------

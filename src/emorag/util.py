@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -77,12 +78,14 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 
 
 def configure_logging() -> None:
-    """Set the ``emorag`` logger's level from ``EMORAG_LOG``, if present."""
+    """Set the ``emorag`` logger's level from ``EMORAG_LOG``, if present: a level name in any
+    case or a whole number.  Any other value leaves logging off and writes one warning to stderr."""
     level = os.environ.get("EMORAG_LOG")
     if not level:
         return
-    numeric = getattr(logging, level.upper(), None)
+    numeric = int(level) if level.isdecimal() else getattr(logging, level.upper(), None)
     if not isinstance(numeric, int):
+        print(f"warning: EMORAG_LOG={level!r} is not a logging level; logging stays off", file=sys.stderr)
         return
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     log.setLevel(numeric)

@@ -20,8 +20,17 @@ from emorag import (
     save_frames,
 )
 from emorag import flow
-from emorag.cli import main
+from emorag.cli import build_parser, main
 from emorag.flow import FrameSequence
+from emorag.pipeline import SPEAKER_DIM
+from emorag.synthbench import (
+    DEFAULT_DIM,
+    DEFAULT_MIX,
+    DEFAULT_NUM_EMOTIONS,
+    DEFAULT_SIGMA,
+    DEFAULT_SIZES,
+    DEFAULT_SPREAD,
+)
 
 from helpers import build_db, zero_first_centroid
 
@@ -319,6 +328,24 @@ def test_emorag_log_debug_prints_the_gate_line(tmp_path):
     assert ungated.returncode == 0 and ungated.stderr == line
 
 
+def test_emorag_log_takes_a_whole_number_and_warns_of_an_unknown_name(tmp_path):
+    db, db_path = make_db_file(tmp_path, n=6, intensities=["weak", "strong"] * 3)
+    query = write_query(tmp_path / "q.json", db.matrix[0])
+    argv = [sys.executable, "-m", "emorag", "retrieve", "--db", str(db_path), "--query", str(query)]
+    runs = {
+        level: subprocess.run(
+            [*argv, "--intensity", "weak"], capture_output=True, text=True, env={**os.environ, "EMORAG_LOG": level}
+        )
+        for level in ("10", "verbose")
+    }
+    assert [run.returncode for run in runs.values()] == [0, 0]
+    assert runs["10"].stderr == "DEBUG emorag: level rows: 3 weak, 0 normal, 3 strong of 6 records\n"
+    warning = "warning: EMORAG_LOG='verbose' is not a logging level; logging stays off\n"
+    assert runs["verbose"].stderr == warning
+    answers = [json.loads(run.stdout) for run in runs.values()]
+    assert [{**answer, "elapsed_ns": 0} for answer in answers] == [{**answers[0], "elapsed_ns": 0}] * 2
+
+
 def test_retrieve_clustering_without_index_is_usage_error(tmp_path, capsys):
     db, db_path = make_db_file(tmp_path)
     query = write_query(tmp_path / "q.json", db.matrix[0])
@@ -472,6 +499,22 @@ def test_bench_zero_queries_is_usage_error(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # train-fm
+
+
+def test_parser_defaults_are_the_library_constants():
+    parse = build_parser().parse_args
+    bench = parse(["bench", "--out", "grid.csv"])
+    assert (bench.sizes, bench.emotions, bench.dim, bench.sigma, bench.spread) == (
+        list(DEFAULT_SIZES),
+        DEFAULT_NUM_EMOTIONS,
+        DEFAULT_DIM,
+        DEFAULT_SIGMA,
+        DEFAULT_SPREAD,
+    )
+    gen = parse(["gen-data", "--out", "db.emdb"])
+    assert (gen.sigma, gen.spread, gen.mix) == (DEFAULT_SIGMA, DEFAULT_SPREAD, DEFAULT_MIX)
+    # a checkpoint with any other speaker dim cannot serve synth
+    assert parse(["train-fm", "--out", "model.ckpt"]).spk_dim == SPEAKER_DIM
 
 
 def test_train_fm_zero_steps_writes_fresh_init(tmp_path, capsys):

@@ -4,11 +4,16 @@ It must be a Python or numpy integer of at least the site's minimum; a float,
 a bool or a smaller value raises :class:`InvalidParameterError`
 (:class:`DimensionMismatchError` for a database's ``dim``) and is never
 truncated, and a numpy integer gives the same result as the plain ``int``.
+The package's count of defaulted parameters is pinned here too.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emorag
 from emorag import ClusterIndex, DimensionMismatchError, EmbeddingDatabase, InvalidParameterError, RetrievalMethod
 from emorag.flow import (
     FlowTrainConfig,
@@ -145,3 +150,14 @@ def test_cluster_assignments_are_integers():
             make(bad)
     for good in ([0, 1, 1], np.array([0, 1, 1], dtype=np.int8), np.array([0, 1, 1], dtype=np.uint64)):
         assert make(good).tolist() == [0, 1, 1]
+
+
+def test_defaulted_parameter_count():
+    # every defaulted positional and keyword-only parameter of every function in the
+    # package: adding or removing a knob means changing this count on purpose
+    count = 0
+    for path in sorted(Path(emorag.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+    assert count == 28
