@@ -229,8 +229,8 @@ def cmd_train_fm(args) -> int:
         total_steps=args.steps,
         seed=args.seed,
     )
-    model = init_vector_field(args.state_dim, args.token_dim, args.spk_dim, args.hidden, seed=args.seed)
-    sampler = linear_map_task(args.state_dim, args.token_dim, args.spk_dim, seed=args.seed)
+    model = init_vector_field(args.state_dim, args.token_dim, SPEAKER_DIM, args.hidden, seed=args.seed)
+    sampler = linear_map_task(args.state_dim, args.token_dim, SPEAKER_DIM, seed=args.seed)
     losses = train_vector_field(model, sampler, config)
     save_checkpoint(model, args.out)
     loss_log = args.loss_log or Path(args.out).with_suffix(".loss.csv")
@@ -343,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--state-dim", type=int, default=80, help="output (mel) dimension")
     p.add_argument("--token-dim", type=int, default=8)
-    p.add_argument("--spk-dim", type=int, default=SPEAKER_DIM, help="synth takes only the default")
     p.add_argument("--hidden", type=_int_list, default=[64, 64])
     p.add_argument("--loss-log", default=None, help="CSV path; default <out>.loss.csv")
     p.set_defaults(func=cmd_train_fm)

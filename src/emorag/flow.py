@@ -7,6 +7,7 @@ used for flow-matching targets, a fully-connected time-conditioned vector
 field with hand-written backprop under an L1 objective, explicit Euler
 integration of the learned field, and length-prefixed binary artifacts for
 checkpoints and frames; a checkpoint's array table is the one its dims fix.
+A save hands the writer the header and then the float64 arrays themselves.
 
 Parameters, training, artifacts and the sampler's result are float64.  The
 vector field consumes the concatenation ``[state, conditioning, speaker, t]``
@@ -555,9 +556,10 @@ FRAMES_FORMAT = "emorag-frames"
 ARTIFACT_VERSION = 1
 
 
-def _pack_artifact(header: dict, payload: bytes) -> bytes:
+def _pack_artifact(header: dict, *payload) -> list:
+    """The artifact's pieces for the one writer: u32 length + JSON ``header``, then ``payload``."""
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw + payload
+    return [struct.pack("<I", len(raw)) + raw, *payload]
 
 
 def _unpack_artifact(data: bytes, expected_format: str):
@@ -599,10 +601,8 @@ def save_checkpoint(model: VectorFieldModel, path) -> None:
         "hidden": list(model.hidden),
         "arrays": _array_table(model.layer_sizes),
     }
-    payload = b"".join(
-        np.ascontiguousarray(a, dtype="<f8").tobytes() for W, b in zip(model.weights, model.biases) for a in (W, b)
-    )
-    atomic_write_bytes(path, _pack_artifact(header, payload))
+    arrays = (np.ascontiguousarray(a, dtype="<f8") for W, b in zip(model.weights, model.biases) for a in (W, b))
+    atomic_write_bytes(path, _pack_artifact(header, *arrays))
 
 
 def load_checkpoint(path) -> VectorFieldModel:
@@ -632,8 +632,7 @@ def save_frames(seq: FrameSequence, path) -> None:
         "dim": seq.dim,
         "frame_rate_hz": seq.frame_rate_hz,
     }
-    payload = np.ascontiguousarray(seq.frames, dtype="<f8").tobytes()
-    atomic_write_bytes(path, _pack_artifact(header, payload))
+    atomic_write_bytes(path, _pack_artifact(header, np.ascontiguousarray(seq.frames, dtype="<f8")))
 
 
 def load_frames(path) -> FrameSequence:

@@ -132,7 +132,7 @@ def _scan_argmax(rows: np.ndarray, qn: np.ndarray, members) -> tuple:
 
 @dataclass(eq=False)
 class ClusterIndex:
-    """Centroids plus a full record→cluster assignment for one database.
+    """Centroids, a full record→cluster assignment and a fingerprint: what its EMIX file holds.
 
     ``centroids`` stay float32 in memory so that a save/load round trip is
     bit-exact; routing scores their float64 unit rows, ``unit_centroids``.
@@ -143,7 +143,6 @@ class ClusterIndex:
     k: int
     centroids: np.ndarray
     assignments: np.ndarray
-    inertia: float
     fingerprint: bytes
 
     def __post_init__(self):
@@ -170,7 +169,6 @@ class ClusterIndex:
         self.assignments = a.astype(np.uint32)
         for arr in (self.assignments, self.unit_centroids):
             arr.flags.writeable = False
-        self.inertia = float(self.inertia)
         self._lists = None
 
     @property
@@ -232,9 +230,8 @@ def kmeans_fit(
 
     Runs at most :data:`KMEANS_MAX_ITERS` Lloyd iterations in float64 on
     unit-normalized rows with k-means++ seeding, then freezes the centroids to
-    float32 and recomputes assignments and inertia against the frozen values,
-    so the returned index satisfies assignment-is-nearest-centroid exactly as
-    stored.
+    float32 and recomputes the assignments against the frozen values, so the
+    returned index satisfies assignment-is-nearest-centroid exactly as stored.
 
     With ``return_history=True`` also returns the per-iteration inertia list
     (evaluated after each assignment step).
@@ -279,14 +276,7 @@ def kmeans_fit(
         # a zero-sum cluster (perfectly antipodal members) keeps its centroid
 
     frozen = centroids.astype(np.float32)
-    final_assign, _, final_inertia = _nearest(X, frozen.astype(np.float64))
-    index = ClusterIndex(
-        k=k,
-        centroids=frozen,
-        assignments=final_assign,
-        inertia=final_inertia,
-        fingerprint=db.fingerprint,
-    )
+    index = ClusterIndex(k, frozen, _nearest(X, frozen.astype(np.float64))[0], db.fingerprint)
     if return_history:
         return index, history
     return index
@@ -426,19 +416,11 @@ def deserialize_index(data: bytes) -> ClusterIndex:
     body.finish("the fingerprint")
     if count and int(assignments.max()) >= k:
         raise FormatError("assignment refers to a cluster >= k")
-    # inertia belongs to the fit, not the file; without the database it cannot
-    # be recomputed here, so a loaded index carries NaN
-    return ClusterIndex(
-        k=k,
-        centroids=centroids,
-        assignments=assignments,
-        inertia=float("nan"),
-        fingerprint=fingerprint,
-    )
+    return ClusterIndex(k, centroids, assignments, fingerprint)
 
 
 def save_index(index: ClusterIndex, path) -> None:
-    atomic_write_bytes(path, serialize_index(index))
+    atomic_write_bytes(path, [serialize_index(index)])
 
 
 def load_index(path) -> ClusterIndex:

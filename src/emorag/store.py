@@ -32,9 +32,12 @@ On-disk layout (little-endian throughout)::
 
 An empty database is exactly the 16-byte header.  Serialization is canonical:
 the same database always produces the same bytes, which is what makes the
-sha256 fingerprint below meaningful.  EMIX index files share the header's
-layout (:data:`HEADER`); :class:`HeaderedFile` checks it and bounds every
-read of either format's body.
+sha256 fingerprint below meaningful.  Every file the reader accepts is
+canonical too (strict UTF-8, flags 0/1, codes 0-2, f32 bits copied verbatim, no
+trailing bytes), so a loaded database's fingerprint is the sha256 of the bytes
+it was read from; :func:`save_db` streams the pieces a built one hashes to the
+one writer.  EMIX index files share the header's layout (:data:`HEADER`);
+:class:`HeaderedFile` checks it and bounds every read of either format's body.
 """
 
 from __future__ import annotations
@@ -130,8 +133,8 @@ class EmbeddingDatabase:
 
     Row ``i`` of every column belongs to record ``i``; the columns are the only
     way to build and read rows, and ``__post_init__`` is the store's one
-    validator.  The fingerprint and the level-grouped unit rows are computed
-    lazily and cached; :attr:`unit_matrix` is computed anew by each access.
+    validator.  The fingerprint (a loaded one is its file's, taken on reading) and the
+    level-grouped unit rows are cached; :attr:`unit_matrix` is computed anew by each access.
     Sharing a database across threads for reads is fine.  ``dim`` is a Python
     or numpy integer >= 1; anything else, a bool or float included, raises
     :class:`DimensionMismatchError`.
@@ -216,7 +219,8 @@ class EmbeddingDatabase:
 
     @property
     def fingerprint(self) -> bytes:
-        """sha256 digest of the canonical serialized bytes (32 bytes), cached."""
+        """sha256 digest of the canonical serialized bytes (32 bytes), cached: a loaded
+        database's is its file's, taken when read; one built in memory hashes its pieces."""
         if self._fingerprint is None:
             digest = hashlib.sha256()
             for piece in _emdb_pieces(self):
@@ -316,7 +320,7 @@ def serialize_db(db: EmbeddingDatabase) -> bytes:
 
 
 def save_db(db: EmbeddingDatabase, path) -> None:
-    atomic_write_bytes(path, serialize_db(db))
+    atomic_write_bytes(path, _emdb_pieces(db))
 
 
 class HeaderedFile:
@@ -387,7 +391,9 @@ def deserialize_db(data: bytes) -> EmbeddingDatabase:
     except (FormatError, UnicodeDecodeError) as exc:  # the latter from a string field
         raise FormatError(f"record {i}: {exc}") from None
     body.finish("the last record")
-    return EmbeddingDatabase(dim, matrix, codes, ids, labels, transcripts, audio_refs)
+    db = EmbeddingDatabase(dim, matrix, codes, ids, labels, transcripts, audio_refs)
+    db._fingerprint = hashlib.sha256(data).digest()  # the bytes parsed are canonical
+    return db
 
 
 def load_db(path) -> EmbeddingDatabase:

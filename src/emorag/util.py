@@ -1,4 +1,10 @@
-"""Small shared helpers."""
+"""Small shared helpers.
+
+Every artifact the package writes goes through :func:`atomic_write_bytes`, the
+one writer: a saver hands it its file as pieces (a header, then arrays or
+memoryviews of the data it holds), so no payload is copied or joined on its way
+to disk.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -53,17 +58,20 @@ def read_json(path, what: str):
         raise FormatError(f"{what} is not valid JSON: {exc}") from None
 
 
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a temp file in the same directory.
+def atomic_write_bytes(path: str | os.PathLike, pieces) -> None:
+    """Write the bytes-like ``pieces`` to ``path`` in order, streamed through one file.
 
-    The final ``os.replace`` is atomic on POSIX, so readers never observe a
-    half-written artifact.  The temp file is cleaned up on failure.
+    They go to a new file under a random name in the same directory, created as
+    ``open(path, "wb")`` creates one (mode 0o666 less the umask), and the final
+    ``os.replace`` is atomic on POSIX, so readers never observe a half-written
+    artifact.  The pieces are never joined, and the temp file is removed on failure.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        with open(fd, "wb") as fh:
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -74,7 +82,7 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, [text.encode("utf-8")])
 
 
 def configure_logging() -> None:

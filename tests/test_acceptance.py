@@ -319,7 +319,7 @@ def test_criterion_7_end_to_end_determinism(tmp_path):
         ckpt = tmp_path / "model.ckpt"
         run_cli(
             "train-fm", "--steps", 5, "--state-dim", 12, "--token-dim", 6,
-            "--spk-dim", 8, "--hidden", 16, "--out", ckpt,
+            "--hidden", 16, "--out", ckpt,
         )
 
         query = tmp_path / "query.json"

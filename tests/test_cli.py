@@ -513,8 +513,14 @@ def test_parser_defaults_are_the_library_constants():
     )
     gen = parse(["gen-data", "--out", "db.emdb"])
     assert (gen.sigma, gen.spread, gen.mix) == (DEFAULT_SIGMA, DEFAULT_SPREAD, DEFAULT_MIX)
-    # a checkpoint with any other speaker dim cannot serve synth
-    assert parse(["train-fm", "--out", "model.ckpt"]).spk_dim == SPEAKER_DIM
+    # a checkpoint with any other speaker dim cannot serve synth, so there is no flag for it
+    assert not hasattr(parse(["train-fm", "--out", "model.ckpt"]), "spk_dim")
+
+
+def test_train_fm_takes_no_speaker_dim(tmp_path, capsys):
+    assert main(["train-fm", "--spk-dim", "4", "--out", str(tmp_path / "m.ckpt")]) == 2
+    assert "--spk-dim" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_train_fm_zero_steps_writes_fresh_init(tmp_path, capsys):
@@ -536,7 +542,6 @@ def test_train_fm_short_run_logs_losses(tmp_path, capsys):
             "--steps", "5",
             "--state-dim", "6",
             "--token-dim", "3",
-            "--spk-dim", "4",
             "--hidden", "8",
             "--out", str(out),
         ]
@@ -544,7 +549,7 @@ def test_train_fm_short_run_logs_losses(tmp_path, capsys):
     assert code == 0
     assert "trained 5 steps" in capsys.readouterr().out
     model = load_checkpoint(out)
-    assert (model.state_dim, model.cond_dim, model.spk_dim, model.hidden) == (6, 3, 4, (8,))
+    assert (model.state_dim, model.cond_dim, model.spk_dim, model.hidden) == (6, 3, SPEAKER_DIM, (8,))
     lines = (tmp_path / "model.loss.csv").read_text().splitlines()
     assert lines[0] == "step,loss"
     assert len(lines) == 6
@@ -560,7 +565,6 @@ def test_train_fm_custom_loss_log_path(tmp_path, capsys):
             "--steps", "2",
             "--state-dim", "4",
             "--token-dim", "2",
-            "--spk-dim", "2",
             "--hidden", "4",
             "--loss-log", str(log),
             "--out", str(out),
@@ -643,7 +647,7 @@ def test_synth_malformed_checkpoint_table_is_invalid(synth_space, tmp_path, caps
     header, payload = flow._unpack_artifact(raw, flow.CHECKPOINT_FORMAT)
     del header["arrays"][1]["shape"]
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(flow._pack_artifact(header, payload))
+    bad.write_bytes(b"".join(flow._pack_artifact(header, payload)))
     argv = synth_argv(synth_space, tmp_path / "mel.frames")
     argv[argv.index("--checkpoint") + 1] = str(bad)
     assert main(argv) == 5
@@ -652,7 +656,7 @@ def test_synth_malformed_checkpoint_table_is_invalid(synth_space, tmp_path, caps
 
 def test_synth_malformed_token_frames_is_invalid(synth_space, tmp_path, capsys):
     header = {"format": flow.FRAMES_FORMAT, "version": flow.ARTIFACT_VERSION, "num_frames": -2, "dim": -4, "frame_rate_hz": 50.0}
-    (tmp_path / "bad.frames").write_bytes(flow._pack_artifact(header, bytes(64)))
+    (tmp_path / "bad.frames").write_bytes(b"".join(flow._pack_artifact(header, bytes(64))))
     token_map = tmp_path / "map.json"
     token_map.write_text(json.dumps(dict.fromkeys(synth_space["db"].ids, "bad.frames")))
     argv = synth_argv(synth_space, tmp_path / "mel.frames")

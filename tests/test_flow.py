@@ -869,7 +869,7 @@ def _edited_checkpoint(tmp_path, edit, extra_floats):
     header, payload = flow._unpack_artifact(path.read_bytes(), flow.CHECKPOINT_FORMAT)
     edit(header)
     payload = payload + bytes(8 * extra_floats) if extra_floats >= 0 else payload[: 8 * extra_floats]
-    path.write_bytes(flow._pack_artifact(header, payload))
+    path.write_bytes(b"".join(flow._pack_artifact(header, payload)))
     return path
 
 
@@ -932,7 +932,7 @@ def test_frames_header_with_bad_sizes_is_malformed(tmp_path, fault):
         "frame_rate_hz": rate,
     }
     path = tmp_path / "bad.frames"
-    path.write_bytes(flow._pack_artifact(header, bytes(payload_bytes)))
+    path.write_bytes(b"".join(flow._pack_artifact(header, bytes(payload_bytes))))
     with pytest.raises(MalformedHeaderError, match="frames header declares"):
         load_frames(path)
 
@@ -944,6 +944,29 @@ def test_frames_roundtrip(tmp_path):
     loaded = load_frames(path)
     assert loaded.frames.tobytes() == seq.frames.tobytes()
     assert loaded.frame_rate_hz == 80.0
+
+
+def test_saving_frames_streams_the_array(tmp_path):
+    seq = FrameSequence(np.random.default_rng(10).standard_normal((770, 80)), 80.0)
+    path = tmp_path / "mel.frames"
+    tracemalloc.start()
+    try:
+        save_frames(seq, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    header, payload = flow._unpack_artifact(path.read_bytes(), flow.FRAMES_FORMAT)
+    assert payload == seq.frames.tobytes() and header["num_frames"] == 770
+    # neither a bytes copy of the frames nor a joined file on the way to disk
+    assert peak < 0.1 * seq.frames.nbytes, (peak, seq.frames.nbytes)
+
+
+def test_checkpoint_payload_is_its_arrays_in_table_order(tmp_path):
+    model = init_vector_field(3, 2, 2, (4, 5), seed=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    _, payload = flow._unpack_artifact(path.read_bytes(), flow.CHECKPOINT_FORMAT)
+    assert payload == b"".join(a.tobytes() for W, b in zip(model.weights, model.biases) for a in (W, b))
 
 
 def test_frames_and_checkpoint_are_distinct_formats(tmp_path):

@@ -144,7 +144,7 @@ def test_whole_number_parameters(site):
 
 def test_cluster_assignments_are_integers():
     # an array of cluster numbers follows the same rule: a float or bool array used to be cast to u32
-    make = lambda a: ClusterIndex(2, np.eye(2), a, 0.0, bytes(32)).assignments  # noqa: E731
+    make = lambda a: ClusterIndex(2, np.eye(2), a, bytes(32)).assignments  # noqa: E731
     for bad in ([0.5, 1.7, 1.0], [0.0, 1.0], np.array([True, False]), ["0", "1"]):
         with pytest.raises(InvalidParameterError, match="integers"):
             make(bad)

@@ -97,15 +97,16 @@ def test_cosine_examples():
 def test_kmeans_k1_is_normalized_mean():
     vecs = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]], dtype=np.float32)
     db = build_db(vecs)
-    index = kmeans_fit(db, 1)
+    index, history = kmeans_fit(db, 1, return_history=True)
     unit = db.unit_matrix
     mean = unit.mean(axis=0)
-    expected = (mean / np.linalg.norm(mean)).astype(np.float32)
-    np.testing.assert_allclose(index.centroids[0], expected, atol=1e-6)
+    expected = mean / np.linalg.norm(mean)
+    np.testing.assert_allclose(index.centroids[0], expected.astype(np.float32), atol=1e-6)
     assert index.k == 1
     assert np.array_equal(index.assignments, np.zeros(3, dtype=np.uint32))
-    hand_inertia = float(np.sum((unit - index.centroids[0].astype(np.float64)) ** 2))
-    assert index.inertia == pytest.approx(hand_inertia, rel=1e-9)
+    # the last iteration's inertia is that of the float64 normalized mean
+    hand_inertia = float(np.sum((unit - expected) ** 2))
+    assert history[-1] == pytest.approx(hand_inertia, rel=1e-9)
 
 
 def test_kmeans_recovers_two_groups():
@@ -125,8 +126,8 @@ def test_kmeans_recovers_two_groups():
 def test_kmeans_k_equals_n():
     rng = np.random.default_rng(3)
     db = build_db(rng.standard_normal((6, 4)).astype(np.float32))
-    index = kmeans_fit(db, 6, seed=0)
-    assert index.inertia <= 1e-9
+    index, history = kmeans_fit(db, 6, seed=0, return_history=True)
+    assert history[-1] <= 1e-9
     assert sorted(index.assignments.tolist()) == list(range(6))
 
 
@@ -150,11 +151,11 @@ def test_kmeans_validation():
 
 def test_kmeans_deterministic_under_seed():
     db = random_db(np.random.default_rng(11), n=30, dim=8)
-    a = kmeans_fit(db, 4, seed=9)
-    b = kmeans_fit(db, 4, seed=9)
+    a, history_a = kmeans_fit(db, 4, seed=9, return_history=True)
+    b, history_b = kmeans_fit(db, 4, seed=9, return_history=True)
     assert a.centroids.tobytes() == b.centroids.tobytes()
     assert np.array_equal(a.assignments, b.assignments)
-    assert a.inertia == b.inertia
+    assert history_a == history_b
 
 
 @settings(max_examples=25, deadline=None)
@@ -209,7 +210,6 @@ def test_index_roundtrip_bit_exact(tmp_path):
     assert again.centroids.tobytes() == index.centroids.tobytes()
     assert np.array_equal(again.assignments, index.assignments)
     assert again.fingerprint == index.fingerprint
-    assert np.isnan(again.inertia)  # inertia is not part of the file
     assert serialize_index(again) == data
     path = tmp_path / "ix.emix"
     save_index(index, path)
@@ -516,23 +516,23 @@ def test_clustering_stale_index():
 def test_cluster_index_validation():
     cents = np.eye(2, dtype=np.float32)
     fp = bytes(32)
-    ClusterIndex(2, cents, [0, 1], 0.0, fp)
+    ClusterIndex(2, cents, [0, 1], fp)
     for assignments in ([0, 2], [0, -1], np.array([0, -1], dtype=np.int64)):
         with pytest.raises(InvalidParameterError):
-            ClusterIndex(2, cents, assignments, 0.0, fp)
+            ClusterIndex(2, cents, assignments, fp)
     for k in (0, -1, 2.7, 2.0, True):
         with pytest.raises(InvalidParameterError, match="k must"):
-            ClusterIndex(k, cents, [0, 1], 0.0, fp)
-    assert type(ClusterIndex(np.int64(2), cents, [0, 1], 0.0, fp).k) is int
+            ClusterIndex(k, cents, [0, 1], fp)
+    assert type(ClusterIndex(np.int64(2), cents, [0, 1], fp).k) is int
     for centroids in (np.eye(3, 2, dtype=np.float32), np.zeros((2, 0)), cents[0]):
         with pytest.raises(DimensionMismatchError):
-            ClusterIndex(2, centroids, [0, 1], 0.0, fp)
+            ClusterIndex(2, centroids, [0, 1], fp)
     with pytest.raises(DimensionMismatchError):
-        ClusterIndex(2, cents, [[0, 1]], 0.0, fp)
+        ClusterIndex(2, cents, [[0, 1]], fp)
     with pytest.raises(NonFiniteValueError):
-        ClusterIndex(2, [[1.0, 0.0], [np.nan, 1.0]], [0, 1], 0.0, fp)
+        ClusterIndex(2, [[1.0, 0.0], [np.nan, 1.0]], [0, 1], fp)
     with pytest.raises(FormatError):
-        ClusterIndex(2, cents, [0, 1], 0.0, fp[:31])
+        ClusterIndex(2, cents, [0, 1], fp[:31])
 
 
 def test_bundle_for_level_takes_a_level_name():
@@ -560,7 +560,6 @@ def test_clustering_empty_cluster_falls_back_to_full_scan():
         k=2,
         centroids=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32),
         assignments=np.zeros(3, dtype=np.uint32),
-        inertia=0.0,
         fingerprint=db.fingerprint,
     )
     result = retrieve_clustering_based(db, index, EmotionEmbedding([0.0, 1.0]))
@@ -576,7 +575,6 @@ def test_clustering_centroid_tie_breaks_low_index():
         k=2,
         centroids=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32),
         assignments=np.array([0, 1], dtype=np.uint32),
-        inertia=0.0,
         fingerprint=db.fingerprint,
     )
     # equidistant from both centroids: must route to cluster 0
@@ -651,7 +649,6 @@ def test_clustered_slices_with_an_empty_cluster_equal_the_gather_reference():
         k=3,
         centroids=np.eye(3, dtype=np.float32),
         assignments=np.array([0, 2] * 15, dtype=np.uint32),  # cluster 1 owns nothing
-        inertia=0.0,
         fingerprint=db.fingerprint,
     )
     order, offsets, rows = index._inverted_lists(db)
@@ -670,7 +667,7 @@ def test_a_tie_across_cluster_blocks_goes_to_the_lower_position():
     vectors = np.array([[1.0, 0.0, 0.0], best, [0.0, 0.0, 1.0], [1.0, 0.2, 0.0], best, [0.1, 0.0, 1.0]])
     db = build_db(vectors.astype(np.float32), intensities=["normal", "weak", "strong"] * 2)
     # rec1 (cluster 2) and its exact copy rec4 (cluster 0), both weak; cluster 1 owns nothing
-    index = ClusterIndex(3, np.eye(3, dtype=np.float32), np.array([0, 2, 0, 2, 0, 2]), 0.0, db.fingerprint)
+    index = ClusterIndex(3, np.eye(3, dtype=np.float32), np.array([0, 2, 0, 2, 0, 2]), db.fingerprint)
     order = index._inverted_lists(db)[0].tolist()
     assert order.index(4) < order.index(1)  # the higher position comes first in every range holding both
     q = EmotionEmbedding(best)  # routes to the empty cluster 1
@@ -690,7 +687,7 @@ def test_stale_or_mismatched_index_raises_before_building_lists():
     query = EmotionEmbedding(db.matrix[0])
     other = random_db(np.random.default_rng(9), n=12, dim=4)
     stale = kmeans_fit(other, 2, seed=0)
-    short = ClusterIndex(2, stale.centroids, stale.assignments[:-1], 0.0, db.fingerprint)
+    short = ClusterIndex(2, stale.centroids, stale.assignments[:-1], db.fingerprint)
     wide = kmeans_fit(random_db(np.random.default_rng(10), n=12, dim=5), 2, seed=0)
     # a given index is checked whatever the method
     for method in RetrievalMethod:
@@ -939,7 +936,7 @@ def test_gated_retrieve_equals_hand_filtered_database(seed):
                 # the full index restricted to the level, by hand, against the gather oracle
                 full = bundle.full
                 rows = db.intensity_codes == lvl.wire_code
-                restricted = ClusterIndex(full.k, full.centroids, full.assignments[rows], 0.0, hand.fingerprint)
+                restricted = ClusterIndex(full.k, full.centroids, full.assignments[rows], hand.fingerprint)
                 direct = reference_retrieve_clustering_based(hand, restricted, query)
             _same_result(gated, direct)
 
@@ -981,8 +978,8 @@ def test_repeated_gated_clustering_serializes_nothing(tmp_path, monkeypatch):
         retrieve(db, q, "clustering", index=bundle, intensity=lvl)
         retrieve_clustering_based(filter_by_intensity(db, lvl), bundle.for_level(lvl), q)
     # every gate, and every subset cut for the replay form, is checked through
-    # its database: only that database is serialized, once, for its fingerprint
-    assert calls == [db]
+    # its database, whose fingerprint is its file's sha256: nothing is serialized
+    assert calls == []
 
 
 def test_gated_retrieve_builds_no_database(monkeypatch):
@@ -1070,7 +1067,7 @@ def test_zero_norm_record_at_another_level_fails_a_gated_query():
     vectors = np.eye(4, dtype=np.float32)
     vectors[3] = 0.0
     db = build_db(vectors, intensities=["weak", "weak", "normal", "strong"])
-    index = ClusterIndex(1, np.ones((1, 4), dtype=np.float32), np.zeros(4, dtype=np.uint32), 0.0, db.fingerprint)
+    index = ClusterIndex(1, np.ones((1, 4), dtype=np.float32), np.zeros(4, dtype=np.uint32), db.fingerprint)
     q = EmotionEmbedding(vectors[0])
     # every scan reads the database's unit rows, and rec3 has none
     for method, given in (("embedding", None), ("clustering", index)):
@@ -1087,7 +1084,7 @@ def test_zero_norm_error_names_the_lowest_position_in_any_row_order():
     vectors[[1, 4]] = 0.0
     # the grouped copies visit weak (rec3, rec4) before strong (rec1, rec5)
     db = build_db(vectors, intensities=["normal", "strong", "normal", "weak", "weak", "strong"])
-    index = ClusterIndex(1, np.ones((1, 6), dtype=np.float32), np.zeros(6, dtype=np.uint32), 0.0, db.fingerprint)
+    index = ClusterIndex(1, np.ones((1, 6), dtype=np.float32), np.zeros(6, dtype=np.uint32), db.fingerprint)
     q = EmotionEmbedding(vectors[0])
     with pytest.raises(ZeroNormError, match="rec1"):
         db.unit_matrix
@@ -1108,7 +1105,7 @@ def test_every_kind_of_query_holds_two_f64_copies_of_the_rows():
     # methods holds them and the index's inverted lists (a cached position-order unit matrix
     # would be a third copy); with the index on every query the lists are the only copy
     for every_query_has_the_index, most_held, highest_peak in ((False, 2.05, 2.25), (True, 1.05, 1.25)):
-        index = ClusterIndex(8, centroids, assignments, 0.0, fresh.fingerprint)
+        index = ClusterIndex(8, centroids, assignments, fresh.fingerprint)
         exhaustive = index if every_query_has_the_index else None
         db = deserialize_db(serialize_db(fresh))  # no unit rows, grouped copies or fingerprint yet
         tracemalloc.start()
@@ -1204,7 +1201,6 @@ def test_index_logs_its_inverted_lists_once(caplog):
         k=2,
         centroids=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32),
         assignments=np.array([0, 0, 1], dtype=np.uint32),
-        inertia=0.0,
         fingerprint=db.fingerprint,
     )
     caplog.set_level(logging.INFO, logger="emorag")
@@ -1229,7 +1225,6 @@ def test_empty_cluster_fallback_logs(caplog):
         k=2,
         centroids=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32),
         assignments=np.zeros(2, dtype=np.uint32),
-        inertia=0.0,
         fingerprint=db.fingerprint,
     )
     retrieve_clustering_based(db, index, EmotionEmbedding([1.0, 0.0]))

@@ -2,7 +2,13 @@
 
 import hashlib
 import json
+import os
+import stat
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +35,7 @@ from emorag import (
     load_manifest,
     save_db,
 )
+from emorag import store
 from emorag.store import EMDB_MAGIC, EMDB_VERSION, deserialize_db, serialize_db
 
 from helpers import LEVELS, build_db, hand_filtered, random_db
@@ -168,7 +175,7 @@ def test_db_keeps_a_frozen_float32_matrix_it_owns():
         (lambda a: EmotionEmbedding(a[0]), "values"),
         (lambda a: SpeakerEmbedding(a[0]), "values"),
         (lambda a: FrameSequence(a, 50.0), "frames"),
-        (lambda a: ClusterIndex(2, a, [0, 1], 0.0, bytes(32)), "centroids"),
+        (lambda a: ClusterIndex(2, a, [0, 1], bytes(32)), "centroids"),
     ],
 )
 def test_value_types_keep_a_private_frozen_copy(make, field):
@@ -185,13 +192,11 @@ def test_value_types_keep_a_private_frozen_copy(make, field):
 
 
 def test_unit_matrix_bytes_equal_whole_matrix_norms_without_a_second_matrix():
-    import tracemalloc
-
     vectors = np.random.default_rng(12).standard_normal((1000, 128)).astype(np.float32)
     m = vectors.astype(np.float64)
     want = m / np.linalg.norm(m, axis=1)[:, None]
     db = build_db(vectors)
-    index = ClusterIndex(2, np.ones((2, 128), dtype=np.float32), np.arange(1000) % 2, 0.0, db.fingerprint)
+    index = ClusterIndex(2, np.ones((2, 128), dtype=np.float32), np.arange(1000) % 2, db.fingerprint)
     tracemalloc.start()
     try:
         got = db.unit_matrix
@@ -282,6 +287,126 @@ def test_fingerprint_sensitive_to_content():
     a = build_db(vecs, labels=["joy", "sad"])
     b = build_db(vecs, labels=["joy", "angry"])
     assert a.fingerprint != b.fingerprint
+
+
+def test_loaded_fingerprint_is_the_file_sha256_without_serializing(tmp_path, monkeypatch):
+    db = random_db(np.random.default_rng(8), n=40)
+    path = tmp_path / "db.emdb"
+    save_db(db, path)
+    built = db.fingerprint  # a database built in memory hashes its pieces
+    calls = []
+    original = store._emdb_pieces
+    monkeypatch.setattr(store, "_emdb_pieces", lambda d: calls.append(d) or original(d))
+    loaded = load_db(path)
+    assert loaded.fingerprint == hashlib.sha256(path.read_bytes()).digest() == built
+    assert calls == []
+
+
+def _vector_offsets(db) -> list:
+    """Byte offset of each record's vector in ``serialize_db(db)``: the pieces alternate fields, vector."""
+    ends = np.cumsum([len(piece) for piece in store._emdb_pieces(db)]).tolist()
+    return ends[1::2]
+
+
+# f32 bit patterns a reader must copy verbatim: -0.0, the least and the greatest
+# subnormal, the least normal, and +inf / NaN, which it must reject
+_SPECIAL_FLOATS = (0x80000000, 0x00000001, 0x807FFFFF, 0x00800000, 0x7F800000, 0x7FC00001)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    edits=st.lists(
+        st.tuples(st.sampled_from(["set", "insert", "delete", "float"]), st.integers(0, 2**16), st.integers(0, 255)),
+        min_size=1,
+        max_size=3,
+    ),
+    tail=st.binary(max_size=2),
+)
+def test_every_file_the_reader_accepts_is_canonical(seed, edits, tail):
+    # a loaded database's fingerprint is the sha256 of the bytes read, which is
+    # sound only if every file that parses re-serializes to exactly those bytes
+    rng = np.random.default_rng(seed)
+    db = random_db(rng, n=int(rng.integers(1, 6)))
+    data = bytearray(serialize_db(db))
+    vectors = _vector_offsets(db)
+    for kind, where, value in edits:
+        pos = where % len(data)
+        if kind == "set":
+            data[pos] = value
+        elif kind == "insert":
+            data.insert(pos, value)
+        elif kind == "delete":
+            del data[pos]
+        else:
+            at = vectors[where % len(vectors)] + 4 * (value % db.dim)
+            if at + 4 <= len(data):
+                data[at : at + 4] = struct.pack("<I", _SPECIAL_FLOATS[value % len(_SPECIAL_FLOATS)])
+    data = bytes(data + tail)
+    try:
+        loaded = deserialize_db(data)
+    except EmoragError:
+        return
+    assert serialize_db(loaded) == data
+    assert loaded.fingerprint == hashlib.sha256(data).digest()
+
+
+def test_saving_a_database_streams_its_pieces(tmp_path):
+    db = random_db(np.random.default_rng(3), n=2000, dim=128)
+    path = tmp_path / "db.emdb"
+    tracemalloc.start()
+    try:
+        save_db(db, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data = path.read_bytes()
+    assert data == serialize_db(db)
+    # no joined copy of the file, nor a copy of the matrix, on the way to disk
+    assert peak < 0.1 * len(data), (peak, len(data))
+
+
+_WRITE_EVERY_ARTIFACT = """
+import os, sys
+from pathlib import Path
+
+os.umask(int(sys.argv[1], 8))
+root = Path(sys.argv[2])
+import numpy as np
+from emorag import FrameSequence, init_vector_field, load_db, load_index_bundle, save_checkpoint, save_db
+from emorag import save_frames, save_index, save_index_bundle
+from emorag.cli import main
+from emorag.util import atomic_write_text
+
+assert main(["gen-data", "--per-emotion", "4", "--dim", "4", "--out", str(root / "gen.emdb")]) == 0
+assert main(["build-index", "--db", str(root / "gen.emdb"), "--out", str(root / "built.emix")]) == 0
+argv = ["--steps", "1", "--state-dim", "2", "--token-dim", "1", "--hidden", "2", "--out", str(root / "fm.ckpt")]
+assert main(["train-fm", *argv]) == 0
+db, bundle = load_db(root / "gen.emdb"), load_index_bundle(root / "built.emix")
+save_db(db, root / "saved.emdb")
+save_index(bundle.full, root / "saved.emix")
+save_index_bundle(bundle, root / "bundle.emix")
+save_checkpoint(init_vector_field(2, 1, 8, (2,), seed=0), root / "saved.ckpt")
+save_frames(FrameSequence(np.zeros((3, 2)), 80.0), root / "saved.frames")
+atomic_write_text(root / "saved.txt", "text")
+(root / "old.emdb").write_bytes(b"")
+os.chmod(root / "old.emdb", 0o640)
+save_db(db, root / "old.emdb")  # a replaced file takes the umask's mode too
+"""
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_every_artifact_takes_the_umask_mode(tmp_path, umask):
+    path = os.pathsep.join(filter(None, [str(Path(store.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", _WRITE_EVERY_ARTIFACT, oct(umask), str(tmp_path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert set(modes) == {
+        "gen.emdb", "built.emix", "fm.ckpt", "fm.loss.csv", "saved.emdb", "saved.emix",
+        "bundle.emix", "saved.ckpt", "saved.frames", "saved.txt", "old.emdb",
+    }  # and no temp file left behind
+    assert set(modes.values()) == {0o666 & ~umask}, {name: oct(mode) for name, mode in modes.items()}
 
 
 def test_save_to_directory_raises_oserror(tmp_path):
