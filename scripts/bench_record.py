@@ -1,4 +1,4 @@
-"""Record what the program computes on the benchmark's inputs, or check it against a record.
+"""Record what the program computes on the benchmark's inputs and how fast, or check it against a record.
 
 The outputs block is computed in process, with this checkout's ``src``, from the
 inputs that ``perfbench/gen.py`` writes:
@@ -13,12 +13,20 @@ inputs that ``perfbench/gen.py`` writes:
 - the sha256 of the checkpoint ``emorag train-fm --steps 30 --seed 3`` writes.
 
 Mel and checkpoint bytes depend on the BLAS kernel, so ``--check`` compares them
-only when the BLAS core and the numpy version equal the record's.
+only when the BLAS core and the numpy version equal the record's.  ``--check``
+compares the outputs block only: timings are measurements, not a contract.
 
-    python3 scripts/bench_record.py --outputs-only                  # writes BENCH_<short-sha>.json
+Without ``--outputs-only`` the record also holds a timings block.  It runs
+``perfbench/run.py`` for ``retrieve-gated`` and ``synth`` untraced at seeds 1 and
+1009 and traced at seed 1, each for BENCHMARK.json's ``run_seconds`` and into a
+fresh ``--out`` directory, about six minutes in all.  Per workload it keeps the
+quartiles (q1, median, q3) of every end-to-end metric over the untraced runs,
+with ``setup_s`` also split into its import part and its set-up part, and the
+median of every per-layer metric over the traced runs.
+
+    python3 scripts/bench_record.py                                 # writes BENCH_<short-sha>.json
+    python3 scripts/bench_record.py --outputs-only                  # the same without timings
     python3 scripts/bench_record.py --outputs-only --check BENCH_x.json
-
-Only the outputs half is recorded so far; the timings are not.
 """
 
 import argparse
@@ -26,6 +34,7 @@ import contextlib
 import hashlib
 import io
 import json
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -36,10 +45,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
 import worker  # noqa: E402  (its environment block: CPUs, BLAS, numpy, python)
+from stats import quartiles  # noqa: E402
 from emorag import (  # noqa: E402
     EmbeddingDatabase,
     SynthesisRequest,
-    build_index_bundle,
+    default_k,
+    kmeans_fit,
     load_checkpoint,
     load_db,
     load_embedding_file,
@@ -47,7 +58,7 @@ from emorag import (  # noqa: E402
     retrieve,
     run_inference,
     save_db,
-    save_index_bundle,
+    save_index,
 )
 from emorag.cli import main as emorag_main  # noqa: E402
 
@@ -55,6 +66,7 @@ SEEDS = (1, 1009)
 GATES = (None, "weak", "normal", "strong")
 MODES = (("embedding", "embedding", False), ("embedding+index", "embedding", True), ("clustering", "clustering", True))
 BLAS_BOUND = ("synth", "train-fm")  # outputs whose bytes depend on the BLAS kernel
+TIMED = ("retrieve-gated", "synth")  # the workloads BENCHMARK.json lists
 
 
 def _sha256(path: Path) -> str:
@@ -64,15 +76,15 @@ def _sha256(path: Path) -> str:
 def retrieval_outputs(inputs: Path, manifest: dict) -> dict:
     """Files, fingerprints and every answer of one ``retrieve-gated`` input set."""
     db = load_db(inputs / manifest["db"])
-    bundle = build_index_bundle(db, seed=manifest["seed"])
+    index = kmeans_fit(db, default_k(db), seed=manifest["seed"])
     built = EmbeddingDatabase(db.dim, db.matrix, db.intensity_codes, db.ids, db.labels, db.transcripts, db.audio_refs)
     save_db(db, inputs / "saved.emdb")
-    save_index_bundle(bundle, inputs / "saved.emix")
+    save_index(index, inputs / "saved.emix")
     queries = [load_embedding_file(inputs / q, dim=db.dim) for q in manifest["queries"]]
     answers = {}
     for name, method, indexed in MODES:
         for gate in GATES:
-            results = (retrieve(db, q, method, index=bundle if indexed else None, intensity=gate) for q in queries)
+            results = (retrieve(db, q, method, index=index if indexed else None, intensity=gate) for q in queries)
             answers[f"{name} {gate or 'none'}"] = [
                 f"{r.record_id} {r.similarity.hex()} {r.candidates_scanned}" for r in results
             ]
@@ -88,7 +100,7 @@ def retrieval_outputs(inputs: Path, manifest: dict) -> dict:
 def synth_digest(inputs: Path, manifest: dict) -> str:
     """sha256 over the raw sha256 of each request's mel file, in request order."""
     db = load_db(inputs / manifest["db"])
-    bundle = build_index_bundle(db, seed=manifest["seed"])
+    index = kmeans_fit(db, default_k(db), seed=manifest["seed"])
     model = load_checkpoint(inputs / manifest["checkpoint"])
     token_map = load_token_map(inputs / manifest["token_map"])
     out = inputs / "mel.frames"
@@ -96,7 +108,7 @@ def synth_digest(inputs: Path, manifest: dict) -> str:
     for r in manifest["requests"]:
         query = load_embedding_file(inputs / manifest["queries"][r["query"]], dim=db.dim)
         request = SynthesisRequest(query, r["text"], r["method"], r["intensity"], r["seed"])
-        run_inference(db, model, request, out, index=bundle, token_map=token_map, ode_steps=manifest["ode_steps"])
+        run_inference(db, model, request, out, index=index, token_map=token_map, ode_steps=manifest["ode_steps"])
         combined.update(hashlib.sha256(out.read_bytes()).digest())
     return combined.hexdigest()
 
@@ -124,6 +136,48 @@ def outputs(seeds=SEEDS, train_steps: int = 30) -> dict:
     return block
 
 
+def perfbench_records(work: Path) -> list:
+    """The full records of the perfbench runs the timings block summarizes, each run in a fresh ``--out``."""
+    records = []
+    runs = [(w, seed, 0) for w in TIMED for seed in SEEDS] + [(w, SEEDS[0], 1) for w in TIMED]
+    for i, (workload, seed, trace) in enumerate(runs):
+        out = work / f"run{i}"
+        argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed)]
+        argv += ["--trace", str(trace), "--out", str(out)]
+        print(f"perfbench: {workload} seed {seed} trace {trace}", file=sys.stderr, flush=True)
+        proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"perfbench/run.py {workload} seed {seed} exited with {proc.returncode}: {proc.stderr}")
+        records += [json.loads(path.read_text()) for path in sorted(out.glob("*.json"))]
+    return records
+
+
+def timings(records: list) -> dict:
+    """Per workload: the quartiles of each end-to-end metric over its untraced records, ``setup_s``
+    split into its import part (the median of ``import_s``) and its set-up part (the median of
+    ``setup_rep_s``), and the median of each per-layer metric over its traced records."""
+    block = {}
+    for workload in sorted({r["workload"] for r in records}):
+        plain = [r for r in records if r["workload"] == workload and not r["trace"]]
+        traced = [r for r in records if r["workload"] == workload and r["trace"]]
+        values = {}
+        for r in plain:
+            e2e = dict(r["e2e"], setup_import_s=statistics.median(r["samples"]["import_s"]))
+            e2e["setup_set_up_s"] = statistics.median(r["samples"]["setup_rep_s"])
+            for name, value in e2e.items():
+                if value is not None:
+                    values.setdefault(name, []).append(value)
+        layers = traced[0]["layers"] if traced else {}
+        block[workload] = {
+            "seeds": [r["seed"] for r in plain],
+            "seconds": sorted({r["seconds"] for r in plain + traced}),
+            "correct": all(r["correct"] for r in plain + traced),
+            "end_to_end": {name: dict(zip(("q1", "median", "q3"), quartiles(v))) for name, v in values.items()},
+            "per_layer": {name: statistics.median(r["layers"][name] for r in traced) for name in layers},
+        }
+    return block
+
+
 def differences(want, got, where: str = "") -> list:
     """One line per leaf that differs between two JSON values."""
     if isinstance(want, dict) and isinstance(got, dict):
@@ -144,11 +198,9 @@ def _git(*args):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--outputs-only", action="store_true", help="record or check the outputs block only")
+    parser.add_argument("--outputs-only", action="store_true", help="record the outputs block without timings")
     parser.add_argument("--check", type=Path, default=None, help="compare with this BENCH_*.json file")
     args = parser.parse_args()
-    if not args.outputs_only:
-        parser.error("only the outputs block is recorded so far: pass --outputs-only")
     env = worker.environment()
     got = outputs()
     if args.check is None:
@@ -159,6 +211,9 @@ def main() -> int:
             "environment": env,
             "outputs": got,
         }
+        if not args.outputs_only:
+            with tempfile.TemporaryDirectory() as tmp:
+                record["timings"] = timings(perfbench_records(Path(tmp)))
         path = ROOT / f"BENCH_{sha or 'unknown'}.json"
         path.write_text(json.dumps(record, indent=1) + "\n")
         print(f"wrote {path}")

@@ -1,7 +1,7 @@
 """Build a self-contained demo workspace for the synth command.
 
-Creates, under a target directory: a synthetic emotion database, the cluster
-index bundle, one token-frame file per record plus the JSON token map, a
+Creates, under a target directory: a synthetic emotion database, its cluster
+index, one token-frame file per record plus the JSON token map, a
 trained vector-field checkpoint, and a query embedding taken from one of the
 records.  Prints the ``emorag synth`` invocation that ties them together.
 
@@ -18,14 +18,15 @@ from emorag import (
     FlowTrainConfig,
     FrameSequence,
     SyntheticDatasetConfig,
-    build_index_bundle,
+    default_k,
     generate_synthetic_db,
     init_vector_field,
+    kmeans_fit,
     linear_map_task,
     save_checkpoint,
     save_db,
     save_frames,
-    save_index_bundle,
+    save_index,
     train_vector_field,
 )
 from emorag.pipeline import SPEAKER_DIM
@@ -59,7 +60,7 @@ def main() -> int:
     print(f"database: {db_path} ({len(db)} records, dim {db.dim})")
 
     index_path = root / "db.emix"
-    save_index_bundle(build_index_bundle(db, seed=args.seed), index_path)
+    save_index(kmeans_fit(db, default_k(db), seed=args.seed), index_path)
     print(f"index:    {index_path}")
 
     token_dir = root / "tokens"

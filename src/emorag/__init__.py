@@ -41,7 +41,6 @@ from .store import (
 )
 from .retrieval import (
     ClusterIndex,
-    IndexBundle,
     RetrievalMethod,
     RetrievalResult,
     build_index_bundle,

@@ -18,7 +18,8 @@ with it), each clustered query's gate, the cluster it probes and that
 cluster's rows at the gate, a clustered probe that falls back to scanning the
 gate's rows (and how many) because the cluster has none there, and k-means
 reseeding an empty cluster.  ``synth`` adds the nanoseconds each of its file
-loads took to its report as ``load_timings_ns``.
+loads took to its report as ``load_timings_ns``.  ``build-index`` writes one
+:class:`~emorag.retrieval.ClusterIndex`, which serves both methods and every gate.
 All stochastic commands take ``--seed`` (a non-negative integer, default 0)
 so documented invocations reproduce byte-for-byte.  A flag that several
 subcommands take is declared once, and ``retrieve`` and ``synth`` load the
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import __version__
@@ -59,13 +59,7 @@ from .pipeline import (
     run_inference,
     write_report,
 )
-from .retrieval import (
-    RetrievalMethod,
-    build_index_bundle,
-    load_index_bundle,
-    retrieve,
-    save_index_bundle,
-)
+from .retrieval import RetrievalMethod, default_k, kmeans_fit, load_index, retrieve, save_index
 from .store import load_db, load_manifest, save_db
 from .synthbench import (
     DEFAULT_DIM,
@@ -79,7 +73,7 @@ from .synthbench import (
     generate_synthetic_db,
     run_benchmark,
 )
-from .util import atomic_write_text, configure_logging
+from .util import atomic_write_text, configure_logging, timed
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -124,24 +118,20 @@ def _need_file(path, what: str) -> Path:
     return p
 
 
-def _timed_load(load_ns: dict, name: str, path, what: str, load):
-    """``load(path)`` of a file that must exist; its nanoseconds go to ``load_ns[name]``."""
-    t0 = time.perf_counter_ns()
-    value = load(_need_file(path, what))
-    load_ns[name] = time.perf_counter_ns() - t0
-    return value
+def _timed_load(load_ns: dict, name: str, path, what: str, load, **kwargs):
+    """``load(path, **kwargs)`` of a file that must exist; its nanoseconds go to ``load_ns[name]``."""
+    return timed(load_ns, name, load, _need_file(path, what), **kwargs)
 
 
 def _retrieval_inputs(args, load_ns: dict) -> tuple:
-    """``(db, query, index)`` named by the flags ``retrieve`` and ``synth`` share;
-    ``index`` is the bundle at ``--index`` whenever it is given, for either method, else None."""
+    """``(db, query, index)`` named by the flags ``retrieve`` and ``synth`` share; ``index`` is
+    the :class:`~emorag.retrieval.ClusterIndex` at ``--index`` whenever it is given, for either
+    method, else None."""
     if args.method == "clustering" and not args.index:
         raise argparse.ArgumentError(None, "--index is required with --method clustering")
     db = _timed_load(load_ns, "database", args.db, "database", load_db)
-    query = _timed_load(
-        load_ns, "query", args.query, "query embedding", lambda p: load_embedding_file(p, dim=db.dim)
-    )
-    index = _timed_load(load_ns, "index", args.index, "cluster index", load_index_bundle) if args.index else None
+    query = _timed_load(load_ns, "query", args.query, "query embedding", load_embedding_file, dim=db.dim)
+    index = _timed_load(load_ns, "index", args.index, "cluster index", load_index) if args.index else None
     return db, query, index
 
 
@@ -174,9 +164,9 @@ def cmd_import_db(args) -> int:
 
 def cmd_build_index(args) -> int:
     db = load_db(_need_file(args.db, "database"))
-    bundle = build_index_bundle(db, args.k, seed=args.seed)
-    save_index_bundle(bundle, args.out)
-    print(f"wrote cluster index (k={bundle.full.k}) to {args.out}; it serves every intensity gate")
+    index = kmeans_fit(db, default_k(db) if args.k is None else args.k, seed=args.seed)
+    save_index(index, args.out)
+    print(f"wrote cluster index (k={index.k}) to {args.out}; it serves every intensity gate")
     return EXIT_OK
 
 

@@ -11,16 +11,15 @@ Acoustic modelling is out of scope here, so the token generator is a
 deterministic mock: it prefixes the stored prompt tokens and appends
 pseudo-random frames, four per target character at 50 Hz.
 
-Every stage is timed and failures are wrapped in :class:`StageError` naming
-the stage, so a caller can tell a retrieval problem from a broken checkpoint
-without parsing messages.
+Every stage is timed by :func:`~emorag.util.timed` and its failures are wrapped
+in :class:`StageError` naming the stage, so a caller can tell a retrieval problem
+from a broken checkpoint without parsing messages.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,7 +37,7 @@ from .flow import (
 )
 from .retrieval import RetrievalMethod, RetrievalResult, retrieve
 from .store import EmbeddingDatabase, EmotionEmbedding, IntensityLevel, json_vector
-from .util import atomic_write_text, read_json, seeded_rng, whole
+from .util import atomic_write_text, read_json, seeded_rng, timed, whole
 
 FRAMES_PER_CHAR = 4
 SPEAKER_DIM = 8
@@ -168,43 +167,31 @@ def run_inference(
 ) -> dict:
     """Full pipeline; returns the inference report as a plain dict.
 
-    Stage order: retrieval → prompt_assembly → token_generation →
-    flow_matching → write_output.  A failure anywhere raises
-    :class:`StageError` carrying the stage name and the original exception.
+    ``index`` is ``db``'s :class:`~emorag.retrieval.ClusterIndex` or None.  Stage order:
+    retrieval → prompt_assembly → token_generation → flow_matching → write_output.
+    ``ode_steps`` (an integer >= 1) is checked before the first stage.  A failure
+    in a stage raises :class:`StageError` carrying the stage name and the original exception.
     """
-    timings = {}
-    t_start = time.perf_counter_ns()
+    ode_steps = whole(ode_steps, 1, "ode_steps")
+    timings, total = {}, {}
 
-    def timed(stage, fn):
-        t0 = time.perf_counter_ns()
+    def stage(name, fn, *args, **kwargs):
         try:
-            value = fn()
+            return timed(timings, name, fn, *args, **kwargs)
         except Exception as exc:
-            raise StageError(stage, exc) from exc
-        timings[stage] = time.perf_counter_ns() - t0
-        return value
+            raise StageError(name, exc) from exc
 
-    result = timed(
-        "retrieval",
-        lambda: retrieve(
-            db,
-            request.reference,
-            request.method,
-            index=index,
-            intensity=request.intensity,
-        ),
-    )
-    assembly = timed(
-        "prompt_assembly", lambda: assemble_prompt(db, result, request, token_map)
-    )
-    tokens = timed("token_generation", lambda: mock_generate_tokens(assembly, request.seed))
-    mel = timed(
-        "flow_matching",
-        lambda: generate_mel(model, tokens, assembly.speaker, n_steps=ode_steps, seed=request.seed),
-    )
-    timed("write_output", lambda: save_frames(mel, output_path))
-    total = time.perf_counter_ns() - t_start
+    def stages():
+        found = stage(
+            "retrieval", retrieve, db, request.reference, request.method, index=index, intensity=request.intensity
+        )
+        assembly = stage("prompt_assembly", assemble_prompt, db, found, request, token_map)
+        tokens = stage("token_generation", mock_generate_tokens, assembly, request.seed)
+        mel = stage("flow_matching", generate_mel, model, tokens, assembly.speaker, n_steps=ode_steps, seed=request.seed)
+        stage("write_output", save_frames, mel, output_path)
+        return found
 
+    result = timed(total, "total", stages)
     return {
         "retrieved_id": result.record_id,
         "similarity": result.similarity,
@@ -212,7 +199,7 @@ def run_inference(
         "intensity": request.intensity.value if request.intensity is not None else None,
         "candidates_scanned": result.candidates_scanned,
         "stage_timings_ns": timings,
-        "total_ns": total,
+        "total_ns": total["total"],
         "output_path": str(output_path),
         "seed": request.seed,
     }

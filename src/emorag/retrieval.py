@@ -308,10 +308,10 @@ def retrieve_clustering_based(
 
 @dataclass(eq=False)
 class IndexBundle:
-    """A database's one cluster index, ``full``, as ``build-index`` writes it.
+    """The benchmark worker's name for a :class:`ClusterIndex`, ``full``, kept until the worker uses one.
 
-    It serves both methods and every intensity gate, since a query that has it reads
-    its inverted lists; so :meth:`for_level` returns ``full`` for every level.
+    One index serves both methods and every intensity gate, so :meth:`for_level` returns
+    ``full`` for every level.
     """
 
     full: ClusterIndex
@@ -323,11 +323,9 @@ class IndexBundle:
         return self.full
 
 
-def build_index_bundle(
-    db: EmbeddingDatabase, k: int | None = None, *, seed: int = 0
-) -> IndexBundle:
-    """Fit spherical k-means once over ``db`` (``k=None``: :func:`default_k`)."""
-    return IndexBundle(kmeans_fit(db, k if k is not None else default_k(db), seed=seed))
+def build_index_bundle(db: EmbeddingDatabase, *, seed: int = 0) -> IndexBundle:
+    """:func:`kmeans_fit` of ``db`` with :func:`default_k` clusters, as an :class:`IndexBundle`."""
+    return IndexBundle(kmeans_fit(db, default_k(db), seed=seed))
 
 
 def retrieve(
@@ -335,7 +333,7 @@ def retrieve(
     query: EmotionEmbedding,
     method: RetrievalMethod,
     *,
-    index: "IndexBundle | ClusterIndex | None" = None,
+    index: ClusterIndex | None = None,
     intensity: IntensityLevel | None = None,
 ) -> RetrievalResult:
     """The one search: optional intensity gate, then the chosen strategy (``elapsed_ns`` covers both).
@@ -343,8 +341,8 @@ def retrieve(
     Gating searches ``db``'s rows at that level and builds no database, so only records at that
     level compete; an empty gate raises :class:`EmptySubsetError`.  An intensity gate's subset is
     answered as its parent at its level, unless ``index`` was fit on the subset itself.  ``db``'s
-    cluster index, as an :class:`IndexBundle` or a bare :class:`ClusterIndex`, serves both methods,
-    gated or not, and is checked to cover the database whenever given; clustering needs it.  A
+    :class:`ClusterIndex` serves both methods, gated or not, and is checked to cover the database
+    whenever given; clustering needs it.  A
     query with the index reads its inverted lists, else the level rows.  An exhaustive query scans
     the gate's range; a clustered one scans its nearest centroid's block at each gated level, or
     that range if they are empty.
@@ -354,7 +352,7 @@ def retrieve(
     level = None if intensity is None else IntensityLevel.parse(intensity)
     if level is not None and not db._level_counts[level.wire_code]:
         raise EmptySubsetError(level.value)
-    index = index.full if isinstance(index, IndexBundle) else index
+    index = index.full if isinstance(index, IndexBundle) else index  # the benchmark worker's bundle
     if index is None and method is RetrievalMethod.CLUSTERING:
         raise MissingIndexError("clustering retrieval requires a cluster index")
     if len(db) == 0:

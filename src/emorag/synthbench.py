@@ -8,7 +8,8 @@ truth, so accuracy has an unambiguous oracle.
 
 The benchmark grid crosses retrieval methods with database sizes, reporting
 accuracy plus mean and p95 per-query latency after a fixed number of
-discarded warm-up queries.  Accuracy is exactly reproducible under the seed;
+discarded warm-up queries.  Its cells advance through their queries in
+interleaved rounds, so a slow spell on a shared host slows every cell alike.  Accuracy is exactly reproducible under the seed;
 latency is whatever the machine gives you, so only orderings and ratios are
 meaningful.  Those ratios hold because retrieval scores each row with its own
 dot product (see :mod:`emorag.retrieval`), which runs on one core whatever
@@ -37,6 +38,7 @@ DEFAULT_SIGMA = 0.05
 DEFAULT_SPREAD = 10.0
 DEFAULT_MIX = (0.25, 0.5, 0.25)
 WARMUP_QUERIES = 10
+ROUND_QUERIES = 50
 
 
 def emotion_label(i: int) -> str:
@@ -162,6 +164,29 @@ def _p95_nearest_rank(latencies: list) -> int:
     return int(ordered[rank - 1])
 
 
+class _Cell:
+    """One (method, database) cell, warmed up untimed on creation; :meth:`run` times a slice of its queries."""
+
+    def __init__(self, db: EmbeddingDatabase, method: RetrievalMethod, query_set: list, index, warmup: int):
+        if not query_set:
+            raise InvalidParameterError("query set must be non-empty")
+        self.db, self.method, self.query_set, self.index = db, method, query_set, index
+        self.label_of, self.latencies, self.scans, self.matched = dict(zip(db.ids, db.labels)), [], [], 0
+        for query, _ in query_set[: whole(warmup, 0, "warmup")]:
+            retrieve(db, query, method, index=index)
+
+    def run(self, start: int, stop: int) -> None:
+        for query, truth in self.query_set[start:stop]:
+            result = retrieve(self.db, query, self.method, index=self.index)
+            self.latencies.append(result.elapsed_ns)
+            self.scans.append(result.candidates_scanned)
+            self.matched += self.label_of[result.record_id] == truth
+
+    def result(self) -> BenchResult:
+        n, mean = len(self.query_set), int(round(sum(self.latencies) / len(self.latencies)))
+        return BenchResult(self.method, len(self.db), self.matched / n, mean, _p95_nearest_rank(self.latencies), n)
+
+
 def run_cell(
     db: EmbeddingDatabase,
     method: RetrievalMethod,
@@ -176,28 +201,9 @@ def run_cell(
     ``warmup`` queries (an integer >= 0) run untimed to populate lazy caches
     before anything is recorded.
     """
-    if not query_set:
-        raise InvalidParameterError("query set must be non-empty")
-    for query, _ in query_set[: whole(warmup, 0, "warmup")]:
-        retrieve(db, query, method, index=index)
-    latencies = []
-    scans = []
-    matched = 0
-    label_of = dict(zip(db.ids, db.labels))
-    for query, truth in query_set:
-        result = retrieve(db, query, method, index=index)
-        latencies.append(result.elapsed_ns)
-        scans.append(result.candidates_scanned)
-        matched += label_of[result.record_id] == truth
-    bench = BenchResult(
-        method=method,
-        db_size=len(db),
-        accuracy=matched / len(query_set),
-        mean_latency_ns=int(round(sum(latencies) / len(latencies))),
-        p95_latency_ns=_p95_nearest_rank(latencies),
-        queries=len(query_set),
-    )
-    return bench, scans
+    cell = _Cell(db, method, query_set, index, warmup)
+    cell.run(0, len(query_set))
+    return cell.result(), cell.scans
 
 
 def run_benchmark(
@@ -214,8 +220,11 @@ def run_benchmark(
 
     Databases and query sets are built once per size with seeds derived from
     the top-level seed, so the two methods in one size answer exactly the
-    same queries.  A size's cluster index is fitted just before its first
-    clustering cell.  Sizes must be integers divisible by ``num_emotions``.
+    same queries.  Every clustering size's index is fitted, and every cell
+    warmed up, before the first timed query; then all cells advance through
+    their queries together, :data:`ROUND_QUERIES` at a time.  A clustering
+    cell reads its index, an exhaustive one its database's level rows.  Sizes
+    must be integers divisible by ``num_emotions``.
     """
     if cells is None:
         cells = [(m, s) for m in (RetrievalMethod.EMBEDDING, RetrievalMethod.CLUSTERING) for s in DEFAULT_SIZES]
@@ -228,31 +237,22 @@ def run_benchmark(
     built = {}
     for size in sizes:
         if size % num_emotions != 0:
-            raise InvalidParameterError(
-                f"database size {size} is not a multiple of num_emotions={num_emotions}"
-            )
-        db_seed = seed * 1_000_003 + size
+            raise InvalidParameterError(f"database size {size} is not a multiple of num_emotions={num_emotions}")
         config = SyntheticDatasetConfig(
-            num_emotions=num_emotions,
-            dim=dim,
-            records_per_emotion=size // num_emotions,
-            cluster_sigma=cluster_sigma,
-            center_spread=center_spread,
-            seed=db_seed,
+            num_emotions, dim, size // num_emotions, cluster_sigma, center_spread, seed=seed * 1_000_003 + size
         )
-        db = generate_synthetic_db(config)
-        built[size] = [db, make_query_set(config, n_queries, db_seed + 500_009), None]
+        built[size] = (generate_synthetic_db(config), make_query_set(config, n_queries, config.seed + 500_009))
 
-    results = []
-    for method, size in cells:
-        db, queries, index = built[size]
-        if method is RetrievalMethod.CLUSTERING and index is None:
-            # fitted here, not up front, so that no earlier cell is timed while
-            # BLAS threads from k-means' products are still spinning
-            index = built[size][2] = kmeans_fit(db, default_k(db), seed=seed)
-        bench, _ = run_cell(db, method, queries, index=index)
-        results.append(bench)
-    return results
+    clustered = sorted({s for m, s in cells if m is RetrievalMethod.CLUSTERING})
+    indexes = {s: kmeans_fit(built[s][0], default_k(built[s][0]), seed=seed) for s in clustered}
+    runs = [
+        _Cell(built[s][0], m, built[s][1], indexes[s] if m is RetrievalMethod.CLUSTERING else None, WARMUP_QUERIES)
+        for m, s in cells
+    ]
+    for start in range(0, n_queries, ROUND_QUERIES):
+        for cell in runs:
+            cell.run(start, start + ROUND_QUERIES)
+    return [cell.result() for cell in runs]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,14 @@ def whole(value, least: int, what: str) -> int:
 def seeded_rng(seed) -> np.random.Generator:
     """The generator of ``seed``, which must be a whole number >= 0 (see :func:`whole`)."""
     return np.random.default_rng(whole(seed, 0, "seed"))
+
+
+def timed(timings: dict, name: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, whose nanoseconds go to ``timings[name]`` if it returns."""
+    t0 = time.perf_counter_ns()
+    value = fn(*args, **kwargs)
+    timings[name] = time.perf_counter_ns() - t0
+    return value
 
 
 def read_json(path, what: str):

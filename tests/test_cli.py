@@ -10,7 +10,9 @@ import pytest
 
 from emorag import (
     IntensityLevel,
+    default_k,
     init_vector_field,
+    kmeans_fit,
     load_checkpoint,
     load_db,
     load_frames,
@@ -18,6 +20,7 @@ from emorag import (
     save_checkpoint,
     save_db,
     save_frames,
+    save_index,
 )
 from emorag import flow
 from emorag.cli import build_parser, main
@@ -276,6 +279,25 @@ def test_build_index_rejects_oversized_k(tmp_path, capsys):
     _, db_path = make_db_file(tmp_path)
     code = main(["build-index", "--db", str(db_path), "--k", "99", "--out", str(tmp_path / "o.emix")])
     assert code == 5
+
+
+@pytest.mark.parametrize("k", [None, 1, 5])
+def test_build_index_writes_the_bytes_of_save_index(tmp_path, capsys, k):
+    db, db_path = make_db_file(tmp_path)
+    out, want = tmp_path / "cli.emix", tmp_path / "api.emix"
+    argv = ["build-index", "--db", str(db_path), "--seed", "3", "--out", str(out)]
+    assert main(argv if k is None else [*argv, "--k", str(k)]) == 0
+    save_index(kmeans_fit(db, default_k(db) if k is None else k, seed=3), want)
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_build_index_rejects_k_below_one(tmp_path, capsys, k):
+    _, db_path = make_db_file(tmp_path)
+    out = tmp_path / "o.emix"
+    assert main(["build-index", "--db", str(db_path), "--k", k, "--out", str(out)]) == 5
+    assert f"k must be an integer >= 1, got {int(k)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_build_index_missing_db(tmp_path, capsys):
@@ -663,6 +685,13 @@ def test_synth_malformed_token_frames_is_invalid(synth_space, tmp_path, capsys):
     argv[argv.index("--tokens") + 1] = str(token_map)
     assert main(argv) == 5
     assert "frames header declares -2 frames of dim -4" in capsys.readouterr().err
+
+
+def test_synth_zero_ode_steps_fails_before_any_stage(synth_space, tmp_path, capsys):
+    out = tmp_path / "mel.frames"
+    assert main([*synth_argv(synth_space, out), "--ode-steps", "0"]) == 5
+    assert capsys.readouterr().err == "error: ode_steps must be an integer >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_synth_clustering_requires_index(synth_space, tmp_path, capsys):

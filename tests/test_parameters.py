@@ -160,4 +160,4 @@ def test_defaulted_parameter_count():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
-    assert count == 28
+    assert count == 27

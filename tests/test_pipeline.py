@@ -17,10 +17,10 @@ from emorag import (
     StageError,
     SynthesisRequest,
     assemble_prompt,
-    build_index_bundle,
     derive_speaker,
     generate_mel,
     init_vector_field,
+    kmeans_fit,
     load_embedding_file,
     load_frames,
     load_token_map,
@@ -311,12 +311,12 @@ def test_run_inference_intensity_gate_picks_gated_record(assets, tmp_path):
     assert report["candidates_scanned"] == 1
 
 
-def test_run_inference_clustering_uses_bundle(assets, tmp_path):
+def test_run_inference_clustering_uses_index(assets, tmp_path):
     db, model, token_map = assets
-    bundle = build_index_bundle(db, k=1, seed=0)
+    index = kmeans_fit(db, 1, seed=0)
     req = make_request(db, record_pos=1, method="clustering")
     report = run_inference(
-        db, model, req, tmp_path / "mel.frames", index=bundle, token_map=token_map
+        db, model, req, tmp_path / "mel.frames", index=index, token_map=token_map
     )
     assert report["retrieved_id"] == "rec1"
     assert report["method"] == "clustering"
@@ -352,6 +352,22 @@ def test_stage_error_names_failing_stage(assets, tmp_path):
         run_inference(db, narrow, make_request(db), out, token_map=token_map)
     assert info.value.stage == "flow_matching"
     assert isinstance(info.value.__cause__, DimensionMismatchError)
+
+
+@pytest.mark.parametrize("steps", [0, -1, 2.0, True, "4"])
+def test_bad_ode_steps_fail_before_the_first_stage(assets, tmp_path, monkeypatch, steps):
+    from emorag import pipeline
+
+    db, model, token_map = assets
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("retrieval ran before ode_steps was checked")
+
+    monkeypatch.setattr(pipeline, "retrieve", unreachable)
+    out = tmp_path / "mel.frames"
+    with pytest.raises(InvalidParameterError, match="ode_steps must be an integer >= 1"):
+        run_inference(db, model, make_request(db), out, token_map=token_map, ode_steps=steps)
+    assert not out.exists()
 
 
 def test_write_report_round_trips(assets, tmp_path):

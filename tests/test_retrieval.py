@@ -21,7 +21,6 @@ from emorag import (
     EmptyDatabaseError,
     EmptySubsetError,
     FormatError,
-    IndexBundle,
     IntensityLevel,
     InvalidIntensityError,
     InvalidParameterError,
@@ -44,6 +43,7 @@ from emorag import (
     save_index_bundle,
 )
 from emorag.retrieval import (
+    IndexBundle,
     _scan_argmax,
     deserialize_index,
     serialize_index,
@@ -428,9 +428,9 @@ def _ties_to_first(vectors, query_row):
         retrieve_clustering_based(db, kmeans_fit(db, 1), query).record_id,
     ]
     mixed = _interleaved(vectors)
-    bundle = build_index_bundle(mixed, 1)
+    index = kmeans_fit(mixed, 1)
     for method in RetrievalMethod:
-        rid = retrieve(mixed, query, method, index=bundle, intensity="weak").record_id
+        rid = retrieve(mixed, query, method, index=index, intensity="weak").record_id
         got.append(f"rec{int(rid[3:]) // 2}")  # weak record 2i holds vectors[i]
     # the query row strong, every other row weak: an ungated cluster slice holds the
     # weak block first, so a copy precedes the original there
@@ -538,7 +538,7 @@ def test_cluster_index_validation():
 def test_bundle_for_level_takes_a_level_name():
     # one index serves every level, the one without records included
     db = build_db(np.eye(2, dtype=np.float32), intensities=["weak", "normal"])
-    bundle = build_index_bundle(db, 1)
+    bundle = IndexBundle(kmeans_fit(db, 1))
     for level in ("weak", "WEAK", IntensityLevel.WEAK, "strong", IntensityLevel.STRONG, None):
         assert bundle.for_level(level) is bundle.full
     with pytest.raises(InvalidIntensityError):
@@ -790,7 +790,7 @@ def test_retrieve_gate_restricts_candidates():
 @pytest.mark.parametrize("method", ["embedding", "clustering"])
 def test_retrieve_elapsed_includes_the_gate(monkeypatch, method):
     db = _gated_db()
-    bundle = build_index_bundle(db, 2, seed=0)
+    index = kmeans_fit(db, 2, seed=0)
     parse = IntensityLevel.parse
 
     def slow_gate(cls, level):
@@ -799,7 +799,7 @@ def test_retrieve_elapsed_includes_the_gate(monkeypatch, method):
 
     # the gate's first step parses its level; the rest is the level slice's scan
     monkeypatch.setattr(IntensityLevel, "parse", classmethod(slow_gate))
-    result = retrieve(db, EmotionEmbedding(db.matrix[0]), method, index=bundle, intensity="weak")
+    result = retrieve(db, EmotionEmbedding(db.matrix[0]), method, index=index, intensity="weak")
     assert result.elapsed_ns >= 50_000_000
 
 
@@ -822,12 +822,12 @@ def test_retrieve_gated_clustering_uses_level_index():
 
 def test_retrieve_gated_clustering_accepts_a_bare_index():
     db = _gated_db()
-    bundle = build_index_bundle(db, 2, seed=0)
+    index = kmeans_fit(db, 2, seed=0)
     for row in range(len(db)):
         q = EmotionEmbedding(db.matrix[row])
         for level in LEVELS[:2]:
-            got = retrieve(db, q, "clustering", index=bundle.full, intensity=level)
-            _same_result(got, retrieve(db, q, "clustering", index=bundle, intensity=level))
+            got = retrieve(db, q, "clustering", index=index, intensity=level)
+            _same_result(got, retrieve(db, q, "clustering", index=IndexBundle(index), intensity=level))
 
 
 def test_gate_of_another_database_raises_stale():
@@ -848,9 +848,9 @@ def test_gate_of_another_database_raises_stale():
 
 def test_dropped_database_is_freed_without_the_cyclic_collector():
     db = _gated_db()
-    bundle = build_index_bundle(db, 2, seed=0)
+    index = kmeans_fit(db, 2, seed=0)
     for level in LEVELS[:2]:
-        retrieve(db, EmotionEmbedding(db.matrix[0]), "clustering", index=bundle, intensity=level)
+        retrieve(db, EmotionEmbedding(db.matrix[0]), "clustering", index=index, intensity=level)
     parent = weakref.ref(db)
     gc.disable()
     try:
@@ -864,10 +864,11 @@ def test_build_index_bundle_defaults_and_limits():
     db = _gated_db()
     bundle = build_index_bundle(db, seed=0)
     assert bundle.full.k == default_k(db)
+    assert serialize_index(bundle.full) == serialize_index(kmeans_fit(db, default_k(db), seed=0))
     # k only has to fit the whole database, not the 6-record weak level it also serves
-    assert build_index_bundle(db, k=7, seed=0).full.k == 7
+    assert kmeans_fit(db, 7, seed=0).k == 7
     with pytest.raises(InvalidParameterError):
-        build_index_bundle(db, k=13, seed=0)  # the database has 12 records
+        kmeans_fit(db, 13, seed=0)  # the database has 12 records
 
 
 def test_one_fit_serves_every_level(tmp_path, monkeypatch):
@@ -875,7 +876,7 @@ def test_one_fit_serves_every_level(tmp_path, monkeypatch):
     fits = []
     fit = retrieval.kmeans_fit
     monkeypatch.setattr(retrieval, "kmeans_fit", lambda *a, **kw: fits.append(a) or fit(*a, **kw))
-    bundle = build_index_bundle(db, 3, seed=0)
+    bundle = build_index_bundle(db, seed=0)  # random_db draws 3 labels
     assert len(fits) == 1
     save_index_bundle(bundle, tmp_path / "db.emix")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["db.emix"]
@@ -984,15 +985,15 @@ def test_repeated_gated_clustering_serializes_nothing(tmp_path, monkeypatch):
 
 def test_gated_retrieve_builds_no_database(monkeypatch):
     db = random_db(np.random.default_rng(6), n=60, dim=6)
-    bundle = build_index_bundle(db, 3, seed=0)
+    index = kmeans_fit(db, 3, seed=0)
     queries = [EmotionEmbedding(db.matrix[i]) for i in range(0, 60, 7)]
     built = []
     init = EmbeddingDatabase.__post_init__
     monkeypatch.setattr(EmbeddingDatabase, "__post_init__", lambda d: built.append(d) or init(d))
     for lvl in LEVELS:
-        for method, index in (("embedding", None), ("embedding", bundle), ("clustering", bundle)):
+        for method, given in (("embedding", None), ("embedding", index), ("clustering", index)):
             for q in queries:
-                retrieve(db, q, method, index=index, intensity=lvl)
+                retrieve(db, q, method, index=given, intensity=lvl)
     assert built == []
 
 
@@ -1030,18 +1031,18 @@ def test_level_rows_are_a_readonly_grouped_copy():
 
 def test_retrieve_on_a_gates_subset():
     db = _gated_db()
-    bundle = build_index_bundle(db, 2, seed=0)
+    index = kmeans_fit(db, 2, seed=0)
     weak = filter_by_intensity(db, "weak")
     hand = hand_filtered(db, IntensityLevel.WEAK)
     for row in range(len(db)):
         q = EmotionEmbedding(db.matrix[row])
         for lvl in (None, "weak"):
             _same_result(retrieve(weak, q, "embedding", intensity=lvl), retrieve_embedding_based(hand, q))
-            got = retrieve(weak, q, "clustering", index=bundle, intensity=lvl)
-            _same_result(got, retrieve(db, q, "clustering", index=bundle, intensity="weak"))
+            got = retrieve(weak, q, "clustering", index=index, intensity=lvl)
+            _same_result(got, retrieve(db, q, "clustering", index=index, intensity="weak"))
         for method in RetrievalMethod:
             with pytest.raises(EmptySubsetError):
-                retrieve(weak, q, method, index=bundle, intensity="normal")
+                retrieve(weak, q, method, index=index, intensity="normal")
 
 
 def test_gate_error_precedence():
@@ -1175,19 +1176,19 @@ def test_gate_logs_once_per_level(caplog):
 
 def test_clustered_query_logs_its_index(caplog):
     db = _gated_db()
-    bundle = build_index_bundle(db, 2, seed=0)
+    index = kmeans_fit(db, 2, seed=0)
     q = EmotionEmbedding(db.matrix[0])
     caplog.set_level(logging.INFO, logger="emorag")
-    retrieve(db, q, "clustering", index=bundle, intensity="weak")
+    retrieve(db, q, "clustering", index=index, intensity="weak")
     retrieve(db, q, "embedding", intensity="weak")  # groups the level rows, unlogged
     assert caplog.records == []
     caplog.set_level(logging.DEBUG, logger="emorag")
     retrieve(db, q, "embedding")
     retrieve(db, q, "embedding", intensity="weak")
     assert caplog.records == []
-    retrieve(db, q, "clustering", index=bundle)
-    retrieve(db, q, "clustering", index=bundle, intensity="normal")
-    retrieve(db, q, "clustering", index=bundle.full, intensity="weak")
+    retrieve(db, q, "clustering", index=index)
+    retrieve(db, q, "clustering", index=index, intensity="normal")
+    retrieve(db, q, "clustering", index=index, intensity="weak")
     assert [r.getMessage() for r in caplog.records] == [
         "clustered query: gate none, cluster 1 of k=2 holds 8 rows",
         "clustered query: gate normal, cluster 1 of k=2 holds 3 rows",

@@ -3,9 +3,12 @@
 import importlib.util
 import os
 import shlex
+import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import emorag
 
@@ -66,3 +69,35 @@ def test_outputs_block_is_deterministic_and_sees_one_ulp(tmp_path, monkeypatch):
     changed = [line.split(":")[0] for line in bench.differences(first, nudged)]
     for key in ("emdb_sha256", "emix_sha256", "fingerprint_loaded", "fingerprint_built"):
         assert f"/retrieve-gated/seed 5/{key}" in changed
+
+
+def _perfbench_record(seed, trace, latency, import_s, setup_rep_s, layers=None):
+    """A made-up ``perfbench/run.py --out`` record: only the fields the timings block reads."""
+    e2e = {"setup_s": statistics.median(import_s) + statistics.median(setup_rep_s), "latency_p50_ms": latency}
+    record = {"workload": "synth", "seed": seed, "trace": trace, "seconds": 48.0, "correct": True}
+    record.update(e2e=dict(e2e, latency_p95_ms=None), samples={"import_s": import_s, "setup_rep_s": setup_rep_s})
+    return record if layers is None else dict(record, layers=layers)
+
+
+def test_timings_block_summarizes_untraced_and_traced_records(monkeypatch):
+    bench = _bench_record(monkeypatch)
+    records = [
+        _perfbench_record(1, 0, 8.0, [0.1, 0.3, 0.2], [0.05, 0.07, 0.06]),
+        _perfbench_record(1009, 0, 10.0, [0.4, 0.2, 0.3], [0.02, 0.04, 0.03]),
+        _perfbench_record(1, 1, 99.0, [9.0], [9.0], layers={"flow.ode_ms": 6.5, "pipeline.stage_failures": 0}),
+    ]
+    block = bench.timings(records)
+    assert list(block) == ["synth"]
+    synth = block["synth"]
+    assert (synth["seeds"], synth["seconds"], synth["correct"]) == ([1, 1009], [48.0], True)
+    e2e = synth["end_to_end"]
+    assert set(e2e) == {"setup_s", "latency_p50_ms", "setup_import_s", "setup_set_up_s"}  # None is left out
+    assert e2e["latency_p50_ms"] == dict(zip(("q1", "median", "q3"), statistics.quantiles([8.0, 10.0], n=4)))
+    assert e2e["latency_p50_ms"]["median"] == 9.0
+    assert e2e["setup_import_s"]["median"] == pytest.approx(0.25)  # medians 0.2 and 0.3 per run
+    assert e2e["setup_set_up_s"]["median"] == pytest.approx(0.045)  # 0.06 and 0.03
+    # each run's two parts add up to its setup_s, so over two runs the medians do too
+    assert e2e["setup_import_s"]["median"] + e2e["setup_set_up_s"]["median"] == pytest.approx(e2e["setup_s"]["median"])
+    assert synth["per_layer"] == {"flow.ode_ms": 6.5, "pipeline.stage_failures": 0}
+    records[2]["correct"] = False
+    assert bench.timings(records)["synth"]["correct"] is False

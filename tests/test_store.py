@@ -631,7 +631,7 @@ def test_column_checks_name_the_first_bad_record():
 
 
 def test_columnar_paths_build_no_record_objects(monkeypatch):
-    from emorag import build_index_bundle, generate_synthetic_db, retrieve
+    from emorag import generate_synthetic_db, kmeans_fit, retrieve
     from emorag.synthbench import SyntheticDatasetConfig
 
     db = random_db(np.random.default_rng(8), n=30, dim=4)
@@ -644,11 +644,11 @@ def test_columnar_paths_build_no_record_objects(monkeypatch):
     )
     loaded = deserialize_db(data)
     generate_synthetic_db(SyntheticDatasetConfig(num_emotions=3, dim=4, records_per_emotion=20))
-    bundle = build_index_bundle(loaded, k=1)
+    index = kmeans_fit(loaded, 1)
     for lvl in LEVELS:
         for method in ("embedding", "clustering"):
             if len(filter_by_intensity(loaded, lvl)):
-                retrieve(loaded, query, method, index=bundle, intensity=lvl)
+                retrieve(loaded, query, method, index=index, intensity=lvl)
     assert built == []
 
 

@@ -358,31 +358,29 @@ def test_emit_report_rejects_bad_input(tmp_path):
         emit_report(fake_results(), tmp_path / "x.yaml", "yaml")
 
 
-def test_benchmark_fits_each_index_just_before_its_first_clustering_cell(monkeypatch):
+def test_benchmark_fits_every_index_then_runs_its_cells_in_rounds(monkeypatch):
     from emorag import synthbench
 
     events = []
-    real_fit, real_cell = synthbench.kmeans_fit, synthbench.run_cell
+    real_fit, real_retrieve = synthbench.kmeans_fit, synthbench.retrieve
 
     def fit(db, k, **kwargs):
         events.append(("fit", len(db)))
         return real_fit(db, k, **kwargs)
 
-    def cell(db, method, queries, **kwargs):
-        events.append((method.value, len(db)))
-        return real_cell(db, method, queries, **kwargs)
+    def retrieve(db, query, method, **kwargs):
+        events.append((method.value, len(db), kwargs["index"] is not None))
+        return real_retrieve(db, query, method, **kwargs)
 
     monkeypatch.setattr(synthbench, "kmeans_fit", fit)
-    monkeypatch.setattr(synthbench, "run_cell", cell)
+    monkeypatch.setattr(synthbench, "retrieve", retrieve)
     cells = [("embedding", 80), ("embedding", 160), ("clustering", 80), ("clustering", 160), ("clustering", 80)]
-    results = run_benchmark(cells, n_queries=5, num_emotions=4, dim=8)
-    assert [(r.method.value, r.db_size) for r in results] == cells
-    assert events == [
-        ("embedding", 80),
-        ("embedding", 160),
-        ("fit", 80),
-        ("clustering", 80),
-        ("fit", 160),
-        ("clustering", 160),
-        ("clustering", 80),
-    ]
+    n = synthbench.ROUND_QUERIES + 7
+    results = run_benchmark(cells, n_queries=n, num_emotions=4, dim=8)
+    assert [(r.method.value, r.db_size, r.queries) for r in results] == [(m, s, n) for m, s in cells]
+    # one fit per clustered size, all before the first query; only clustering cells carry an index
+    assert events[:2] == [("fit", 80), ("fit", 160)]
+    asked = [(m, s, m == "clustering") for m, s in cells]
+    warmups = [cell for cell in asked for _ in range(synthbench.WARMUP_QUERIES)]
+    rounds = [cell for size in (synthbench.ROUND_QUERIES, 7) for cell in asked for _ in range(size)]
+    assert events[2:] == warmups + rounds
