@@ -342,10 +342,9 @@ def retrieve(
     level compete; an empty gate raises :class:`EmptySubsetError`.  An intensity gate's subset is
     answered as its parent at its level, unless ``index`` was fit on the subset itself.  ``db``'s
     :class:`ClusterIndex` serves both methods, gated or not, and is checked to cover the database
-    whenever given; clustering needs it.  A
-    query with the index reads its inverted lists, else the level rows.  An exhaustive query scans
-    the gate's range; a clustered one scans its nearest centroid's block at each gated level, or
-    that range if they are empty.
+    whenever given; clustering needs it.  A query with the index reads its inverted lists, else
+    the level rows.  An exhaustive query scans the gate's range; a clustered one scans its nearest
+    centroid's block at each gated level, or that range if they are empty.
     """
     t0 = time.perf_counter_ns()
     method = RetrievalMethod.parse(method)

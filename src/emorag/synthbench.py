@@ -9,8 +9,9 @@ truth, so accuracy has an unambiguous oracle.
 The benchmark grid crosses retrieval methods with database sizes, reporting
 accuracy plus mean and p95 per-query latency after a fixed number of
 discarded warm-up queries.  Its cells advance through their queries in
-interleaved rounds, so a slow spell on a shared host slows every cell alike.  Accuracy is exactly reproducible under the seed;
-latency is whatever the machine gives you, so only orderings and ratios are
+interleaved rounds, so a slow spell on a shared host slows every cell
+alike.  Accuracy is exactly reproducible under the seed; latency is
+whatever the machine gives you, so only orderings and ratios are
 meaningful.  Those ratios hold because retrieval scores each row with its own
 dot product (see :mod:`emorag.retrieval`), which runs on one core whatever
 the database size, so a small and a large database are scanned alike.
