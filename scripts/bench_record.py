@@ -12,9 +12,12 @@ inputs that ``perfbench/gen.py`` writes:
   sha256 digests of the mel files, in request order;
 - the sha256 of the checkpoint ``emorag train-fm --steps 30 --seed 3`` writes.
 
-Mel and checkpoint bytes depend on the BLAS kernel, so ``--check`` compares them
-only when the BLAS core and the numpy version equal the record's.  ``--check``
-compares the outputs block only: timings are measurements, not a contract.
+Mel and checkpoint bytes, the answers' similarity bits (``np.vecdot`` runs ddot)
+and the EMIX sha256 (k-means runs float64 products) depend on the BLAS kernel, so
+``--check`` compares them only when the BLAS core and the numpy version equal the
+record's; ids, candidates scanned, the EMDB sha256 and the fingerprints are always
+compared.  ``--check`` compares the outputs block only: timings are measurements,
+not a contract.
 
 Without ``--outputs-only`` the record also holds a timings block.  It runs
 ``perfbench/run.py`` for ``retrieve-gated`` and ``synth`` untraced at seeds 1 and
@@ -65,7 +68,6 @@ from emorag.cli import main as emorag_main  # noqa: E402
 SEEDS = (1, 1009)
 GATES = (None, "weak", "normal", "strong")
 MODES = (("embedding", "embedding", False), ("embedding+index", "embedding", True), ("clustering", "clustering", True))
-BLAS_BOUND = ("synth", "train-fm")  # outputs whose bytes depend on the BLAS kernel
 TIMED = ("retrieve-gated", "synth")  # the workloads BENCHMARK.json lists
 
 
@@ -187,6 +189,25 @@ def differences(want, got, where: str = "") -> list:
     return [] if want == got else [f"{where}: {want!r} != {got!r}"]
 
 
+def blas_free(block: dict) -> dict:
+    """The outputs ``block`` without what the BLAS kernel computes: the ``synth`` and ``train-fm``
+    digests, each ``emix_sha256`` and each answer's similarity bits."""
+    kept = {}
+    for seed, out in block["retrieve-gated"].items():
+        answers = {mode: [" ".join(a.rsplit(" ", 2)[::2]) for a in lines] for mode, lines in out["answers"].items()}
+        kept[seed] = {**{key: v for key, v in out.items() if key != "emix_sha256"}, "answers": answers}
+    return {"retrieve-gated": kept}
+
+
+def check(record: dict, got: dict, env: dict) -> list:
+    """The lines ``--check`` prints for a recomputed outputs block ``got`` in environment ``env``."""
+    want, theirs, lines = record["outputs"], record["environment"], []
+    if (env["blas"]["core"], env["numpy"]) != (theirs["blas"]["core"], theirs["numpy"]):
+        want, got = blas_free(want), blas_free(got)
+        lines.append("not compared (synth, train-fm, emix_sha256, similarity bits): BLAS core or numpy differs")
+    return lines + (differences(want, got) or ["outputs: identical"])
+
+
 def _git(*args):
     """The stripped output of a git command in this checkout; None outside a git checkout."""
     try:
@@ -218,16 +239,9 @@ def main() -> int:
         path.write_text(json.dumps(record, indent=1) + "\n")
         print(f"wrote {path}")
         return 0
-    record = json.loads(args.check.read_text())
-    want, theirs = record["outputs"], record["environment"]
-    if (env["blas"]["core"], env["numpy"]) != (theirs["blas"]["core"], theirs["numpy"]):
-        for key in BLAS_BOUND:
-            want.pop(key, None)
-            got.pop(key, None)
-        print(f"not compared ({', '.join(BLAS_BOUND)}): BLAS core or numpy differs from {args.check}")
-    lines = differences(want, got)
-    print("\n".join(lines) if lines else "outputs: identical")
-    return 1 if lines else 0
+    lines = check(json.loads(args.check.read_text()), got, env)
+    print("\n".join(lines))
+    return 0 if lines[-1] == "outputs: identical" else 1
 
 
 if __name__ == "__main__":

@@ -10,15 +10,15 @@ Exit codes, used consistently by every subcommand:
 * 5 — validation or format error in inputs or configuration
 
 The ``EMORAG_LOG`` environment variable (DEBUG/INFO/..., or a whole number)
-sets the level of the ``emorag`` logger, which writes to stderr.  At DEBUG it reports a
-database's records per level when its level rows are built (by its first
-query without ``--index``), an index's k, rows and largest cluster (counted
-from its assignments) when its inverted lists are built (by the first query
-with it), each clustered query's gate, the cluster it probes and that
-cluster's rows at the gate, a clustered probe that falls back to scanning the
-gate's rows (and how many) because the cluster has none there, and k-means
-reseeding an empty cluster.  ``synth`` adds the nanoseconds each of its file
-loads took to its report as ``load_timings_ns``.  ``build-index`` writes one
+sets the level of the ``emorag`` logger, which writes to stderr.  At DEBUG it reports each
+build of a database's one grouped copy of its unit rows (by its first query:
+the index's inverted lists with ``--index``, else the k = 1 copy) with its k,
+its records per level and its largest block; each clustered query's gate, the
+cluster it probes and that cluster's rows at the gate; a clustered probe that
+falls back to scanning the gate's rows (and how many) because the cluster has
+none there; and k-means reseeding an empty cluster.  ``synth`` adds the
+nanoseconds each of its file loads took to its report as ``load_timings_ns``.
+``build-index`` writes one
 :class:`~emorag.retrieval.ClusterIndex`, which serves both methods and every gate.
 All stochastic commands take ``--seed`` (a non-negative integer, default 0)
 so documented invocations reproduce byte-for-byte.  A flag that several

@@ -7,17 +7,19 @@ probe), then scores only that cluster's members, trading a little recall at
 cluster boundaries for a scan that touches n/k records on average; a routed
 cluster with no members falls back to the full scan.
 
-A query reads one copy of the unit rows grouped by ``k * intensity code +
-cluster`` (:func:`~emorag.store.grouped_rows`): a given index's inverted lists
-(as in IVF), built on its first query, else the database's
-:attr:`~emorag.store.EmbeddingDatabase.level_rows` (``k = 1``).  An intensity
-gate is a pair ``(database, level)`` and is one range of that copy, blocks
+A query reads its database's one copy of the unit rows grouped by ``k *
+intensity code + cluster`` (:func:`~emorag.store.grouped_rows`): a query with
+an index asks for the copy keyed by that index's assignments (its inverted
+lists, as in IVF), built on its first query; a query without one takes
+whatever copy the database holds, else the ``k = 1`` copy.  An intensity gate
+is a pair ``(database, level)`` and is one range of any such copy, blocks
 ``[k * code, k * code + k)`` (every row, ungated).  An exhaustive query, and a
 clustered one whose cluster has no rows at the gate, scans that range; a
 clustered query scans its cluster ``c``'s block ``k * code + c`` at each gated
-level, so one index serves both methods and every gate.  A grouped copy is
-one float64 copy of the rows (8 MB for 8,000 rows at dim 128), held as long
-as its database or index is: only the lists, if every query has the index.
+level, so one index serves both methods and every gate.  The copy is one
+float64 copy of the rows (8 MB for 8,000 rows at dim 128), held as long as its
+database is; a database queried alternately with two indexes rebuilds it at
+each switch.
 
 Clustering is spherical k-means: rows are unit-normalized, at most 100 Lloyd
 iterations minimize squared euclidean distance (monotone in cosine on the
@@ -169,27 +171,10 @@ class ClusterIndex:
         self.assignments = a.astype(np.uint32)
         for arr in (self.assignments, self.unit_centroids):
             arr.flags.writeable = False
-        self._lists = None
 
     @property
     def dim(self) -> int:
         return int(self.centroids.shape[1])
-
-    def _inverted_lists(self, db: EmbeddingDatabase) -> tuple:
-        """:func:`~emorag.store.grouped_rows` of ``db`` by ``k * intensity code + assignment``.
-
-        ``db`` must be the database this index was checked against; the first call
-        builds the lists from it, later calls return them.
-        """
-        lists = self._lists
-        if lists is None:
-            # one tuple, published at once: a racing thread sees all of it or none
-            lists = self._lists = grouped_rows(db, self.assignments, self.k)
-            log.debug(
-                "cluster index k=%d: inverted lists over %d rows, largest cluster %d",
-                self.k, len(db), int(np.bincount(self.assignments, minlength=self.k).max()),
-            )
-        return lists
 
 
 def _plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -342,9 +327,10 @@ def retrieve(
     level compete; an empty gate raises :class:`EmptySubsetError`.  An intensity gate's subset is
     answered as its parent at its level, unless ``index`` was fit on the subset itself.  ``db``'s
     :class:`ClusterIndex` serves both methods, gated or not, and is checked to cover the database
-    whenever given; clustering needs it.  A query with the index reads its inverted lists, else
-    the level rows.  An exhaustive query scans the gate's range; a clustered one scans its nearest
-    centroid's block at each gated level, or that range if they are empty.
+    whenever given; clustering needs it.  Every query reads ``db``'s one grouped copy: the index's
+    inverted lists if it has the index, else whatever copy ``db`` holds.  An exhaustive query scans
+    the gate's range; a clustered one scans its nearest centroid's block at each gated level, or
+    that range if they are empty.
     """
     t0 = time.perf_counter_ns()
     method = RetrievalMethod.parse(method)
@@ -367,7 +353,7 @@ def retrieve(
             raise StaleIndexError(f"index covers {index.assignments.shape[0]} records, database has {len(db)}")
     qn = _unit_query(db, query)
     first, last = (0, 3) if level is None else (level.wire_code, level.wire_code + 1)
-    (order, offsets, rows), k = (db.level_rows, 1) if index is None else (index._inverted_lists(db), index.k)
+    k, order, offsets, rows = grouped_rows(db, index)
     bounds = offsets.tolist()
     lo, hi = bounds[k * first], bounds[k * last]  # the gate's range
     spans = [(lo, hi)]

@@ -11,10 +11,12 @@ matrix, so a caller's array never changes the rows behind its fingerprint.
 Row ``i`` of every column is record ``i``; :meth:`EmbeddingDatabase.position`
 maps an id to its row.  Unit rows are float64 and built by one routine,
 :func:`unit_rows`, which gathers them from the f32 matrix in any row order.
-:func:`grouped_rows` groups them by ``k * intensity code + cluster``, so a run
-of levels is one range; a cluster index's inverted lists are such a copy, and
-:attr:`EmbeddingDatabase.level_rows` its ``k = 1`` case.  A query reads one of
-them, and no position-order unit matrix is kept.
+A database holds at most one copy of them, grouped by ``k * intensity code +
+cluster`` so that a run of levels is one range, and :func:`grouped_rows` alone
+builds it: keyed by a cluster index's assignments (its inverted lists, as in
+IVF) for a query with that index, else whatever copy the database holds, or
+``k = 1`` if none.  Every query reads it, and no position-order unit matrix is
+kept.
 
 On-disk layout (little-endian throughout)::
 
@@ -133,8 +135,9 @@ class EmbeddingDatabase:
 
     Row ``i`` of every column belongs to record ``i``; the columns are the only
     way to build and read rows, and ``__post_init__`` is the store's one
-    validator.  The fingerprint (a loaded one is its file's, taken on reading) and the
-    level-grouped unit rows are cached; :attr:`unit_matrix` is computed anew by each access.
+    validator.  The fingerprint (a loaded one is its file's, taken on reading) and one grouped
+    copy of the unit rows (:func:`grouped_rows`) are cached; :attr:`unit_matrix` is computed anew
+    by each access.
     Sharing a database across threads for reads is fine.  ``dim`` is a Python
     or numpy integer >= 1; anything else, a bool or float included, raises
     :class:`DimensionMismatchError`.
@@ -183,7 +186,7 @@ class EmbeddingDatabase:
         codes.flags.writeable = False
         self.matrix, self.intensity_codes = m, codes
         self._level_counts = np.bincount(codes, minlength=3).tolist()  # records per level, weak first
-        self._fingerprint = self._level_rows = None
+        self._fingerprint = self._grouping = None  # _grouping: (assignments or None, grouped_rows' tuple)
         self._gate = None  # (parent, level) on a subset that filter_by_intensity cut
 
     def __len__(self) -> int:
@@ -206,16 +209,6 @@ class EmbeddingDatabase:
         *hold* such records as long as nobody asks for directions.
         """
         return unit_rows(self, np.arange(len(self)))
-
-    @property
-    def level_rows(self) -> tuple:
-        """:func:`grouped_rows` with ``k = 1``, cached, read by queries without a cluster index:
-        level ``code`` is rows ``offsets[code]:offsets[code + 1]``, in ascending position."""
-        if self._level_rows is None:
-            # one tuple, published at once: a racing thread sees all of it or none
-            self._level_rows = grouped_rows(self, 0, 1)
-            log.debug("level rows: %d weak, %d normal, %d strong of %d records", *self._level_counts, len(self))
-        return self._level_rows
 
     @property
     def fingerprint(self) -> bytes:
@@ -253,19 +246,37 @@ def unit_rows(db: EmbeddingDatabase, order: np.ndarray) -> np.ndarray:
     return rows
 
 
-def grouped_rows(db: EmbeddingDatabase, clusters, k: int) -> tuple:
-    """``(order, offsets, rows)``, read-only: ``order`` is the stable argsort of the key
-    ``k * intensity code + clusters`` (each in ``[0, k)``; an array, or 0), so block ``b`` is
-    ``order[offsets[b]:offsets[b + 1]]`` in ascending position and levels ``[first, last)`` are
-    rows ``offsets[k * first]:offsets[k * last]``; ``rows`` is :func:`unit_rows` of ``db`` in that order."""
-    keys = k * db.intensity_codes.astype(np.int64) + clusters
+def grouped_rows(db: EmbeddingDatabase, index) -> tuple:
+    """``(k, order, offsets, rows)``, read-only: ``db``'s one grouped copy of its unit rows, cached on ``db``.
+
+    The key is ``k * intensity code + cluster``.  ``index``, a cluster index checked against ``db``,
+    asks for the copy keyed by its ``assignments`` (held by reference) and ``k``; ``None`` takes
+    whatever copy ``db`` holds, or ``k = 1`` (every cluster 0) if it holds none.  ``order`` is the
+    stable argsort of the key, so block ``b`` is ``order[offsets[b]:offsets[b + 1]]`` in ascending
+    position and levels ``[first, last)`` are rows ``offsets[k * first]:offsets[k * last]``;
+    ``rows`` is :func:`unit_rows` of ``db`` in that order.  A copy under another key is released
+    before the new one is built, so a database queried alternately with two indexes rebuilds at
+    each switch.
+    """
+    held = db._grouping
+    if held is not None and (index is None or held[0] is index.assignments):
+        return held[1]
+    db._grouping = held = None  # release the old copy first
+    clusters, k = (None, 1) if index is None else (index.assignments, index.k)
+    keys = k * db.intensity_codes.astype(np.int64) + (0 if clusters is None else clusters)
     order = np.argsort(keys, kind="stable")
     offsets = np.zeros(3 * k + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=3 * k), out=offsets[1:])
     rows = unit_rows(db, order)
     for a in (order, offsets):
         a.flags.writeable = False
-    return order, offsets, rows
+    grouping = (k, order, offsets, rows)
+    db._grouping = (clusters, grouping)  # one tuple, published at once: a racing thread sees all of it or none
+    log.debug(
+        "grouped rows, k=%d: %d weak, %d normal, %d strong of %d records, largest block %d",
+        k, *db._level_counts, len(db), int(np.diff(offsets).max()),
+    )
+    return grouping
 
 
 def filter_by_intensity(db: EmbeddingDatabase, level: IntensityLevel) -> EmbeddingDatabase:
@@ -273,7 +284,7 @@ def filter_by_intensity(db: EmbeddingDatabase, level: IntensityLevel) -> Embeddi
 
     The subset records where it was cut from, ``(db, level)``, and retrieval
     answers it as ``db`` gated at ``level``: ``db``'s cluster index serves it, and
-    without one it scans ``db``'s level rows.
+    without one it scans ``db``'s grouped copy.
     """
     level = IntensityLevel.parse(level)
     rows = np.flatnonzero(db.intensity_codes == level.wire_code).tolist()

@@ -223,9 +223,9 @@ def run_benchmark(
     the top-level seed, so the two methods in one size answer exactly the
     same queries.  Every clustering size's index is fitted, and every cell
     warmed up, before the first timed query; then all cells advance through
-    their queries together, :data:`ROUND_QUERIES` at a time.  A clustering
-    cell reads its index, an exhaustive one its database's level rows.  Sizes
-    must be integers divisible by ``num_emotions``.
+    their queries together, :data:`ROUND_QUERIES` at a time.  A size's cells
+    read one grouped copy of its rows, its index's if it has a clustering
+    cell.  Sizes must be integers divisible by ``num_emotions``.
     """
     if cells is None:
         cells = [(m, s) for m in (RetrievalMethod.EMBEDDING, RetrievalMethod.CLUSTERING) for s in DEFAULT_SIZES]

@@ -343,9 +343,9 @@ def test_emorag_log_debug_prints_the_gate_line(tmp_path):
     env = {**os.environ, "EMORAG_LOG": "DEBUG"}
     loud = subprocess.run(gated, capture_output=True, text=True, env=env)
     assert loud.returncode == 0
-    line = "DEBUG emorag: level rows: 3 weak, 0 normal, 3 strong of 6 records\n"
+    line = "DEBUG emorag: grouped rows, k=1: 3 weak, 0 normal, 3 strong of 6 records, largest block 3\n"
     assert loud.stderr == line
-    # an ungated exhaustive scan reads the same level rows, all three levels of them
+    # an ungated exhaustive scan reads the same grouped copy, all three levels of it
     ungated = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert ungated.returncode == 0 and ungated.stderr == line
 
@@ -361,7 +361,7 @@ def test_emorag_log_takes_a_whole_number_and_warns_of_an_unknown_name(tmp_path):
         for level in ("10", "verbose")
     }
     assert [run.returncode for run in runs.values()] == [0, 0]
-    assert runs["10"].stderr == "DEBUG emorag: level rows: 3 weak, 0 normal, 3 strong of 6 records\n"
+    assert runs["10"].stderr == "DEBUG emorag: grouped rows, k=1: 3 weak, 0 normal, 3 strong of 6 records, largest block 3\n"
     warning = "warning: EMORAG_LOG='verbose' is not a logging level; logging stays off\n"
     assert runs["verbose"].stderr == warning
     answers = [json.loads(run.stdout) for run in runs.values()]

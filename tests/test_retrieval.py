@@ -49,7 +49,7 @@ from emorag.retrieval import (
     serialize_index,
 )
 from emorag import retrieval, store
-from emorag.store import deserialize_db, load_db, save_db, serialize_db
+from emorag.store import deserialize_db, grouped_rows, load_db, save_db, serialize_db
 from emorag.synthbench import SyntheticDatasetConfig, generate_synthetic_db, make_query_set
 
 from helpers import (
@@ -651,7 +651,7 @@ def test_clustered_slices_with_an_empty_cluster_equal_the_gather_reference():
         assignments=np.array([0, 2] * 15, dtype=np.uint32),  # cluster 1 owns nothing
         fingerprint=db.fingerprint,
     )
-    order, offsets, rows = index._inverted_lists(db)
+    k, order, offsets, rows = grouped_rows(db, index)
     # level (position mod 3 here), then cluster (0 even, 2 odd), then position
     assert offsets.tolist() == [0, 5, 5, 10, 15, 15, 20, 25, 25, 30]
     assert order.tolist() == [p for lvl in range(3) for c in (0, 1) for p in range(lvl, 30, 3) if p % 2 == c]
@@ -668,7 +668,7 @@ def test_a_tie_across_cluster_blocks_goes_to_the_lower_position():
     db = build_db(vectors.astype(np.float32), intensities=["normal", "weak", "strong"] * 2)
     # rec1 (cluster 2) and its exact copy rec4 (cluster 0), both weak; cluster 1 owns nothing
     index = ClusterIndex(3, np.eye(3, dtype=np.float32), np.array([0, 2, 0, 2, 0, 2]), db.fingerprint)
-    order = index._inverted_lists(db)[0].tolist()
+    order = grouped_rows(db, index)[1].tolist()
     assert order.index(4) < order.index(1)  # the higher position comes first in every range holding both
     q = EmotionEmbedding(best)  # routes to the empty cluster 1
     for method, lvl, scanned in (
@@ -694,16 +694,16 @@ def test_stale_or_mismatched_index_raises_before_building_lists():
         for index, error in ((stale, StaleIndexError), (short, StaleIndexError), (wide, DimensionMismatchError)):
             with pytest.raises(error):
                 retrieve(db, query, method, index=index)
-            assert index._lists is None
-    assert db._level_rows is None
+            assert db._grouping is None
 
 
 def test_inverted_list_rows_are_a_readonly_copy():
     db = random_db(np.random.default_rng(4), n=50, dim=6)
     index = kmeans_fit(db, 4, seed=0)
     retrieve_clustering_based(db, index, EmotionEmbedding(db.matrix[3]))
-    order, offsets, rows = index._lists
-    assert index._inverted_lists(db) is index._lists  # built once
+    k, order, offsets, rows = db._grouping[1]
+    assert db._grouping[0] is index.assignments
+    assert grouped_rows(db, index) is db._grouping[1]  # built once
     keys = index.k * db.intensity_codes.astype(np.int64) + index.assignments  # level, then cluster
     assert order.tolist() == np.argsort(keys, kind="stable").tolist()
     assert offsets.tolist() == [0, *np.cumsum(np.bincount(keys, minlength=3 * index.k)).tolist()]
@@ -754,8 +754,9 @@ def test_serialized_index_is_unchanged_by_its_lists():
     index = kmeans_fit(db, 3, seed=0)
     before = serialize_index(index)
     retrieve_clustering_based(db, index, EmotionEmbedding(db.matrix[0]))
-    assert index._lists is not None
+    assert db._grouping is not None
     assert serialize_index(index) == before
+    assert sorted(vars(index)) == ["assignments", "centroids", "fingerprint", "k", "unit_centroids"]
 
 # ---------------------------------------------------------------------------
 # the retrieve() front door and intensity gating
@@ -954,7 +955,7 @@ def test_replay_form_equals_retrieve(seed):
         target = db if lvl is None else filter_by_intensity(db, lvl)
         if len(target) == 0:
             continue
-        for given in (None, bundle):  # the index's lists answer an exhaustive query as the level rows do
+        for given in (None, bundle):  # the index's lists answer an exhaustive query as the k = 1 copy does
             _same_result(
                 retrieve(db, query, "embedding", index=given, intensity=lvl), retrieve_embedding_based(target, query)
             )
@@ -962,6 +963,43 @@ def test_replay_form_equals_retrieve(seed):
             retrieve(db, query, "clustering", index=bundle, intensity=lvl),
             retrieve_clustering_based(target, bundle.for_level(lvl), query),
         )
+
+
+def test_replayed_exhaustive_query_scans_the_indexed_copy_in_place():
+    # an index-less query on a gate's subset, after queries with the index, takes the copy the
+    # database holds; exact copies of each level's best row sit in different clusters, with the
+    # higher positions in earlier blocks, and the lowest position still wins at every gate
+    rng = np.random.default_rng(31)
+    vectors = rng.standard_normal((60, 8)).astype(np.float32)
+    for p in (3, 4, 5):  # levels weak, normal, strong (position mod 3)
+        vectors[[p + 30, p + 54]] = vectors[p]
+    db = build_db(vectors)
+    plain = build_db(vectors)  # answers through its own k = 1 copy
+    positions = np.arange(60)
+    first = ClusterIndex(3, rng.standard_normal((3, 8)), 2 - positions // 20, db.fingerprint)
+    second = ClusterIndex(2, rng.standard_normal((2, 8)), (positions < 30).astype(int), db.fingerprint)
+    queries = [EmotionEmbedding(vectors[p]) for p in (3, 4, 5)]
+    queries += [EmotionEmbedding(rng.standard_normal(8).astype(np.float32)) for _ in range(4)]
+    copies = []
+    for index in (first, second, first):  # each switch of index rebuilds the one copy
+        for method in RetrievalMethod:
+            retrieve(db, queries[0], method, index=index, intensity="weak")
+        held = db._grouping
+        assert held[0] is index.assignments and all(held is not c for c in copies)
+        copies.append(held)
+        for lvl in (None, *LEVELS):
+            hand = db if lvl is None else hand_filtered(db, lvl)
+            for q in queries:
+                got = retrieve_embedding_based(db if lvl is None else filter_by_intensity(db, lvl), q)
+                oracle_id, oracle_sim = brute_force_argmax(hand, q)
+                assert (got.record_id, got.candidates_scanned) == (oracle_id, len(hand))
+                assert got.similarity == pytest.approx(oracle_sim, abs=1e-12)
+                _same_result(got, retrieve(plain, q, "embedding", intensity=lvl))
+                _same_result(got, retrieve(db, q, "embedding", index=index, intensity=lvl))
+        assert db._grouping is held  # the replay left the index's copy in place
+    # each level's best row is the lowest of its three copies, in the last block of its range
+    gated = [retrieve_embedding_based(filter_by_intensity(db, lvl), q) for lvl, q in zip(LEVELS, queries)]
+    assert [r.record_id for r in gated] == ["rec3", "rec4", "rec5"]
 
 
 def test_repeated_gated_clustering_serializes_nothing(tmp_path, monkeypatch):
@@ -1018,8 +1056,9 @@ def test_first_gated_scans_copy_the_unit_rows_once():
 
 def test_level_rows_are_a_readonly_grouped_copy():
     db = random_db(np.random.default_rng(4), n=50, dim=6)
-    order, offsets, rows = db.level_rows
-    assert db.level_rows is db._level_rows  # built once
+    k, order, offsets, rows = grouped_rows(db, None)
+    assert grouped_rows(db, None) is db._grouping[1]  # built once
+    assert (db._grouping[0], k) == (None, 1)
     assert order.tolist() == np.argsort(db.intensity_codes, kind="stable").tolist()
     assert offsets.tolist() == [0, *np.cumsum(np.bincount(db.intensity_codes, minlength=3)).tolist()]
     assert np.array_equal(rows, db.unit_matrix[order])
@@ -1094,7 +1133,7 @@ def test_zero_norm_error_names_the_lowest_position_in_any_row_order():
             retrieve(db, q, method, index=given, intensity=lvl)
 
 
-def test_every_kind_of_query_holds_two_f64_copies_of_the_rows():
+def test_every_kind_of_query_holds_one_f64_copy_of_the_rows():
     import tracemalloc
 
     fresh = random_db(np.random.default_rng(14), n=8000, dim=128, with_metadata=False)
@@ -1102,13 +1141,13 @@ def test_every_kind_of_query_holds_two_f64_copies_of_the_rows():
     assignments = np.argmax(fresh.matrix @ centroids.T, axis=1)
     one_copy = len(fresh) * fresh.dim * 8
     q = EmotionEmbedding(fresh.matrix[0])
-    # without an index an exhaustive query reads the level rows, so a job that runs both
-    # methods holds them and the index's inverted lists (a cached position-order unit matrix
-    # would be a third copy); with the index on every query the lists are the only copy
-    for every_query_has_the_index, most_held, highest_peak in ((False, 2.05, 2.25), (True, 1.05, 1.25)):
+    # every query reads the database's one grouped copy: an exhaustive query without the index
+    # takes whatever copy is held, or builds k = 1, and the first query with the index releases
+    # that copy before it builds the index's (a cached position-order unit matrix would be a second)
+    for every_query_has_the_index in (False, True):
         index = ClusterIndex(8, centroids, assignments, fresh.fingerprint)
         exhaustive = index if every_query_has_the_index else None
-        db = deserialize_db(serialize_db(fresh))  # no unit rows, grouped copies or fingerprint yet
+        db = deserialize_db(serialize_db(fresh))  # no unit rows, grouped copy or fingerprint yet
         tracemalloc.start()
         try:
             for method, given, lvl in (
@@ -1121,12 +1160,12 @@ def test_every_kind_of_query_holds_two_f64_copies_of_the_rows():
             held, peak = (b / one_copy for b in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert held <= most_held and peak <= highest_peak, (every_query_has_the_index, held, peak)
-        assert (db._level_rows is None) == every_query_has_the_index
+        assert held <= 1.05 and peak <= 1.25, (every_query_has_the_index, held, peak)
+        assert db._grouping[0] is index.assignments
 
 
 def test_first_gated_query_from_several_threads():
-    # more threads than cores race to group one database's level rows; every
+    # more threads than cores race to group one database's rows by level; every
     # thread must see a whole layout and return the hand-filtered answers
     rng = np.random.default_rng(5)
     fresh = random_db(rng, n=600, dim=16, with_metadata=False)
@@ -1136,7 +1175,7 @@ def test_first_gated_query_from_several_threads():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            db = deserialize_db(serialize_db(fresh))  # no level rows yet
+            db = deserialize_db(serialize_db(fresh))  # no grouped copy yet
             start = threading.Barrier(4)
             got = [None] * 4
 
@@ -1171,7 +1210,7 @@ def test_gate_logs_once_per_level(caplog):
         for lvl in gates:
             retrieve(db, EmotionEmbedding(db.matrix[0]), "embedding", intensity=lvl)
         lines = [r.getMessage() for r in caplog.records if r.name == "emorag"]
-        assert lines == ["level rows: 6 weak, 6 normal, 0 strong of 12 records"]
+        assert lines == ["grouped rows, k=1: 6 weak, 6 normal, 0 strong of 12 records, largest block 6"]
 
 
 def test_clustered_query_logs_its_index(caplog):
@@ -1180,7 +1219,7 @@ def test_clustered_query_logs_its_index(caplog):
     q = EmotionEmbedding(db.matrix[0])
     caplog.set_level(logging.INFO, logger="emorag")
     retrieve(db, q, "clustering", index=index, intensity="weak")
-    retrieve(db, q, "embedding", intensity="weak")  # groups the level rows, unlogged
+    retrieve(db, q, "embedding", intensity="weak")  # reads the index's copy
     assert caplog.records == []
     caplog.set_level(logging.DEBUG, logger="emorag")
     retrieve(db, q, "embedding")
@@ -1207,12 +1246,12 @@ def test_index_logs_its_inverted_lists_once(caplog):
     caplog.set_level(logging.INFO, logger="emorag")
     retrieve_clustering_based(db, index, EmotionEmbedding([1.0, 0.0]))
     assert caplog.records == []
-    index._lists = None
+    db._grouping = None
     caplog.set_level(logging.DEBUG, logger="emorag")
     for q in ([1.0, 0.0], [0.0, 1.0], [1.0, 0.1]):
         retrieve_clustering_based(db, index, EmotionEmbedding(q))
     assert [r.getMessage() for r in caplog.records] == [
-        "cluster index k=2: inverted lists over 3 rows, largest cluster 2",
+        "grouped rows, k=2: 1 weak, 1 normal, 1 strong of 3 records, largest block 1",
         "clustered query: gate none, cluster 0 of k=2 holds 2 rows",
         "clustered query: gate none, cluster 1 of k=2 holds 1 rows",
         "clustered query: gate none, cluster 0 of k=2 holds 2 rows",
@@ -1230,14 +1269,14 @@ def test_empty_cluster_fallback_logs(caplog):
     )
     retrieve_clustering_based(db, index, EmotionEmbedding([1.0, 0.0]))
     assert [r.getMessage() for r in caplog.records] == [
-        "cluster index k=2: inverted lists over 2 rows, largest cluster 2",
+        "grouped rows, k=2: 1 weak, 1 normal, 0 strong of 2 records, largest block 1",
         "clustered query: gate none, cluster 0 of k=2 holds 2 rows",
     ]
     caplog.clear()
     retrieve_clustering_based(db, index, EmotionEmbedding([0.0, 1.0]))
     retrieve(db, EmotionEmbedding([0.0, 1.0]), "clustering", index=index, intensity="weak")
-    # the fallback scans the gate's range of the inverted lists, so the level rows are never built
-    assert db._level_rows is None
+    # the fallback scans the gate's range of the inverted lists, so no other copy is built
+    assert db._grouping[0] is index.assignments
     assert [r.getMessage() for r in caplog.records] == [
         "clustered query: gate none, cluster 1 of k=2 holds 0 rows",
         "cluster 1 has no members at gate none; scanning the 2 rows at that gate",

@@ -101,3 +101,29 @@ def test_timings_block_summarizes_untraced_and_traced_records(monkeypatch):
     assert synth["per_layer"] == {"flow.ode_ms": 6.5, "pipeline.stage_failures": 0}
     records[2]["correct"] = False
     assert bench.timings(records)["synth"]["correct"] is False
+
+
+def test_check_leaves_blas_bound_outputs_out_only_in_another_environment(monkeypatch):
+    bench = _bench_record(monkeypatch)
+    same, other = {"blas": {"core": "Haswell"}, "numpy": "2.0.2"}, {"blas": {"core": "SkylakeX"}, "numpy": "2.0.2"}
+    files = {"emdb_sha256": "d", "emix_sha256": "x", "fingerprint_loaded": "f", "fingerprint_built": "f"}
+
+    def block(answer="r 1 0x1.0000000000000p+0 8", **changed):  # an id with a space, its bits, rows scanned
+        seed = {**files, **changed, "answers": {"embedding none": [answer, "r2 0x1.8000000000000p-1 8"]}}
+        return {"retrieve-gated": {"seed 1": seed}, "synth": {"seed 1": "m"}, "train-fm": {"c": "t"}}
+
+    record = {"outputs": block(), "environment": same}
+    # the BLAS kernel's outputs: the similarity bits, the EMIX bytes, the mel and the checkpoint
+    blas = block("r 1 0x1.0000000000001p+0 8", emix_sha256="y")
+    blas["synth"], blas["train-fm"] = {"seed 1": "n"}, {"c": "u"}
+    assert bench.check(record, block(), same) == ["outputs: identical"]
+    assert len(bench.check(record, blas, same)) == 4
+    assert bench.check(record, blas, other)[1:] == ["outputs: identical"]
+    # ids, rows scanned, the EMDB bytes and the fingerprints are compared in any environment
+    for key in ("emdb_sha256", "fingerprint_loaded", "fingerprint_built"):
+        for env in (same, other):
+            want = f"/retrieve-gated/seed 1/{key}: {files[key]!r} != 'g'"
+            assert bench.check(record, block(**{key: "g"}), env)[-1] == want
+    for answer, diff in (("r 1 0x1.0000000000000p+0 9", "'r 1 8' != 'r 1 9'"), ("r3 0x1.0000000000000p+0 8", "'r 1 8' != 'r3 8'")):
+        assert bench.check(record, block(answer), other)[1:] == [f"/retrieve-gated/seed 1/answers/embedding none[0]: {diff}"]
+        assert bench.check(record, block(answer), same) != ["outputs: identical"]

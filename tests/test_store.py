@@ -203,13 +203,13 @@ def test_unit_matrix_bytes_equal_whole_matrix_norms_without_a_second_matrix():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        order, _, rows = db.level_rows
+        _, order, _, rows = store.grouped_rows(db, None)
         grouped_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert got.tobytes() == want.tobytes()
     assert rows.tobytes() == want[order].tobytes()
-    lists_order, _, lists_rows = index._inverted_lists(db)
+    _, lists_order, _, lists_rows = store.grouped_rows(db, index)
     assert lists_rows.tobytes() == want[lists_order].tobytes()
     # the unit rows themselves, one block of squares and the norms; squaring the
     # whole matrix at once, or gathering a grouped copy from a unit matrix, would double the peak
