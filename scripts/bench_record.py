@@ -24,8 +24,10 @@ Without ``--outputs-only`` the record also holds a timings block.  It runs
 1009 and traced at seed 1, each for BENCHMARK.json's ``run_seconds`` and into a
 fresh ``--out`` directory, about six minutes in all.  Per workload it keeps the
 quartiles (q1, median, q3) of every end-to-end metric over the untraced runs,
-with ``setup_s`` also split into its import part and its set-up part, and the
-median of every per-layer metric over the traced runs.
+with ``setup_s`` also split into its import part and its set-up part, each
+untraced run's ``[ops, peak_rss_mb]`` (the worker keeps one latency sample per
+op, so its RSS grows with the op count), and the median of every per-layer
+metric over the traced runs.
 
     python3 scripts/bench_record.py                                 # writes BENCH_<short-sha>.json
     python3 scripts/bench_record.py --outputs-only                  # the same without timings
@@ -157,7 +159,8 @@ def perfbench_records(work: Path) -> list:
 def timings(records: list) -> dict:
     """Per workload: the quartiles of each end-to-end metric over its untraced records, ``setup_s``
     split into its import part (the median of ``import_s``) and its set-up part (the median of
-    ``setup_rep_s``), and the median of each per-layer metric over its traced records."""
+    ``setup_rep_s``), each untraced record's ``[samples.ops, peak_rss_mb]``, and the median of each
+    per-layer metric over its traced records."""
     block = {}
     for workload in sorted({r["workload"] for r in records}):
         plain = [r for r in records if r["workload"] == workload and not r["trace"]]
@@ -175,6 +178,7 @@ def timings(records: list) -> dict:
             "seconds": sorted({r["seconds"] for r in plain + traced}),
             "correct": all(r["correct"] for r in plain + traced),
             "end_to_end": {name: dict(zip(("q1", "median", "q3"), quartiles(v))) for name, v in values.items()},
+            "rss_by_ops": [[r["samples"]["ops"], r["e2e"]["peak_rss_mb"]] for r in plain],
             "per_layer": {name: statistics.median(r["layers"][name] for r in traced) for name in layers},
         }
     return block

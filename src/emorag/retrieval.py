@@ -16,10 +16,11 @@ is a pair ``(database, level)`` and is one range of any such copy, blocks
 ``[k * code, k * code + k)`` (every row, ungated).  An exhaustive query, and a
 clustered one whose cluster has no rows at the gate, scans that range; a
 clustered query scans its cluster ``c``'s block ``k * code + c`` at each gated
-level, so one index serves both methods and every gate.  The copy is one
-float64 copy of the rows (8 MB for 8,000 rows at dim 128), held as long as its
-database is; a database queried alternately with two indexes rebuilds it at
-each switch.
+level, so one index type, :class:`ClusterIndex`, serves both methods and
+every gate (the ``*_index_bundle`` names are the benchmark worker's for it).
+The copy is one float64 copy of the rows (8 MB for 8,000 rows at dim 128),
+held as long as its database is; a database queried alternately with two
+indexes rebuilds it at each switch.
 
 Clustering is spherical k-means: rows are unit-normalized, at most 100 Lloyd
 iterations minimize squared euclidean distance (monotone in cosine on the
@@ -139,7 +140,9 @@ class ClusterIndex:
     ``centroids`` stay float32 in memory so that a save/load round trip is
     bit-exact; routing scores their float64 unit rows, ``unit_centroids``.
     ``k`` is a Python or numpy integer >= 1 and ``assignments`` an integer
-    array, not bool (else :class:`InvalidParameterError`).
+    array, not bool (else :class:`InvalidParameterError`).  The one index type:
+    ``full`` and :meth:`for_level` return the index itself, and are the benchmark
+    worker's names, kept until it calls a ``ClusterIndex`` directly.
     """
 
     k: int
@@ -175,6 +178,17 @@ class ClusterIndex:
     @property
     def dim(self) -> int:
         return int(self.centroids.shape[1])
+
+    @property
+    def full(self) -> ClusterIndex:
+        """This index: one serves both methods and every intensity gate."""
+        return self
+
+    def for_level(self, level: IntensityLevel | str | None) -> ClusterIndex:
+        """The index that serves ``level`` (a level, its name in any case, or None): this one."""
+        if level is not None:
+            IntensityLevel.parse(level)  # an unknown name still raises
+        return self
 
 
 def _plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -274,6 +288,11 @@ def default_k(db: EmbeddingDatabase) -> int:
     return len(set(db.labels))
 
 
+def build_index_bundle(db: EmbeddingDatabase, *, seed: int = 0) -> ClusterIndex:
+    """:func:`kmeans_fit` of ``db`` with :func:`default_k` clusters."""
+    return kmeans_fit(db, default_k(db), seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # retrieval
 
@@ -289,28 +308,6 @@ def retrieve_clustering_based(
     """Single-probe clustered scan: nearest centroid, then argmax inside it
     (over all rows if that cluster is empty)."""
     return retrieve(db, query, RetrievalMethod.CLUSTERING, index=index)
-
-
-@dataclass(eq=False)
-class IndexBundle:
-    """The benchmark worker's name for a :class:`ClusterIndex`, ``full``, kept until the worker uses one.
-
-    One index serves both methods and every intensity gate, so :meth:`for_level` returns
-    ``full`` for every level.
-    """
-
-    full: ClusterIndex
-
-    def for_level(self, level: IntensityLevel | str | None) -> ClusterIndex:
-        """The index that serves ``level`` (a level, its name in any case, or None): ``full``."""
-        if level is not None:
-            IntensityLevel.parse(level)  # an unknown name still raises
-        return self.full
-
-
-def build_index_bundle(db: EmbeddingDatabase, *, seed: int = 0) -> IndexBundle:
-    """:func:`kmeans_fit` of ``db`` with :func:`default_k` clusters, as an :class:`IndexBundle`."""
-    return IndexBundle(kmeans_fit(db, default_k(db), seed=seed))
 
 
 def retrieve(
@@ -337,7 +334,6 @@ def retrieve(
     level = None if intensity is None else IntensityLevel.parse(intensity)
     if level is not None and not db._level_counts[level.wire_code]:
         raise EmptySubsetError(level.value)
-    index = index.full if isinstance(index, IndexBundle) else index  # the benchmark worker's bundle
     if index is None and method is RetrievalMethod.CLUSTERING:
         raise MissingIndexError("clustering retrieval requires a cluster index")
     if len(db) == 0:
@@ -410,11 +406,4 @@ def load_index(path) -> ClusterIndex:
     return deserialize_index(Path(path).read_bytes())
 
 
-def save_index_bundle(bundle: IndexBundle, path) -> None:
-    """Write the bundle's one index to ``path``."""
-    save_index(bundle.full, path)
-
-
-def load_index_bundle(path) -> IndexBundle:
-    """Load the one index at ``path``."""
-    return IndexBundle(load_index(path))
+save_index_bundle, load_index_bundle = save_index, load_index  # the benchmark worker's names

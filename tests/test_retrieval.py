@@ -42,12 +42,7 @@ from emorag import (
     save_index,
     save_index_bundle,
 )
-from emorag.retrieval import (
-    IndexBundle,
-    _scan_argmax,
-    deserialize_index,
-    serialize_index,
-)
+from emorag.retrieval import _scan_argmax, deserialize_index, serialize_index
 from emorag import retrieval, store
 from emorag.store import deserialize_db, grouped_rows, load_db, save_db, serialize_db
 from emorag.synthbench import SyntheticDatasetConfig, generate_synthetic_db, make_query_set
@@ -538,11 +533,12 @@ def test_cluster_index_validation():
 def test_bundle_for_level_takes_a_level_name():
     # one index serves every level, the one without records included
     db = build_db(np.eye(2, dtype=np.float32), intensities=["weak", "normal"])
-    bundle = IndexBundle(kmeans_fit(db, 1))
+    index = kmeans_fit(db, 1)
+    assert index.full is index
     for level in ("weak", "WEAK", IntensityLevel.WEAK, "strong", IntensityLevel.STRONG, None):
-        assert bundle.for_level(level) is bundle.full
+        assert index.for_level(level) is index
     with pytest.raises(InvalidIntensityError):
-        bundle.for_level("loud")
+        index.for_level("loud")
 
 
 def test_clustering_without_an_index_is_a_missing_index():
@@ -828,7 +824,7 @@ def test_retrieve_gated_clustering_accepts_a_bare_index():
         q = EmotionEmbedding(db.matrix[row])
         for level in LEVELS[:2]:
             got = retrieve(db, q, "clustering", index=index, intensity=level)
-            _same_result(got, retrieve(db, q, "clustering", index=IndexBundle(index), intensity=level))
+            _same_result(got, retrieve(db, q, "clustering", index=index.for_level(level), intensity=level))
 
 
 def test_gate_of_another_database_raises_stale():
@@ -836,9 +832,8 @@ def test_gate_of_another_database_raises_stale():
     other = build_db(db.matrix[::-1], intensities=[LEVELS[i % 2] for i in range(12)])
     index = kmeans_fit(db, 2, seed=0)
     q = EmotionEmbedding(db.matrix[0])
-    for given in (index, IndexBundle(index)):
-        with pytest.raises(StaleIndexError):
-            retrieve(other, q, "clustering", index=given, intensity="weak")
+    with pytest.raises(StaleIndexError):
+        retrieve(other, q, "clustering", index=index, intensity="weak")
     with pytest.raises(StaleIndexError):
         retrieve_clustering_based(filter_by_intensity(other, "weak"), index, q)
     # an index fit on a gate's own subset still serves that subset
@@ -889,6 +884,7 @@ def test_one_fit_serves_every_level(tmp_path, monkeypatch):
 
 
 def test_bundle_save_load(tmp_path):
+    assert save_index_bundle is save_index and load_index_bundle is load_index
     db = _gated_db()
     bundle = build_index_bundle(db, seed=0)
     path = tmp_path / "db.emix"

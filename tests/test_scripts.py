@@ -71,11 +71,12 @@ def test_outputs_block_is_deterministic_and_sees_one_ulp(tmp_path, monkeypatch):
         assert f"/retrieve-gated/seed 5/{key}" in changed
 
 
-def _perfbench_record(seed, trace, latency, import_s, setup_rep_s, layers=None):
+def _perfbench_record(seed, trace, latency, import_s, setup_rep_s, layers=None, ops=100, rss=None):
     """A made-up ``perfbench/run.py --out`` record: only the fields the timings block reads."""
     e2e = {"setup_s": statistics.median(import_s) + statistics.median(setup_rep_s), "latency_p50_ms": latency}
     record = {"workload": "synth", "seed": seed, "trace": trace, "seconds": 48.0, "correct": True}
-    record.update(e2e=dict(e2e, latency_p95_ms=None), samples={"import_s": import_s, "setup_rep_s": setup_rep_s})
+    samples = {"ops": ops, "import_s": import_s, "setup_rep_s": setup_rep_s}
+    record.update(e2e=dict(e2e, latency_p95_ms=None, peak_rss_mb=rss), samples=samples)
     return record if layers is None else dict(record, layers=layers)
 
 
@@ -101,6 +102,19 @@ def test_timings_block_summarizes_untraced_and_traced_records(monkeypatch):
     assert synth["per_layer"] == {"flow.ode_ms": 6.5, "pipeline.stage_failures": 0}
     records[2]["correct"] = False
     assert bench.timings(records)["synth"]["correct"] is False
+
+
+def test_timings_block_keeps_each_untraced_runs_rss_against_its_op_count(monkeypatch):
+    bench = _bench_record(monkeypatch)
+    records = [
+        _perfbench_record(1, 0, 0.09, [0.1], [0.05], ops=32_000, rss=84.9),
+        _perfbench_record(1009, 0, 0.08, [0.1], [0.05], ops=787_000, rss=98.9),
+        _perfbench_record(1, 1, 0.2, [0.1], [0.05], layers={}, ops=5_000, rss=90.0),
+    ]
+    block = bench.timings(records)["synth"]
+    # one pair per untraced run, in record order; the traced run is left out
+    assert block["rss_by_ops"] == [[32_000, 84.9], [787_000, 98.9]]
+    assert block["end_to_end"]["peak_rss_mb"]["median"] == pytest.approx(91.9)
 
 
 def test_check_leaves_blas_bound_outputs_out_only_in_another_environment(monkeypatch):
