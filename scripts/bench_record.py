@@ -25,9 +25,11 @@ Without ``--outputs-only`` the record also holds a timings block.  It runs
 fresh ``--out`` directory, about six minutes in all.  Per workload it keeps the
 quartiles (q1, median, q3) of every end-to-end metric over the untraced runs,
 with ``setup_s`` also split into its import part and its set-up part, each
-untraced run's ``[ops, peak_rss_mb]`` (the worker keeps one latency sample per
-op, so its RSS grows with the op count), and the median of every per-layer
-metric over the traced runs.
+untraced run's ``[ops, peak_rss_mb]``, and the median of every per-layer metric
+over the traced runs.  ``rss_by_ops`` stays flat, then grows with the op count:
+the worker keeps one latency sample per op, but its ``peak_rss_mb`` (``ru_maxrss``)
+starts at ``run.py``'s high-water mark, which ``subprocess``'s vfork and exec carry
+over, so the samples show only once the worker's own RSS passes that mark.
 
     python3 scripts/bench_record.py                                 # writes BENCH_<short-sha>.json
     python3 scripts/bench_record.py --outputs-only                  # the same without timings

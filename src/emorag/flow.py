@@ -64,7 +64,7 @@ from .errors import (
     NonFiniteValueError,
     TrainingDivergenceError,
 )
-from .util import atomic_write_bytes, frozen_copy, is_whole, seeded_rng, whole
+from .util import atomic_write_bytes, frozen_copy, is_whole, real, seeded_rng, whole
 
 TOKEN_RATE_HZ = 50.0
 MEL_RATE_HZ = 80.0
@@ -81,10 +81,7 @@ class FrameSequence:
 
     def __post_init__(self):
         self.frames = frozen_copy(self.frames, np.float64, 2, "frames")
-        rate = float(self.frame_rate_hz)
-        if not math.isfinite(rate) or rate <= 0.0:
-            raise InvalidParameterError(f"frame_rate_hz must be positive, got {rate}")
-        self.frame_rate_hz = rate
+        self.frame_rate_hz = real(self.frame_rate_hz, ">", 0.0, "frame_rate_hz")
 
     @property
     def num_frames(self) -> int:
@@ -254,7 +251,8 @@ def _forward(model: VectorFieldModel, feats: np.ndarray):
 
 @dataclass(eq=False)
 class FlowBatch:
-    """One training batch: endpoints, times, and conditioning, row-aligned."""
+    """One training batch of B >= 1 rows (an empty ``t`` fails :func:`~emorag.util.frozen_copy`):
+    endpoints, times and conditioning as private read-only float64 copies; a 1-D ``spk`` is every row's."""
 
     x0: np.ndarray
     x1: np.ndarray
@@ -263,30 +261,18 @@ class FlowBatch:
     spk: np.ndarray
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=np.float64)
-        x1 = np.asarray(self.x1, dtype=np.float64)
-        t = np.asarray(self.t, dtype=np.float64)
-        cond = np.asarray(self.cond, dtype=np.float64)
-        spk = np.asarray(self.spk, dtype=np.float64)
-        if x0.ndim != 2 or x0.shape[0] == 0:
-            raise DimensionMismatchError("x0 must be a non-empty (batch, dim) array")
-        if x1.shape != x0.shape:
-            raise DimensionMismatchError(f"x1 shape {x1.shape} != x0 shape {x0.shape}")
-        B = x0.shape[0]
-        if t.shape != (B,):
-            raise DimensionMismatchError(f"t shape {t.shape}, expected ({B},)")
-        if cond.ndim != 2 or cond.shape[0] != B:
-            raise DimensionMismatchError(f"cond must be ({B}, cond_dim), got {cond.shape}")
-        if spk.ndim == 1:
-            spk = np.broadcast_to(spk, (B, spk.shape[0])).copy()
-        if spk.ndim != 2 or spk.shape[0] != B:
-            raise DimensionMismatchError(f"spk must be ({B}, spk_dim), got {spk.shape}")
-        for name, arr in (("x0", x0), ("x1", x1), ("t", t), ("cond", cond), ("spk", spk)):
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteValueError(f"batch field {name} contains NaN or infinity")
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        self.x0 = frozen_copy(self.x0, np.float64, 2, "batch field x0")
+        B = self.x0.shape[0]
+        if np.ndim(self.spk) == 1:
+            self.spk = np.broadcast_to(self.spk, (B, len(self.spk)))
+        for name, ndim in (("x1", 2), ("t", 1), ("cond", 2), ("spk", 2)):
+            arr = frozen_copy(getattr(self, name), np.float64, ndim, f"batch field {name}")
+            want = self.x0.shape if name == "x1" else (B, *arr.shape[1:])
+            if arr.shape != want:
+                raise DimensionMismatchError(f"batch field {name} has shape {arr.shape}, expected {want}")
+            setattr(self, name, arr)
+        if np.any(self.t < 0.0) or np.any(self.t > 1.0):
             raise InvalidParameterError("batch times must lie in [0, 1]")
-        self.x0, self.x1, self.t, self.cond, self.spk = x0, x1, t, cond, spk
 
 
 def _batch_forward(model: VectorFieldModel, batch: FlowBatch):
@@ -314,9 +300,7 @@ def vf_train_step(model: VectorFieldModel, batch: FlowBatch, learning_rate: floa
     evaluated *before* the update.  The L1 subgradient uses sign(0) = 0.
     Non-finite loss or gradients abort with :class:`TrainingDivergenceError`.
     """
-    lr = float(learning_rate)
-    if not math.isfinite(lr) or lr < 0.0:
-        raise InvalidParameterError(f"learning_rate must be finite and >= 0, got {lr}")
+    lr = real(learning_rate, ">=", 0.0, "learning_rate")
     hs, res = _batch_forward(model, batch)
     loss = float(np.mean(np.abs(res)))
     if not math.isfinite(loss):
@@ -443,15 +427,8 @@ def generate_mel(
 
     Each upsampled token frame conditions one mel frame; all frames integrate
     in parallel from an N(0, I) start drawn with ``seed`` (an integer >= 0).
+    :func:`ode_integrate_batch` checks the token and speaker dims against the model's.
     """
-    if tokens.dim != model.cond_dim:
-        raise DimensionMismatchError(
-            f"token dim {tokens.dim} does not match model cond dim {model.cond_dim}"
-        )
-    if speaker.dim != model.spk_dim:
-        raise DimensionMismatchError(
-            f"speaker dim {speaker.dim} does not match model spk dim {model.spk_dim}"
-        )
     up = upsample_tokens(tokens)
     x0 = seeded_rng(seed).standard_normal((up.num_frames, model.state_dim))
     mel = ode_integrate_batch(model, x0, up.frames, speaker.values, n_steps)
@@ -476,10 +453,7 @@ class FlowTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0.0:
-            raise InvalidParameterError(
-                f"learning_rate must be positive, got {self.learning_rate}"
-            )
+        self.learning_rate = real(self.learning_rate, ">", 0.0, "learning_rate")
         self.batch_size = whole(self.batch_size, 1, "batch_size")
         self.total_steps = whole(self.total_steps, 0, "total_steps")
         self.seed = whole(self.seed, 0, "seed")

@@ -374,13 +374,17 @@ def retrieve(
 # index serialization
 
 
+def _emix_pieces(index: ClusterIndex):
+    """The EMIX v1 bytes of ``index`` in order, as pieces: header, centroids, count, assignments, fingerprint."""
+    yield HEADER.pack(EMIX_MAGIC, EMIX_VERSION, index.k, index.dim)
+    yield np.ascontiguousarray(index.centroids, dtype="<f4")
+    yield struct.pack("<I", index.assignments.shape[0])
+    yield np.ascontiguousarray(index.assignments, dtype="<u4")
+    yield index.fingerprint
+
+
 def serialize_index(index: ClusterIndex) -> bytes:
-    out = [HEADER.pack(EMIX_MAGIC, EMIX_VERSION, index.k, index.dim)]
-    out.append(np.ascontiguousarray(index.centroids, dtype="<f4").tobytes())
-    out.append(struct.pack("<I", index.assignments.shape[0]))
-    out.append(np.ascontiguousarray(index.assignments, dtype="<u4").tobytes())
-    out.append(index.fingerprint)
-    return b"".join(out)
+    return b"".join(_emix_pieces(index))
 
 
 def deserialize_index(data: bytes) -> ClusterIndex:
@@ -399,7 +403,7 @@ def deserialize_index(data: bytes) -> ClusterIndex:
 
 
 def save_index(index: ClusterIndex, path) -> None:
-    atomic_write_bytes(path, [serialize_index(index)])
+    atomic_write_bytes(path, _emix_pieces(index))
 
 
 def load_index(path) -> ClusterIndex:

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .retrieval import RetrievalMethod, default_k, kmeans_fit, retrieve
 from .store import EmbeddingDatabase, EmotionEmbedding
-from .util import atomic_write_text, seeded_rng, whole
+from .util import atomic_write_text, is_real, real, seeded_rng, whole
 
 DEFAULT_SIZES = (3000, 8000)
 DEFAULT_NUM_EMOTIONS = 8
@@ -62,21 +62,12 @@ class SyntheticDatasetConfig:
     def __post_init__(self):
         for name, least in (("num_emotions", 1), ("dim", 1), ("records_per_emotion", 1), ("seed", 0)):
             setattr(self, name, whole(getattr(self, name), least, name))
-        self.cluster_sigma = float(self.cluster_sigma)
-        if not math.isfinite(self.cluster_sigma) or self.cluster_sigma < 0.0:
-            raise InvalidParameterError(
-                f"cluster_sigma must be >= 0, got {self.cluster_sigma}"
-            )
-        self.center_spread = float(self.center_spread)
-        if not math.isfinite(self.center_spread) or self.center_spread <= 0.0:
-            raise InvalidParameterError(
-                f"center_spread must be > 0, got {self.center_spread}"
-            )
-        mix = tuple(float(f) for f in self.intensity_mix)
-        if len(mix) != 3 or not all(math.isfinite(f) and f >= 0.0 for f in mix):
-            raise InvalidParameterError(
-                "intensity_mix must be three finite non-negative fractions"
-            )
+        self.cluster_sigma = real(self.cluster_sigma, ">=", 0.0, "cluster_sigma")
+        self.center_spread = real(self.center_spread, ">", 0.0, "center_spread")
+        mix = tuple(self.intensity_mix)
+        if len(mix) != 3 or not all(is_real(f, ">=", 0.0) for f in mix):
+            raise InvalidParameterError("intensity_mix must be three finite non-negative fractions")
+        mix = tuple(map(float, mix))
         if abs(sum(mix) - 1.0) > 1e-9:
             raise InvalidParameterError(
                 f"intensity_mix must sum to 1 within 1e-9, got {sum(mix)}"

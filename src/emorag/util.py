@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -44,6 +45,25 @@ def whole(value, least: int, what: str) -> int:
     if not is_whole(value, least):
         raise InvalidParameterError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def is_real(value, bound_kind: str, bound: float) -> bool:
+    """Whether ``value`` is a finite Python or numpy int or float ``bound_kind`` (``">="`` or
+    ``">"``) ``bound``; a bool, numpy bool or string is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond float's range
+        return False
+    return math.isfinite(number) and {">=": number >= bound, ">": number > bound}[bound_kind]
+
+
+def real(value, bound_kind: str, bound: float, what: str) -> float:
+    """``value`` as a ``float`` if :func:`is_real`, else :class:`InvalidParameterError` naming ``what``."""
+    if not is_real(value, bound_kind, bound):
+        raise InvalidParameterError(f"{what} must be a finite number {bound_kind} {bound:g}, got {value!r}")
+    return float(value)
 
 
 def seeded_rng(seed) -> np.random.Generator:

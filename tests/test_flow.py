@@ -314,10 +314,12 @@ def test_batch_validation():
             spk=np.zeros((2, 1)),
         )
     # a single shared speaker row broadcasts over the batch
-    b = FlowBatch(
-        x0=np.zeros((3, 2)), x1=np.zeros((3, 2)), t=np.zeros(3), cond=np.zeros((3, 1)), spk=np.ones(4)
-    )
+    x0 = np.zeros((3, 2))
+    b = FlowBatch(x0=x0, x1=np.zeros((3, 2)), t=np.zeros(3), cond=np.zeros((3, 1)), spk=np.ones(4))
     assert b.spk.shape == (3, 4)
+    # the batch holds private read-only copies: its caller's arrays can change under it no more
+    x0[0, 0] = 1.0
+    assert b.x0[0, 0] == 0.0 and not any(a.flags.writeable for a in (b.x0, b.x1, b.t, b.cond, b.spk))
 
 
 def test_loss_zero_when_target_reached():

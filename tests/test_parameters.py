@@ -1,9 +1,18 @@
-"""Every count, size, step count and seed a caller passes follows one rule.
+"""Every count, size, step count and seed a caller passes follows one rule, and
+every real-valued parameter another.
 
-It must be a Python or numpy integer of at least the site's minimum; a float,
-a bool or a smaller value raises :class:`InvalidParameterError`
-(:class:`DimensionMismatchError` for a database's ``dim``) and is never
-truncated, and a numpy integer gives the same result as the plain ``int``.
+A count, size, step count or seed must be a Python or numpy integer of at least
+the site's minimum; a float, a bool or a smaller value raises
+:class:`InvalidParameterError` (:class:`DimensionMismatchError` for a
+database's ``dim``) and is never truncated, and a numpy integer gives the same
+result as the plain ``int``.
+
+A rate, a noise scale, a spread or an intensity fraction must be a finite
+Python or numpy int or float at or above (or strictly above) the site's bound;
+a bool, a numpy bool, a string, NaN, an infinity or a value on the wrong side
+of the bound raises :class:`InvalidParameterError`, and an accepted value is
+stored as a ``float``.
+
 The package's count of defaulted parameters is pinned here too.
 """
 
@@ -24,6 +33,7 @@ from emorag.flow import (
     init_vector_field,
     linear_map_task,
     ode_integrate_batch,
+    vf_train_step,
 )
 from emorag.pipeline import PromptAssembly, SynthesisRequest, mock_generate_tokens
 from emorag.store import serialize_db
@@ -140,6 +150,53 @@ def test_whole_number_parameters(site):
         with pytest.raises(error):
             call(bad)
     assert repr(call(np.int64(good))) == repr(call(good))
+
+
+def _stepped(learning_rate):
+    model = init_vector_field(2, 1, 1, (3,), seed=0)
+    vf_train_step(model, linear_map_task(2, 1, 1, seed=0)(np.random.default_rng(0), 4), learning_rate)
+    return [w.tobytes() for w in model.weights]
+
+
+def _mix(fraction):
+    rest = (1.0 - float(fraction)) / 2  # the other two fractions make the sum 1
+    return SyntheticDatasetConfig(2, 3, 2, intensity_mix=(fraction, rest, rest)).intensity_mix[0]
+
+
+GOOD_REALS = (1, np.int64(2), np.float32(0.5))
+
+# site: (a call that passes the value there, a value on the wrong side of its bound,
+# the accepted values, the text the error names)
+REAL_SITES = {
+    "FrameSequence.frame_rate_hz": (
+        lambda v: FrameSequence(np.ones((2, 1)), v).frame_rate_hz, 0, GOOD_REALS, "frame_rate_hz"
+    ),
+    "vf_train_step.learning_rate": (_stepped, -0.5, GOOD_REALS, "learning_rate"),
+    "FlowTrainConfig.learning_rate": (
+        lambda v: FlowTrainConfig(learning_rate=v).learning_rate, 0, GOOD_REALS, "learning_rate"
+    ),
+    "SyntheticDatasetConfig.cluster_sigma": (
+        lambda v: SyntheticDatasetConfig(2, 3, 2, cluster_sigma=v).cluster_sigma, -0.5, GOOD_REALS, "cluster_sigma"
+    ),
+    "SyntheticDatasetConfig.center_spread": (
+        lambda v: SyntheticDatasetConfig(2, 3, 2, center_spread=v).center_spread, 0, GOOD_REALS, "center_spread"
+    ),
+    # a fraction above 1 cannot sum to 1 with two others >= 0
+    "SyntheticDatasetConfig.intensity_mix": (
+        _mix, -0.5, (1, np.int64(1), np.float32(0.5)), "three finite non-negative"
+    ),
+}
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_real_number_parameters(site):
+    call, wrong_side, goods, named = REAL_SITES[site]
+    for bad in (True, np.bool_(True), "0.5", float("nan"), float("inf"), -float("inf"), wrong_side):
+        with pytest.raises(InvalidParameterError, match=named):
+            call(bad)
+    for good in goods:
+        # the repr of an int or a numpy scalar differs from a float's, so this also says it is stored as a float
+        assert repr(call(good)) == repr(call(float(good)))
 
 
 def test_cluster_assignments_are_integers():

@@ -211,6 +211,22 @@ def test_index_roundtrip_bit_exact(tmp_path):
     assert serialize_index(load_index(path)) == data
 
 
+def test_saving_an_index_streams_its_pieces(tmp_path, monkeypatch):
+    index = kmeans_fit(random_db(np.random.default_rng(2), n=25, dim=6), 3, seed=5)
+    write, pieces = retrieval.atomic_write_bytes, []
+
+    def capture(path, given):
+        pieces.extend(bytes(p) for p in given)
+        write(path, pieces)
+
+    monkeypatch.setattr(retrieval, "atomic_write_bytes", capture)
+    save_index(index, tmp_path / "ix.emix")
+    data = (tmp_path / "ix.emix").read_bytes()
+    assert data == serialize_index(index)
+    # the writer gets the file in pieces, as for every other save, never as one joined payload
+    assert len(pieces) > 1 and data not in pieces
+
+
 def test_index_file_with_a_zero_norm_centroid_fails_at_load(tmp_path):
     db = build_db(np.eye(3, dtype=np.float32))
     path = tmp_path / "ix.emix"
