@@ -60,7 +60,6 @@ from .flow import (
     FrameSequence,
     SpeakerEmbedding,
     VectorFieldModel,
-    cfm_sample_path,
     generate_mel,
     init_vector_field,
     linear_map_task,

@@ -2,10 +2,10 @@
 
 The pieces here are deliberately self-contained numpy: a frame container, the
 linear-interpolation upsampler that bridges 50 Hz token sequences to 80 Hz mel
-sequences at the 1.6:1 ratio those rates fix, the linear interpolation path
-used for flow-matching targets, a fully-connected time-conditioned vector
-field with hand-written backprop under an L1 objective, explicit Euler
-integration of the learned field, and length-prefixed binary artifacts for
+sequences at the 1.6:1 ratio those rates fix, a fully-connected
+time-conditioned vector field with hand-written backprop under an L1 objective
+on the linear interpolation path (formed in the training forward), explicit
+Euler integration of the learned field, and length-prefixed binary artifacts for
 checkpoints and frames; a checkpoint's array table is the one its dims fix.
 A save hands the writer the header and then the float64 arrays themselves.
 
@@ -126,29 +126,6 @@ def upsample_tokens(seq: FrameSequence) -> FrameSequence:
     return FrameSequence(frames=frames, frame_rate_hz=seq.frame_rate_hz * UPSAMPLE_RATIO)
 
 
-def cfm_sample_path(x0: np.ndarray, x1: np.ndarray, t):
-    """Linear interpolation path and its velocity target.
-
-    ``x_t = (1 - t) x0 + t x1`` and ``u = x1 - x0``; ``t`` may be a scalar or
-    a per-row vector in [0, 1].
-    """
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x0.shape != x1.shape:
-        raise DimensionMismatchError(f"endpoint shapes differ: {x0.shape} vs {x1.shape}")
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0.0) or np.any(t_arr > 1.0) or not np.all(np.isfinite(t_arr)):
-        raise InvalidParameterError("t must lie in [0, 1]")
-    if t_arr.ndim == 1 and x0.ndim == 2:
-        if t_arr.shape[0] != x0.shape[0]:
-            raise DimensionMismatchError("per-row t must match the batch size")
-        t_arr = t_arr[:, None]
-    elif t_arr.ndim != 0:
-        raise InvalidParameterError("t must be a scalar or a 1-D batch vector")
-    xt = (1.0 - t_arr) * x0 + t_arr * x1
-    return xt, x1 - x0
-
-
 # ---------------------------------------------------------------------------
 # vector field
 
@@ -195,10 +172,6 @@ class VectorFieldModel:
             bs.append(b.copy())
         self.weights = ws
         self.biases = bs
-
-    @property
-    def input_dim(self) -> int:
-        return self.layer_sizes[0]
 
     @property
     def layer_sizes(self) -> tuple:
@@ -276,13 +249,16 @@ class FlowBatch:
 
 
 def _batch_forward(model: VectorFieldModel, batch: FlowBatch):
-    """Layer inputs and the residual ``field - target`` for one batch."""
+    """Layer inputs and the residual ``field - target`` for one batch, on the linear path
+    ``x_t = (1 - t) x0 + t x1`` whose velocity target is ``u = x1 - x0``."""
     for name, arr in (("state", batch.x0), ("cond", batch.cond), ("spk", batch.spk)):
         want = getattr(model, f"{name}_dim")
         if arr.shape[1] != want:
             raise DimensionMismatchError(f"batch {name} dim {arr.shape[1]} != model's {want}")
-    xt, u = cfm_sample_path(batch.x0, batch.x1, batch.t)
-    feats = np.concatenate([xt, batch.cond, batch.spk, batch.t[:, None]], axis=1)
+    t = batch.t[:, None]  # the batch checked shapes, finiteness and t in [0, 1]
+    xt = (1.0 - t) * batch.x0 + t * batch.x1
+    u = batch.x1 - batch.x0
+    feats = np.concatenate([xt, batch.cond, batch.spk, t], axis=1)
     hs, out = _forward(model, feats)
     return hs, out - u
 

@@ -115,8 +115,7 @@ def load_token_map(path) -> dict:
     for rid, rel in payload.items():
         if not isinstance(rel, str):
             raise FormatError(f"token map entry {rid!r} must be a path string")
-        p = Path(rel)
-        out[str(rid)] = p if p.is_absolute() else base / p
+        out[str(rid)] = base / rel  # an absolute rel replaces base
     return out
 
 

@@ -26,7 +26,6 @@ from emorag import (
     SpeakerEmbedding,
     TrainingDivergenceError,
     VectorFieldModel,
-    cfm_sample_path,
     generate_mel,
     init_vector_field,
     linear_map_task,
@@ -42,7 +41,7 @@ from emorag import (
     vf_train_step,
 )
 from emorag import flow
-from emorag.flow import _forward
+from emorag.flow import _batch_forward, _forward
 
 from helpers import (
     openblas_thread_count,
@@ -168,37 +167,36 @@ def test_upsample_affine_exactness(seed):
 # flow-matching path
 
 
+def _path(x0, x1, t):
+    """``(x_t, u)`` as training sees them: ``x_t`` is the state part of layer 0's input, and a
+    zero field's residual ``0 - u`` is ``-u`` exactly."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    B, D = x0.shape
+    batch = FlowBatch(x0=x0, x1=x1, t=t, cond=np.zeros((B, 1)), spk=np.zeros((B, 1)))
+    hs, res = _batch_forward(zeroed(init_vector_field(D, 1, 1, (2,), seed=0)), batch)
+    return hs[0][:, :D], -res
+
+
 def test_path_endpoints_exact():
     rng = np.random.default_rng(1)
     x0 = rng.standard_normal((4, 3))
     x1 = rng.standard_normal((4, 3))
-    xt0, u = cfm_sample_path(x0, x1, 0.0)
+    xt0, u = _path(x0, x1, np.zeros(4))
     assert np.array_equal(xt0, x0)
-    xt1, _ = cfm_sample_path(x0, x1, 1.0)
+    xt1, _ = _path(x0, x1, np.ones(4))
     assert np.array_equal(xt1, x1)
     assert np.array_equal(u, x1 - x0)
 
 
 def test_path_quarter_point():
-    xt, u = cfm_sample_path(np.array([0.0, 4.0]), np.array([8.0, 0.0]), 0.25)
-    np.testing.assert_allclose(xt, [2.0, 3.0], atol=1e-15)
-    np.testing.assert_allclose(u, [8.0, -4.0], atol=1e-15)
+    xt, u = _path([[0.0, 4.0]], [[8.0, 0.0]], np.array([0.25]))
+    np.testing.assert_allclose(xt, [[2.0, 3.0]], atol=1e-15)
+    np.testing.assert_allclose(u, [[8.0, -4.0]], atol=1e-15)
 
 
 def test_path_per_row_times():
-    x0 = np.zeros((3, 2))
-    x1 = np.ones((3, 2))
-    xt, _ = cfm_sample_path(x0, x1, np.array([0.0, 0.5, 1.0]))
+    xt, _ = _path(np.zeros((3, 2)), np.ones((3, 2)), np.array([0.0, 0.5, 1.0]))
     np.testing.assert_allclose(xt, [[0, 0], [0.5, 0.5], [1, 1]], atol=1e-15)
-
-
-def test_path_validation():
-    with pytest.raises(DimensionMismatchError):
-        cfm_sample_path(np.zeros(2), np.zeros(3), 0.5)
-    with pytest.raises(InvalidParameterError):
-        cfm_sample_path(np.zeros(2), np.ones(2), 1.5)
-    with pytest.raises(InvalidParameterError):
-        cfm_sample_path(np.zeros(2), np.ones(2), -0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +205,6 @@ def test_path_validation():
 
 def test_init_shapes_and_bounds():
     model = init_vector_field(2, 2, 8, (64, 64), seed=0)
-    assert model.input_dim == 13
     assert model.layer_sizes == (13, 64, 64, 2)
     assert [W.shape for W in model.weights] == [(64, 13), (64, 64), (2, 64)]
     assert [b.shape for b in model.biases] == [(64,), (64,), (2,)]
@@ -305,14 +302,11 @@ def test_batch_validation():
             cond=np.zeros((2, 1)),
             spk=np.zeros((2, 1)),
         )
-    with pytest.raises(InvalidParameterError):
-        FlowBatch(
-            x0=np.zeros((2, 2)),
-            x1=np.zeros((2, 2)),
-            t=np.array([0.5, 1.5]),
-            cond=np.zeros((2, 1)),
-            spk=np.zeros((2, 1)),
-        )
+    for t in ([0.5, 1.5], [-0.01, 0.5]):
+        with pytest.raises(InvalidParameterError):
+            FlowBatch(x0=np.zeros((2, 2)), x1=np.zeros((2, 2)), t=np.array(t), cond=np.zeros((2, 1)), spk=np.zeros((2, 1)))
+    with pytest.raises(DimensionMismatchError):  # endpoints of different shapes
+        FlowBatch(x0=np.zeros((2, 2)), x1=np.zeros((2, 3)), t=np.zeros(2), cond=np.zeros((2, 1)), spk=np.zeros((2, 1)))
     # a single shared speaker row broadcasts over the batch
     x0 = np.zeros((3, 2))
     b = FlowBatch(x0=x0, x1=np.zeros((3, 2)), t=np.zeros(3), cond=np.zeros((3, 1)), spk=np.ones(4))
@@ -403,10 +397,8 @@ def test_gradients_match_finite_differences():
     for point in range(3):
         model = init_vector_field(2, 2, 2, (8,), seed=200 + point)
         batch = _batch(rng, B=1, D=2, C=2, S=2)
-        xt, u = cfm_sample_path(batch.x0, batch.x1, batch.t)
-        feats = np.concatenate([xt, batch.cond, batch.spk, batch.t[:, None]], axis=1)
-        hs, out = _forward(model, feats)
-        delta = np.sign(out - u) / out.size
+        hs, res = _batch_forward(model, batch)
+        delta = np.sign(res) / res.size
         grads = {}
         last = len(model.weights) - 1
         grads[f"W{last}"] = delta.T @ hs[last]
@@ -781,7 +773,7 @@ def test_ode_concurrent_callers_get_their_sequential_bytes():
 @pytest.mark.parametrize("hidden", [(), (16,), (16, 8)])
 def test_forward_activations_equal_the_reference(hidden):
     model = _biased_field(hidden, seed=len(hidden))
-    feats = np.random.default_rng(11).standard_normal((199, model.input_dim))
+    feats = np.random.default_rng(11).standard_normal((199, model.layer_sizes[0]))
     hs, out = _forward(model, feats)
     want_hs, want = reference_forward_cached(model, feats)
     assert out.tobytes() == want.tobytes()

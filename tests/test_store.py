@@ -515,6 +515,27 @@ def test_load_rejects_bad_audio_flag():
         deserialize_db(_header(2, 1) + bad)
 
 
+def test_every_proper_prefix_is_rejected_by_type():
+    # a vector cut raises DimensionMismatchError, any other cut past the header FormatError
+    records = [
+        _record_bytes(rid="r0", audio="a/r0.wav", floats=(1.0, 0.0, 0.5)),
+        _record_bytes(rid="r1", label="colère", code=2, transcript="hé", floats=(0.0, 1.0, 0.0)),
+        _record_bytes(rid="r2", code=0, floats=(0.5, 0.5, 0.5)),
+    ]
+    data = _header(3, 3) + b"".join(records)
+    assert serialize_db(deserialize_db(data)) == data
+    ends = np.cumsum([16] + [len(r) for r in records])[1:]
+    seen = []
+    for n in range(len(data)):
+        with pytest.raises((MalformedHeaderError, FormatError, DimensionMismatchError)) as caught:
+            deserialize_db(data[:n])
+        in_vector = any(end - 12 <= n < end for end in ends)
+        want = MalformedHeaderError if n < 16 else DimensionMismatchError if in_vector else FormatError
+        assert type(caught.value) is want, (n, caught.value)
+        seen.append(want)
+    assert [seen.count(t) for t in (MalformedHeaderError, FormatError, DimensionMismatchError)] == [16, len(data) - 52, 36]
+
+
 # ---------------------------------------------------------------------------
 # intensity filtering
 

@@ -343,6 +343,20 @@ def test_csv_report_layout(tmp_path):
     assert lines[3].startswith("clustering,3000,")
 
 
+def test_csv_report_bytes(tmp_path):
+    path = tmp_path / "bench.csv"
+    results = [
+        BenchResult(RetrievalMethod.EMBEDDING, 8000, 0.9375, 123_456_789_012, 987_654_321_098_765, 16),
+        BenchResult(RetrievalMethod.CLUSTERING, 3000, 1 / 3, 45_678, 9_007_199_254_740_993, 3),
+    ]
+    emit_report(results, path, "csv")
+    assert path.read_bytes() == (
+        b"method,db_size,accuracy,mean_latency_ns,p95_latency_ns,queries\n"
+        b"embedding,8000,0.9375,123456789012,987654321098765,16\n"
+        b"clustering,3000,0.3333333333333333,45678,9007199254740993,3\n"
+    )
+
+
 def test_json_report_round_trips(tmp_path):
     path = tmp_path / "bench.json"
     results = fake_results()
