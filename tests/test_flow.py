@@ -199,6 +199,15 @@ def test_path_per_row_times():
     np.testing.assert_allclose(xt, [[0, 0], [0.5, 0.5], [1, 1]], atol=1e-15)
 
 
+def test_path_validation():
+    with pytest.raises(DimensionMismatchError):  # endpoints of different shapes
+        _path(np.zeros((1, 2)), np.zeros((1, 3)), np.array([0.5]))
+    with pytest.raises(InvalidParameterError):
+        _path(np.zeros((1, 2)), np.ones((1, 2)), np.array([1.5]))
+    with pytest.raises(InvalidParameterError):
+        _path(np.zeros((1, 2)), np.ones((1, 2)), np.array([-0.01]))
+
+
 # ---------------------------------------------------------------------------
 # model and forward pass
 
@@ -302,11 +311,8 @@ def test_batch_validation():
             cond=np.zeros((2, 1)),
             spk=np.zeros((2, 1)),
         )
-    for t in ([0.5, 1.5], [-0.01, 0.5]):
-        with pytest.raises(InvalidParameterError):
-            FlowBatch(x0=np.zeros((2, 2)), x1=np.zeros((2, 2)), t=np.array(t), cond=np.zeros((2, 1)), spk=np.zeros((2, 1)))
-    with pytest.raises(DimensionMismatchError):  # endpoints of different shapes
-        FlowBatch(x0=np.zeros((2, 2)), x1=np.zeros((2, 3)), t=np.zeros(2), cond=np.zeros((2, 1)), spk=np.zeros((2, 1)))
+    with pytest.raises(InvalidParameterError):
+        FlowBatch(x0=np.zeros((2, 2)), x1=np.zeros((2, 2)), t=np.array([0.5, 1.5]), cond=np.zeros((2, 1)), spk=np.zeros((2, 1)))
     # a single shared speaker row broadcasts over the batch
     x0 = np.zeros((3, 2))
     b = FlowBatch(x0=x0, x1=np.zeros((3, 2)), t=np.zeros(3), cond=np.zeros((3, 1)), spk=np.ones(4))
