@@ -156,8 +156,8 @@ class VectorFieldModel:
             )
         ws, bs = [], []
         for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            W = np.asarray(self.weights[l], dtype=np.float64)
-            b = np.asarray(self.biases[l], dtype=np.float64)
+            W = np.array(self.weights[l], dtype=np.float64)  # the one private copy
+            b = np.array(self.biases[l], dtype=np.float64)
             if W.shape != (fan_out, fan_in):
                 raise DimensionMismatchError(
                     f"layer {l}: weight shape {W.shape}, expected {(fan_out, fan_in)}"
@@ -168,8 +168,8 @@ class VectorFieldModel:
                 )
             if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
                 raise NonFiniteValueError(f"layer {l}: parameters contain NaN or infinity")
-            ws.append(W.copy())
-            bs.append(b.copy())
+            ws.append(W)
+            bs.append(b)
         self.weights = ws
         self.biases = bs
 
@@ -528,8 +528,9 @@ def _unpack_artifact(data: bytes, expected_format: str):
             if isinstance(header, dict)
             else "header is not an object"
         )
-    if header.get("version") != ARTIFACT_VERSION:
-        raise MalformedHeaderError(f"unsupported version {header.get('version')!r}")
+    version = header.get("version")
+    if not is_whole(version, ARTIFACT_VERSION) or version != ARTIFACT_VERSION:  # true and 1.0 equal 1
+        raise MalformedHeaderError(f"unsupported version {version!r}")
     return header, data[4 + hlen :]
 
 

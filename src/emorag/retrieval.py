@@ -38,10 +38,11 @@ position.  It stays on one core, so its latency scales with the row count.
 
 An EMIX index file is the EMDB header (:data:`~emorag.store.HEADER`, with k
 and dim for sizes), f32 centroids, a u32 count and u32 assignments, and the
-fingerprint of the database it was built from, read through the same bounded
-reader as EMDB; lookups against a database with another fingerprint fail
-rather than silently returning positions from the wrong snapshot.  A
-zero-norm centroid fails at load, where the index normalizes its centroids.
+fingerprint of the database it was built from.  The header and the count fix
+the file's whole length, so one length check bounds every read.  Lookups
+against a database with another fingerprint fail rather than silently
+returning positions from the wrong snapshot.  A zero-norm centroid fails at
+load, where the index normalizes its centroids.
 """
 
 from __future__ import annotations
@@ -68,10 +69,10 @@ from .store import (
     HEADER,
     EmbeddingDatabase,
     EmotionEmbedding,
-    HeaderedFile,
     IntensityLevel,
     NamedEnum,
     grouped_rows,
+    read_header,
 )
 from .util import atomic_write_bytes, frozen_copy, log, seeded_rng, whole
 
@@ -388,18 +389,20 @@ def serialize_index(index: ClusterIndex) -> bytes:
 
 
 def deserialize_index(data: bytes) -> ClusterIndex:
-    body = HeaderedFile(data, EMIX_MAGIC, EMIX_VERSION)
-    k, dim = body.sizes
+    """A cluster index from its EMIX v1 bytes, whose length its header and assignment count fix."""
+    k, dim = read_header(data, EMIX_MAGIC, EMIX_VERSION)
     if k == 0 or dim == 0:
         raise MalformedHeaderError("k and dim must be positive")
-    centroids = np.frombuffer(body.take(4 * k * dim, "centroids"), dtype="<f4").reshape(k, dim)
-    (count,) = struct.unpack("<I", body.take(4, "assignment count"))
-    assignments = np.frombuffer(body.take(4 * count, "assignments"), dtype="<u4")
-    fingerprint = bytes(body.take(FINGERPRINT_BYTES, "fingerprint"))
-    body.finish("the fingerprint")
+    at = HEADER.size + 4 * k * dim  # the count, after the centroids
+    count = int.from_bytes(data[at : at + 4], "little")  # a cut count is short, and so is the file
+    size = at + 4 + 4 * count + FINGERPRINT_BYTES
+    if len(data) != size:
+        raise FormatError(f"file has {len(data)} bytes, its header and assignment count fix {size}")
+    centroids = np.frombuffer(data, "<f4", k * dim, HEADER.size).reshape(k, dim)
+    assignments = np.frombuffer(data, "<u4", count, at + 4)
     if count and int(assignments.max()) >= k:
         raise FormatError("assignment refers to a cluster >= k")
-    return ClusterIndex(k, centroids, assignments, fingerprint)
+    return ClusterIndex(k, centroids, assignments, bytes(data[-FINGERPRINT_BYTES:]))
 
 
 def save_index(index: ClusterIndex, path) -> None:

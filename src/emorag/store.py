@@ -38,9 +38,8 @@ sha256 fingerprint below meaningful.  Every file the reader accepts is
 canonical too (strict UTF-8, flags 0/1, codes 0-2, f32 bits copied verbatim, no
 trailing bytes), so a loaded database's fingerprint is the sha256 of the bytes
 it was read from; :func:`save_db` streams the pieces a built one hashes to the
-one writer.  EMIX index files share the header's layout (:data:`HEADER`);
-:class:`HeaderedFile` checks it and the end of either format's body, and bounds
-every EMIX read; :func:`deserialize_db` bounds its own.
+one writer.  EMIX index files share the header's layout (:data:`HEADER`), and
+:func:`read_header` checks it for both formats; each reader bounds its own body.
 """
 
 from __future__ import annotations
@@ -336,43 +335,25 @@ def save_db(db: EmbeddingDatabase, path) -> None:
     atomic_write_bytes(path, _emdb_pieces(db))
 
 
-class HeaderedFile:
-    """An EMDB or EMIX file read forward after its :data:`HEADER`, whose two sizes are ``sizes``.
-
-    A short header, another magic or version: :class:`MalformedHeaderError`.  A read past
-    the end, or bytes left at :meth:`finish`: :class:`FormatError`, its text built only then.
-    """
-
-    def __init__(self, data: bytes, magic: bytes, version: int):
-        if len(data) < HEADER.size:
-            raise MalformedHeaderError(f"file too short for header: {len(data)} bytes, need {HEADER.size}")
-        got, got_version, *self.sizes = HEADER.unpack_from(data, 0)
-        if got != magic:
-            raise MalformedHeaderError(f"bad magic {got!r}, expected {magic!r}")
-        if got_version != version:
-            raise MalformedHeaderError(f"unsupported version {got_version}")
-        self.data, self.pos = data, HEADER.size
-
-    def take(self, n: int, what: str) -> bytes:
-        """The next ``n`` bytes, as a slice of the file's ``bytes``."""
-        pos = self.pos
-        if pos + n > len(self.data):
-            raise FormatError(f"truncated file: ran out of bytes reading {what}")
-        self.pos = pos + n
-        return self.data[pos : pos + n]
-
-    def finish(self, what: str) -> None:
-        if self.pos != len(self.data):
-            raise FormatError(f"{len(self.data) - self.pos} trailing bytes after {what}")
+def read_header(data: bytes, magic: bytes, version: int) -> tuple:
+    """The two sizes of an EMDB or EMIX file's :data:`HEADER`; a short header, another magic
+    or another version raises :class:`MalformedHeaderError`."""
+    if len(data) < HEADER.size:
+        raise MalformedHeaderError(f"file too short for header: {len(data)} bytes, need {HEADER.size}")
+    got, got_version, size_a, size_b = HEADER.unpack_from(data, 0)
+    if got != magic:
+        raise MalformedHeaderError(f"bad magic {got!r}, expected {magic!r}")
+    if got_version != version:
+        raise MalformedHeaderError(f"unsupported version {got_version}")
+    return size_a, size_b
 
 
 def deserialize_db(data: bytes) -> EmbeddingDatabase:
-    """An EMDB v1 database from its bytes: one pass reads each record's fields by offset, one take the rows."""
-    body = HeaderedFile(data, EMDB_MAGIC, EMDB_VERSION)
-    dim, count = body.sizes
+    """An EMDB v1 database from its bytes: one pass reads each record's fields by offset, one gather the rows."""
+    dim, count = read_header(data, EMDB_MAGIC, EMDB_VERSION)
     if dim == 0:
         raise MalformedHeaderError("header dim must be positive")
-    vec_bytes, end, pos = 4 * dim, len(data), body.pos
+    vec_bytes, end, pos = 4 * dim, len(data), HEADER.size
     # sized by the bytes present (a header may claim more records than the file holds) and allocated
     # before the pass: allocated after it, five loads and their unit rows left glibc's heap 7 MB higher
     matrix = np.empty((min(count, (end - pos) // vec_bytes), dim), dtype="<f4")
@@ -404,8 +385,8 @@ def deserialize_db(data: bytes) -> EmbeddingDatabase:
         ids.append(rid)
         codes.append(data[b])
         vectors.append(d)
-    body.pos = pos
-    body.finish("the last record")
+    if pos != end:
+        raise FormatError(f"{end - pos} trailing bytes after the last record")
     if ids:
         matrix.view(np.uint8)[...] = sliding_window_view(np.frombuffer(data, np.uint8), vec_bytes)[vectors]
     db = EmbeddingDatabase(dim, matrix, codes, ids, labels, transcripts, audio_refs)
@@ -461,9 +442,9 @@ def load_manifest(path, dim: int | None = None) -> EmbeddingDatabase:
         missing = [k for k in ("id", "emotion_label", "intensity", "embedding") if k not in entry]
         if missing:
             raise FormatError(f"manifest entry {i} is missing keys: {', '.join(missing)}")
-        for key in ("emotion_label", "transcript"):
+        for key in ("id", "emotion_label", "transcript"):
             if entry.get(key, "") is None:
-                raise FormatError(f"manifest entry {entry['id']!r}: {key} is null")
+                raise FormatError(f"manifest entry {i}: {key} is null")
         vec = json_vector(entry["embedding"], f"manifest entry {entry['id']!r}: embedding")
         if dim is None and vec.ndim == 1 and vec.size:
             dim = vec.size

@@ -937,6 +937,29 @@ def test_frames_header_with_bad_sizes_is_malformed(tmp_path, fault):
         load_frames(path)
 
 
+ARTIFACT_KINDS = {
+    "frames": (lambda path: save_frames(FrameSequence(np.ones((2, 3)), 50.0), path), flow.FRAMES_FORMAT, load_frames),
+    "checkpoint": (
+        lambda path: save_checkpoint(init_vector_field(2, 1, 1, (4,), seed=0), path),
+        flow.CHECKPOINT_FORMAT,
+        load_checkpoint,
+    ),
+}
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2], ids=["bool", "float", "string", "two"])
+@pytest.mark.parametrize("kind", list(ARTIFACT_KINDS))
+def test_artifact_version_must_be_the_integer_1(tmp_path, kind, version):
+    save, fmt, load = ARTIFACT_KINDS[kind]
+    path = tmp_path / f"a.{kind}"
+    save(path)
+    header, payload = flow._unpack_artifact(path.read_bytes(), fmt)
+    header["version"] = version
+    path.write_bytes(b"".join(flow._pack_artifact(header, payload)))
+    with pytest.raises(MalformedHeaderError, match="unsupported version"):
+        load(path)
+
+
 def test_frames_roundtrip(tmp_path):
     seq = FrameSequence(np.random.default_rng(9).standard_normal((12, 7)), 80.0)
     path = tmp_path / "mel.frames"

@@ -277,6 +277,21 @@ def test_index_file_faults_keep_their_error_types(fault):
     assert type(caught.value) is expected
 
 
+def test_every_emix_proper_prefix_is_rejected_by_type():
+    # k=2, dim=3, 3 records: a cut inside the header raises MalformedHeaderError, any later cut
+    # or a trailing byte exactly FormatError
+    data = serialize_index(kmeans_fit(build_db(np.eye(3, dtype=np.float32)), 2, seed=0))
+    assert len(data) == 16 + 24 + 4 + 12 + 32
+    seen = []
+    for bad in [data[:n] for n in range(len(data))] + [data + b"\x00"]:
+        with pytest.raises(FormatError) as caught:
+            deserialize_index(bad)
+        want = MalformedHeaderError if len(bad) < 16 else FormatError
+        assert type(caught.value) is want, (len(bad), caught.value)
+        seen.append(want)
+    assert [seen.count(t) for t in (MalformedHeaderError, FormatError)] == [16, 73]
+
+
 def test_index_rejects_out_of_range_assignment():
     db = build_db(np.eye(2, dtype=np.float32))
     index = kmeans_fit(db, 1, seed=0)

@@ -756,6 +756,7 @@ _GOOD_ENTRY = {"id": "a", "emotion_label": "joy", "intensity": "weak", "embeddin
         ({"id": 7}, "7"),
         ({"emotion_label": None}, FormatError),
         ({"transcript": None}, FormatError),
+        ({"id": None}, FormatError),
         ({"embedding": ["1.5", 0.0]}, FormatError),
         ({"embedding": [True, 0.0]}, FormatError),
     ],
@@ -771,6 +772,7 @@ _GOOD_ENTRY = {"id": "a", "emotion_label": "joy", "intensity": "weak", "embeddin
         "numeric-id",
         "null-label",
         "null-transcript",
+        "null-id",
         "string-component",
         "bool-component",
     ],
